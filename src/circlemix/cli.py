@@ -1,7 +1,7 @@
 """Batch command-line front-end.
 
 Subcommands: analyze-map, verify-ly, absorb, envelope-check, covering,
-decay, drive-curve, couple.  Exit codes: 0 success, 1 certificate
+drive-curve, couple (alias decay).  Exit codes: 0 success, 1 certificate
 violation, 2 configuration error.
 """
 
@@ -208,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_envelope_check)
 
-    for name, kind in (("couple", None), ("decay", None),
-                       ("drive-curve", "curve-driven")):
-        sp = sub.add_parser(name)
+    for name, kind, aliases in (("couple", None, ["decay"]),
+                                ("drive-curve", "curve-driven", [])):
+        sp = sub.add_parser(name, aliases=aliases)
         common(sp)
         sp.set_defaults(fn=lambda a, k=kind: _cmd_pipeline(a, k))
     return p

@@ -81,9 +81,6 @@ class CouplingLedger:
     def distances(self) -> np.ndarray:
         return np.asarray(self.steps["l1_distance"], dtype=float)
 
-    def block_ends(self) -> list[BlockRecord]:
-        return list(self.blocks)
-
     def to_csv(self, path) -> None:
         cols = self.COLUMNS
         rows = zip(*(self.steps[c] for c in cols))

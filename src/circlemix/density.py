@@ -134,15 +134,6 @@ class Density:
     def min_value(self) -> float:
         return float(self.samples.min())
 
-    def interp(self, xs: np.ndarray) -> np.ndarray:
-        """Periodic linear interpolation at arbitrary circle points."""
-        G = self.G
-        pos = np.asarray(xs, dtype=float) * G
-        i0 = np.floor(pos).astype(np.int64) % G
-        frac = pos - np.floor(pos)
-        s = self.samples
-        return s[i0] * (1.0 - frac) + s[(i0 + 1) % G] * frac
-
     def bin_masses(self, B: int) -> np.ndarray:
         """Exact per-bin integrals of the interpolant over [j/B, (j+1)/B)."""
         G = self.G

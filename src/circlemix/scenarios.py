@@ -22,8 +22,8 @@ from .coupling import (BlockPlan, CertificateViolation, certify, fit_decay,
 from .covering import CoveringReport, positivity_horizon
 from .curves import curve_from_dict
 from .density import Density
-from .maps import (PiecewiseMap, analyze, map_from_dict, neighborhood_distance,
-                   sine_map)
+from .maps import (PiecewiseMap, TransferError, analyze, map_from_dict,
+                   neighborhood_distance, sine_map)
 
 SCHEMA_VERSION = 1
 REDRAW_LIMIT = 100
@@ -378,7 +378,7 @@ def run_scenario(scenario: Scenario, out_dir) -> RunResult:
         _write_json(os.path.join(out_dir, "certificate.json"),
                     {"passed": False, "error": str(exc), "block": exc.block})
         return RunResult(EXIT_CERTIFICATE, str(exc), artifacts)
-    except (ScenarioError, ValueError) as exc:
+    except (ScenarioError, ValueError, TransferError) as exc:
         return RunResult(EXIT_CONFIG, str(exc), artifacts)
 
 

@@ -1,9 +1,13 @@
 """Density evolution under piecewise expanding circle maps.
 
-Two interchangeable backends: the primary pullback backend evaluates
-sum_{y in f^-1 x} phi(y)/|f'(y)| at every grid point via the closed-form
-(or safeguarded-Newton) inverse branches; the Ulam backend discretizes the
-same operator as a column-stochastic bin-to-bin mass-transport matrix and
+Two interchangeable backends.  The primary pullback backend evaluates
+sum_{y in f^-1 x} phi(y)/|f'(y)| at every grid point.  The preimages and
+the weights 1/|f'| depend only on the map and the grid, so a
+TransferOperator solves them once per (map, G) and every push is then two
+gathers and a weighted sum; push_with_factor keeps the operator of the
+last map it saw, so a run that pushes several densities through one map,
+or reuses a map, builds it once.  The Ulam backend discretizes the same
+operator as a column-stochastic bin-to-bin mass-transport matrix and
 serves as an independent consistency oracle.
 """
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import Density
-from .maps import PiecewiseMap, _solve_lift
+from .maps import PiecewiseMap, TransferError, _solve_lift
 
 # Hard sanity window for the per-step mass renormalization factor; values
 # outside it indicate a broken map/density pairing rather than grid error.
@@ -24,8 +28,66 @@ FACTOR_WINDOW = (0.5, 2.0)
 ULAM_QUAD_POINTS = 64
 
 
-class TransferError(RuntimeError):
-    pass
+class TransferOperator:
+    """The pullback operator of one map on the grid i/G.
+
+    For each branch and lift offset k, the grid targets j/G + k inside the
+    branch image form one contiguous run of j, stored as a slice.  Each
+    preimage x of a target contributes the linear interpolant of phi at x
+    divided by |f'(x)|: a left sample index i0 and the weights
+    (1 - frac)/|f'| and frac/|f'| on samples i0 and i0 + 1.
+    """
+
+    def __init__(self, m: PiecewiseMap, G: int):
+        self.m = m
+        self.G = G
+        ys = np.arange(G) / G
+        self._runs = []
+        for b in m.branches:
+            flo = float(b.lift(b.lo))
+            fhi = float(b.lift(b.hi))
+            inc = b.increasing
+            for k in m.branch_offsets(b):
+                t = ys + k
+                if inc:  # targets in [flo, fhi)
+                    j0, j1 = np.searchsorted(t, (flo, fhi), side="left")
+                else:    # targets in (fhi, flo]
+                    j0, j1 = np.searchsorted(t, (fhi, flo), side="right")
+                if j0 >= j1:
+                    continue
+                xs = _solve_lift(b, t[j0:j1])
+                xs[xs >= 1.0] -= 1.0
+                pos = xs * G
+                i0 = np.floor(pos)
+                frac = pos - i0
+                inv = 1.0 / np.abs(b.deriv(xs))
+                self._runs.append((slice(int(j0), int(j1)), i0.astype(np.intp),
+                                   (1.0 - frac) * inv, frac * inv))
+
+    def apply(self, samples: np.ndarray) -> np.ndarray:
+        """Raw (unnormalized) pushforward samples of one density."""
+        s_ext = np.append(samples, samples[0])  # periodic right neighbour
+        right = s_ext[1:]
+        acc = np.zeros(self.G)
+        for sl, i0, w0, w1 in self._runs:
+            acc[sl] += s_ext[i0] * w0 + right[i0] * w1
+        return acc
+
+
+# The operator of the last (map, G) pushed.  Equal maps give equal
+# operators, so sharing it between callers changes no result.
+_last_operator: TransferOperator | None = None
+
+
+def transfer_operator(m: PiecewiseMap, G: int) -> TransferOperator:
+    """The TransferOperator of (m, G), rebuilt only when either changes."""
+    global _last_operator
+    op = _last_operator
+    if op is None or op.G != G or op.m != m:
+        # Drop the old operator first, so two are never alive at once.
+        op = _last_operator = None
+        op = _last_operator = TransferOperator(m, G)
+    return op
 
 
 def push_with_factor(m: PiecewiseMap, phi: Density) -> tuple[Density, float]:
@@ -33,26 +95,9 @@ def push_with_factor(m: PiecewiseMap, phi: Density) -> tuple[Density, float]:
 
     The raw pullback is exact for the piecewise-linear interpolant up to
     interpolation at preimages; its grid integral drifts from 1 by
-    O(variation/G), which is divided out and reported.
+    O(variation/G), which is divided out and returned.
     """
-    G = phi.G
-    ys = np.arange(G) / G
-    acc = np.zeros(G)
-    for b in m.branches:
-        flo = float(b.lift(b.lo))
-        fhi = float(b.lift(b.hi))
-        inc = b.increasing
-        for k in m.branch_offsets(b):
-            t = ys + k
-            if inc:
-                mask = (t >= flo) & (t < fhi)
-            else:
-                mask = (t > fhi) & (t <= flo)
-            if not mask.any():
-                continue
-            xs = _solve_lift(b, t[mask])
-            xs = np.where(xs >= 1.0, xs - 1.0, xs)
-            acc[mask] += phi.interp(xs) / np.abs(b.deriv(xs))
+    acc = transfer_operator(m, phi.G).apply(phi.samples)
     raw = float(acc.mean())
     if not FACTOR_WINDOW[0] <= raw <= FACTOR_WINDOW[1]:
         raise TransferError(

@@ -7,6 +7,8 @@ from circlemix import (MapFormError, PiecewiseMap, BranchSpec, affine_map,
                        analyze, circle_dist, doubling_map,
                        neighborhood_distance, sine_map, slope25_map,
                        slope3_two_branch, two_slope_wrap_map)
+from circlemix import maps, transfer
+from circlemix.maps import SOLVE_TOL, TransferError, _solve_lift
 
 ALL_MAPS = {
     "doubling": doubling_map(),
@@ -224,3 +226,71 @@ def test_neighborhood_distance_incomparable():
     f = PiecewiseMap((BranchSpec(0.0, 0.5, 3.0),
                       BranchSpec(0.5, 1.0, 2.5, 0.4)))
     assert neighborhood_distance(f, g) == math.inf
+
+
+def bisection_oracle(b, targets):
+    """Plain bisection on [lo, hi], run until the bracket stops shrinking."""
+    lo = np.full_like(targets, b.lo)
+    hi = np.full_like(targets, b.hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        val = b.lift(mid)
+        below = (val < targets) if b.increasing else (val > targets)
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def random_sine_branch(rng, margin):
+    """A sine branch on a random arc with |s| - 2 pi |a| = margin."""
+    s = rng.uniform(1.5, 4.0) * rng.choice([-1.0, 1.0])
+    margin = min(margin, abs(s) - 0.01)
+    a = (abs(s) - margin) / (2.0 * math.pi) * rng.choice([-1.0, 1.0])
+    lo = rng.uniform(0.0, 0.7)
+    hi = rng.uniform(lo + 0.05, 1.0)
+    return BranchSpec(lo, hi, s, rng.uniform(-1.0, 1.0), a)
+
+
+def test_solve_lift_matches_bisection_oracle():
+    rng = np.random.Generator(np.random.PCG64(17))
+    left_bracket = 0
+    for i in range(300):
+        near_critical = i % 2 == 0
+        margin = rng.uniform(1.0, 1.05) if near_critical else rng.uniform(1.05, 3.0)
+        b = random_sine_branch(rng, margin)
+        ends = np.array([float(b.lift(b.lo)), float(b.lift(b.hi))])
+        t = np.concatenate([ends, rng.uniform(ends.min(), ends.max(), 200)])
+        x = _solve_lift(b, t)
+        scale = np.maximum(1.0, np.abs(t))
+        assert np.all(np.abs(b.lift(x) - t) <= SOLVE_TOL * scale)
+        assert np.all(np.abs(x - bisection_oracle(b, t)) <= 1e-13 * scale)
+        if near_critical:
+            # plain Newton from the affine inverse leaves the bracket
+            # |x - x0| <= |a|/|s| here, so the bisection fallback is needed
+            x0 = (t - b.offset) / b.slope
+            step = (b.lift(x0) - t) / b.deriv(x0)
+            left_bracket += int(np.any(np.abs(step) > abs(b.amplitude / b.slope)))
+    assert left_bracket >= 100
+
+
+def test_solve_lift_without_affine_part():
+    # slope 0: no warm start, the bracket is the whole arc
+    b = BranchSpec(0.0, 0.1, 0.0, 0.0, 1.0)
+    t = np.linspace(0.0, float(b.lift(b.hi)), 101)
+    x = _solve_lift(b, t)
+    assert np.abs(b.lift(x) - t).max() <= SOLVE_TOL
+    assert np.abs(x - bisection_oracle(b, t)).max() <= 1e-13
+
+
+def test_solve_lift_residual_guard(monkeypatch):
+    b = BranchSpec(0.0, 0.5, 2.0, 0.0, 0.05)
+    t = np.linspace(float(b.lift(b.lo)), float(b.lift(b.hi)), 64)
+    assert np.abs(b.lift(_solve_lift(b, t)) - t).max() <= SOLVE_TOL
+    monkeypatch.setattr(maps, "SOLVE_MAX_ITERS", 1)
+    with pytest.raises(TransferError, match="amplitude=0.05"):
+        _solve_lift(b, t)
+
+
+def test_transfer_error_shared_with_transfer():
+    assert transfer.TransferError is TransferError
+    assert issubclass(TransferError, RuntimeError)

@@ -135,6 +135,31 @@ def test_cli_couple_and_envelope_check(tmp_path):
     assert main(["envelope-check", "--out", str(run_dir)]) == 0
 
 
+def test_cli_decay_is_alias_of_couple(tmp_path):
+    cfg = {"schema": 1, "name": "alias", "kind": "fixed-map", "grid": 1024,
+           "n_max": 4, "seed": 9, "phi": {"preset": "sine"},
+           "psi": {"preset": "uniform"},
+           "family": {"map": {"form": "slope3-two-branch"}}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    ledgers = []
+    for command in ("couple", "decay"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        ledgers.append((out / "alias" / "ledger.csv").read_bytes())
+    assert ledgers[0] == ledgers[1]
+
+
+def test_transfer_error_exits_2_with_message(tmp_path, monkeypatch):
+    from circlemix import transfer
+
+    monkeypatch.setattr(transfer, "FACTOR_WINDOW", (2.0, 3.0))
+    res = run_scenario(base_scenario(), tmp_path / "mass")
+    assert res.exit_code == EXIT_CONFIG
+    assert "pushforward mass" in res.message
+    assert "outside (2.0, 3.0)" in res.message
+
+
 def test_cli_grid_seed_overrides(tmp_path):
     cfg = {"schema": 1, "name": "ov", "kind": "fixed-map", "grid": 1024,
            "n_max": 5, "seed": 9, "phi": {"preset": "sine"},

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circlemix import (Density, analyze, backend_consistency, doubling_map,
-                       push, push_sequence, push_with_factor, sine_map,
-                       slope25_map, slope3_two_branch, two_slope_wrap_map,
-                       ulam_matrix, ulam_push)
-from circlemix.transfer import TransferError
+from circlemix import (BranchSpec, Density, PiecewiseMap, affine_map, analyze,
+                       backend_consistency, doubling_map, push, push_sequence,
+                       push_with_factor, sine_map, slope25_map,
+                       slope3_two_branch, two_slope_wrap_map, ulam_matrix,
+                       ulam_push)
+from circlemix.transfer import TransferError, transfer_operator
 
 BUILTINS = [doubling_map(), slope25_map(), slope3_two_branch(),
             two_slope_wrap_map()]
@@ -167,3 +172,154 @@ def test_iterated_variation_envelope():
             env = ((2.0 / fam.lambda0) ** n * v0
                    + fam.A0 / (1.0 - 2.0 / fam.lambda0))
             assert cur.variation() <= env * (1.0 + slack) + slack
+
+
+# --- the operator against the per-density push it replaced -------------------
+
+
+def bisect_lift(b, targets):
+    """Preimage solve of the per-density push: 30 bisection steps, then 4
+    clipped Newton steps."""
+    if b.is_affine:
+        return (targets - b.offset) / b.slope
+    lo = np.full_like(targets, b.lo)
+    hi = np.full_like(targets, b.hi)
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        val = b.lift(mid)
+        below = (val < targets) if b.increasing else (val > targets)
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    x = 0.5 * (lo + hi)
+    for _ in range(4):
+        x = np.clip(x - (b.lift(x) - targets) / b.deriv(x), b.lo, b.hi)
+    return x
+
+
+def per_density_push(m, phi):
+    """Reference push that solves every preimage again for each density and
+    interpolates phi there directly."""
+    G = phi.G
+    s = phi.samples
+    ys = np.arange(G) / G
+    acc = np.zeros(G)
+    for b in m.branches:
+        flo = float(b.lift(b.lo))
+        fhi = float(b.lift(b.hi))
+        for k in m.branch_offsets(b):
+            t = ys + k
+            if b.increasing:
+                mask = (t >= flo) & (t < fhi)
+            else:
+                mask = (t > fhi) & (t <= flo)
+            if not mask.any():
+                continue
+            xs = bisect_lift(b, t[mask])
+            xs = np.where(xs >= 1.0, xs - 1.0, xs)
+            pos = xs * G
+            i0 = np.floor(pos).astype(np.int64) % G
+            frac = pos - np.floor(pos)
+            vals = s[i0] * (1.0 - frac) + s[(i0 + 1) % G] * frac
+            acc[mask] += vals / np.abs(b.deriv(xs))
+    return acc / acc.mean()
+
+
+ORACLE_MAPS = BUILTINS + [
+    sine_map(2.0, 0.05), sine_map(3.0, 0.003, 0.01),
+    sine_map(-2.5, 0.2, 0.3, marks=(0.0, 0.3, 0.7)),
+    sine_map(2.0, 0.98 / (2.0 * math.pi)),  # |s| - 2 pi |a| = 1.02
+    PiecewiseMap((BranchSpec(0.0, 1.0, -2.0),)),
+]
+
+
+@pytest.mark.parametrize("G", [2 ** 10, 2 ** 13])
+def test_push_matches_per_density_push(G):
+    rng = np.random.Generator(np.random.PCG64(21))
+    for m in ORACLE_MAPS:
+        for phi in (Density.random_bv(G, 20.0, rng), Density.sine(G, 3, 0.9)):
+            got = push(m, phi).samples
+            assert float(np.abs(got - per_density_push(m, phi)).max()) <= 1e-13
+
+
+def test_equal_maps_give_byte_identical_pushes():
+    G = 2 ** 12
+    phi = Density.random_bv(G, 10.0, np.random.Generator(np.random.PCG64(4)))
+    a = sine_map(2.0, 0.05, 0.1)
+    b = sine_map(2.0, 0.05, 0.1)
+    assert a == b and a is not b
+    first = push(a, phi).samples.tobytes()
+    op = transfer_operator(a, G)
+    assert push(b, phi).samples.tobytes() == first
+    assert transfer_operator(b, G) is op  # one build serves both
+    push(doubling_map(), phi)  # evicts the operator of a
+    assert transfer_operator(b, G) is not op
+    assert push(b, phi).samples.tobytes() == first
+
+
+# --- operator invariants over random maps and densities ----------------------
+
+MARKS = [(0.0,), (0.0, 0.5), (0.0, 0.25), (0.0, 0.3, 0.7)]
+
+
+@st.composite
+def circle_maps(draw):
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    slope = sign * draw(st.floats(1.3, 4.0))
+    offset = draw(st.floats(0.0, 1.0))
+    marks = draw(st.sampled_from(MARKS))
+    if draw(st.booleans()):
+        return affine_map(slope, offset, marks)
+    margin = draw(st.floats(1.05, abs(slope)))
+    amp = sign * draw(st.sampled_from([1.0, -1.0])) * (abs(slope) - margin) / (2.0 * math.pi)
+    return sine_map(slope, amp, offset, marks)
+
+
+@st.composite
+def densities(draw, G):
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32))))
+    return Density.random_bv(G, draw(st.floats(0.5, 40.0)), rng)
+
+
+GRIDS = st.sampled_from([2 ** 8, 2 ** 10, 2 ** 12])
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+
+@PROPERTY
+@given(m=circle_maps(), G=GRIDS, data=st.data())
+def test_push_unit_mass_and_nonnegative(m, G, data):
+    out, factor = push_with_factor(m, data.draw(densities(G)))
+    assert abs(out.integral() - 1.0) <= 1e-12
+    assert float(out.samples.min()) >= 0.0
+    assert 0.5 <= factor <= 2.0
+
+
+@PROPERTY
+@given(m=circle_maps(), G=GRIDS, w=st.sampled_from([1.0, 0.3, 0.01, 1e-4]),
+       data=st.data())
+def test_push_l1_non_expansive(m, G, w, data):
+    # psi mixes phi with a second density, so that |phi - psi| runs from
+    # O(1) down to roundoff
+    phi = data.draw(densities(G))
+    psi = Density((1.0 - w) * phi.samples + w * data.draw(densities(G)).samples)
+    h = phi.samples - psi.samples
+    var_h = float(np.abs(np.roll(h, -1) - h).sum())
+    d = phi.l1_distance(psi)
+    # grid error of the pullback of phi - psi, plus roundoff
+    slack = (2.0 * var_h + analyze(m).A * d) / G + 1e-14
+    assert push(m, phi).l1_distance(push(m, psi)) <= d + slack
+
+
+@PROPERTY
+@given(m=circle_maps(), G=GRIDS, q=st.integers(1, 3),
+       theta=st.floats(0.0, 2.0 * math.pi), data=st.data())
+def test_push_duality(m, G, q, theta, data):
+    # mean(h * P phi) = mean((h o f) * phi) up to the grid error
+    phi = data.draw(densities(G))
+    xs = np.arange(G) / G
+    h = lambda x: np.cos(2.0 * math.pi * q * x + theta)  # noqa: E731
+    lhs = float((h(xs) * push(m, phi).samples).mean())
+    rhs = float((h(m.eval_many(xs)) * phi.samples).mean())
+    M0 = analyze(m).M0
+    slack = 2.0 * (1.0 + phi.variation()) * (1.0 + q * M0) / G
+    assert abs(lhs - rhs) <= slack
