@@ -8,6 +8,9 @@ which is far better than the certified one (the certificate is a proof,
 the fit is an observation).
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from circlemix import (Density, certify, fit_decay, run_coupled,
@@ -48,5 +51,6 @@ print(f"fitted per-step rate {fit.Lambda_emp:.4f} over "
 print(f"certified per-step rate {bounds.Lambda:.6f} "
       "(a guaranteed bound, not an estimate)")
 
-led.to_csv("/tmp/matching_demo_ledger.csv")
-print("\nper-step ledger written to /tmp/matching_demo_ledger.csv")
+led_path = os.path.join(tempfile.gettempdir(), "matching_demo_ledger.csv")
+led.to_csv(led_path)
+print(f"\nper-step ledger written to {led_path}")

@@ -8,6 +8,10 @@ matter where the drive currently sits, so memory decays at a certified
 rate even though the dynamics never stops changing.
 """
 
+import json
+import os
+import tempfile
+
 from circlemix import slope_curve
 from circlemix.bounds import delta0_of_curve
 from circlemix.scenarios import Scenario, run_scenario
@@ -29,10 +33,14 @@ sc = Scenario(name="drive", kind="curve-driven", grid=2 ** 12, n_max="auto",
               curve={"family": "slope", "s0": 2.5, "s1": 3.5,
                      "interval": [0, 1]},
               mesh="auto", probes=9)
-res = run_scenario(sc, "/tmp/drive_demo")
+out_dir = os.path.join(tempfile.gettempdir(), "drive_demo")
+res = run_scenario(sc, out_dir)
 led = res.ledger
-print(f"\ndrive: {sc.n_max} steps at mesh {sc.curve['resolved_mesh']:.4e}, "
-      f"exit code {res.exit_code}")
+# the resolved step count and mesh are recorded in the written scenario.json
+with open(res.artifacts["scenario"]) as fh:
+    resolved = json.load(fh)
+print(f"\ndrive: {resolved['n_max']} steps at mesh "
+      f"{resolved['curve']['resolved_mesh']:.4e}, exit code {res.exit_code}")
 print("anchors used:", sorted({rec.anchor for rec in led.blocks}))
 d = led.distances()
 marks = [0, 5, 10, 20, 40, 80, len(d) - 1]
@@ -40,4 +48,4 @@ print("distance along the drive:")
 for n in marks:
     print(f"  n={n:3d}  {d[n]:.3e}")
 print(f"certificate passed: {res.certificate.passed}; "
-      f"artifacts in /tmp/drive_demo")
+      f"artifacts in {out_dir}")

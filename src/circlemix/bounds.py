@@ -18,9 +18,6 @@ from .maps import PiecewiseMap, analyze, neighborhood_distance
 # floored (affine maps contract the ratio cone every step regardless).
 C0_FLOOR = 1e-6
 
-BISECT_ITERS = 40
-ALPHA_SAMPLES = 8  # admissibility checks per side when bisecting alpha
-
 
 def tau_piecewise(a: float, a_star: float, lambda0: float, A0: float) -> int:
     """Smallest n >= 0 with (2/lambda0)^n * a + A0/(1-2/lambda0) <= a*,
@@ -285,34 +282,28 @@ def default_eps_rule(g: PiecewiseMap) -> float:
     return 0.25 * min(d, 1.0) * (1.0 - 1e-9)
 
 
-def _alpha_radius(curve, t0: float, g: PiecewiseMap, eps: float,
-                  interval: tuple[float, float]) -> float:
-    """Largest alpha (bisection) with every sampled parameter within alpha
-    of t0 mapping into the eps-neighborhood of g."""
-    a, b = interval
-
-    def admissible(alpha: float) -> bool:
-        ts = []
-        for side in (-1.0, 1.0):
-            for q in range(1, ALPHA_SAMPLES + 1):
-                t = t0 + side * alpha * q / ALPHA_SAMPLES
-                if a <= t <= b:
-                    ts.append(t)
-        return all(neighborhood_distance(curve(t), g) < eps for t in ts)
-
-    hi = b - a
-    if hi <= 0:
+def _alpha_radius(curve, t0: float, g: PiecewiseMap, eps: float) -> float:
+    """Parameter radius within which the curve stays eps-near g = curve(t0),
+    in closed form from the curve's Lipschitz constant L:
+    alpha = min(eps, d_omega/4) / L (past d_omega/4 maps are incomparable),
+    or the interval length b - a when every parameter of [a, b] lies within
+    that radius of t0.  The declared L is checked at the half-window ends;
+    a curve that breaks it raises ValueError."""
+    a, b = curve.a, curve.b
+    if b - a <= 0:
         raise ValueError("degenerate parameter interval")
-    if admissible(hi):
-        return hi
-    lo = 0.0
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    L = curve.lipschitz
+    reach = min(eps, 0.25 * analyze(g).d_omega)
+    if L == 0 or L * max(t0 - a, b - t0) < reach:
+        alpha = b - a
+    else:
+        alpha = reach / L
+    for t in (max(a, t0 - alpha / 2), min(b, t0 + alpha / 2)):
+        if neighborhood_distance(curve(t), g) > L * abs(t - t0) + 1e-12:
+            raise ValueError(
+                f"curve {curve.label}: declared lipschitz {L} is too small "
+                f"between t={t0} and t={t}")
+    return alpha
 
 
 def _greedy_cover(windows, a: float, b: float):
@@ -320,8 +311,9 @@ def _greedy_cover(windows, a: float, b: float):
     uncovered parameter."""
     chosen = []
     covered_to = a
-    # Radii come from bisection lower bounds, so adjacent windows meant to
-    # touch can miss by ~1e-9; bridge that, it is far below any mesh scale.
+    # default_eps_rule shrinks radii by a factor (1 - 1e-9), so adjacent
+    # windows meant to touch can miss by ~1e-9; bridge that, it is far
+    # below any mesh scale.
     fuzz = 1e-8 * max(1.0, abs(b - a))
     while covered_to < b - fuzz:
         best = None
@@ -337,12 +329,13 @@ def _greedy_cover(windows, a: float, b: float):
 
 def delta0_of_curve(curve, probe_grid, a_star: float | None = None,
                     eps_rule=None, dense_samples: int = 65) -> CurveCover:
-    """Safe parameter mesh along a curve of maps.
+    """Safe parameter mesh along a curve of maps (a `MapCurve`).
 
     For each probe: the admissible radius eps, the parameter radius alpha
-    within which the curve stays eps-near the probe map, the positivity
-    horizon, and the block length n0 + tau.  Half-radius windows must
-    cover the parameter interval (greedy selection).  The mesh is
+    within which the curve stays eps-near the probe map (from the curve's
+    Lipschitz constant), the positivity horizon, and the block length
+    n0 + tau.  Half-radius windows must cover the parameter interval
+    (greedy selection).  The mesh is
     delta0 = min over all probes of alpha/(2 * block) -- taking every
     probe, not just the chosen cover, keeps the certified mesh monotone
     under probe refinement (a superset of probes never certifies a larger
@@ -351,7 +344,7 @@ def delta0_of_curve(curve, probe_grid, a_star: float | None = None,
     probe_grid = sorted(float(t) for t in probe_grid)
     if not probe_grid:
         raise ValueError("need at least one probe")
-    a, b = getattr(curve, "a", probe_grid[0]), getattr(curve, "b", probe_grid[-1])
+    a, b = curve.a, curve.b
     dense = sorted(set(probe_grid) | set(np.linspace(a, b, dense_samples).tolist()))
     fam = family_bounds([curve(t) for t in dense])
     if a_star is None:
@@ -365,7 +358,7 @@ def delta0_of_curve(curve, probe_grid, a_star: float | None = None,
         cov = positivity_horizon(g, a_star, eps)
         tau = tau_piecewise(a_star / (1.0 - cov.kappa_eps), a_star,
                             fam.lambda0, fam.A0)
-        alpha = _alpha_radius(curve, t, g, eps, (a, b))
+        alpha = _alpha_radius(curve, t, g, eps)
         probes.append(ProbeInfo(t=t, eps=eps, alpha=alpha, covering=cov, tau=tau))
     windows = [(p.t - p.alpha / 2, p.t + p.alpha / 2) for p in probes]
     chosen, uncovered = _greedy_cover(windows, a, b)

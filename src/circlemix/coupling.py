@@ -68,10 +68,8 @@ class CouplingLedger:
     fraction: float
     slack: float
     n_wait: int
-    kappa_source: str
     steps: dict = field(default_factory=dict)   # column name -> list
     blocks: list = field(default_factory=list)  # BlockRecord
-    cone_entry: int | None = None               # first empirical cone entry
     snapshots: list = field(default_factory=list)
 
     COLUMNS = ("n", "l1_distance", "variation_phi", "variation_psi",
@@ -108,7 +106,7 @@ def _smooth_wait(phi: Density, psi: Density, eps_loc: float,
 
 
 def run_coupled(maps, phi: Density, psi: Density, mode: str, *,
-                bounds, plan=None, kappa_mode: str = "theoretical",
+                bounds, plan=None,
                 record_snapshots: bool = False) -> CouplingLedger:
     """Run the matching scheme along the map sequence.
 
@@ -143,7 +141,7 @@ def run_coupled(maps, phi: Density, psi: Density, mode: str, *,
                                    bounds.lambda0, bounds.C0)
 
     ledger = CouplingLedger(mode=mode, G=G, fraction=fraction, slack=slack,
-                            n_wait=-1, kappa_source=kappa_mode)
+                            n_wait=-1)
     cols = {c: [] for c in CouplingLedger.COLUMNS}
 
     raw_phi, raw_psi = phi, psi
@@ -157,8 +155,6 @@ def run_coupled(maps, phi: Density, psi: Density, mode: str, *,
     kappa_now = 0.0
 
     def in_cone() -> bool:
-        if smooth:
-            return False  # smooth wait is schedule-driven, not measured here
         return (u_phi.variation() <= bounds.a_star
                 and u_psi.variation() <= bounds.a_star)
 
@@ -180,20 +176,17 @@ def run_coupled(maps, phi: Density, psi: Density, mode: str, *,
                 f"positivity floor {cur.kappa} violated at step {n} "
                 f"(mins {mins}); inadmissible maps or grid too coarse",
                 block=block_idx)
-        kappa_used = cur.kappa
-        if kappa_mode == "empirical":
-            kappa_used = min(mins)
         if record_snapshots:
             pre = (u_phi, u_psi)
-        u_phi = u_phi.match_subtract(kappa_used, fraction)
-        u_psi = u_psi.match_subtract(kappa_used, fraction)
-        residual *= 1.0 - fraction * kappa_used
+        u_phi = u_phi.match_subtract(cur.kappa, fraction)
+        u_psi = u_psi.match_subtract(cur.kappa, fraction)
+        residual *= 1.0 - fraction * cur.kappa
         if record_snapshots:
             ledger.snapshots.append(
                 {"n": n, "block": block_idx, "pre": pre, "post": (u_phi, u_psi)})
         ledger.blocks.append(BlockRecord(
             index=block_idx, start=end_step - cur.length, sub_step=n,
-            end=end_step, kappa_used=kappa_used, fraction=fraction,
+            end=end_step, kappa_used=cur.kappa, fraction=fraction,
             min_phi=mins[0], min_psi=mins[1],
             residual_after=residual, anchor=cur.anchor))
 
@@ -216,8 +209,6 @@ def run_coupled(maps, phi: Density, psi: Density, mode: str, *,
             if entered:
                 ledger.n_wait = n
                 start_block(n)
-        if ledger.cone_entry is None and not smooth and in_cone():
-            ledger.cone_entry = n
         if state == "block" and n == sub_step:
             do_subtract(n)
         if state == "block" and n == end_step:
@@ -239,8 +230,6 @@ def run_coupled(maps, phi: Density, psi: Density, mode: str, *,
     if ledger.n_wait < 0:
         ledger.n_wait = len(cols["n"])  # never entered the cone
     ledger.steps = cols
-    if smooth and ledger.cone_entry is None:
-        ledger.cone_entry = ledger.n_wait
     return ledger
 
 

@@ -213,15 +213,6 @@ class PiecewiseMap:
         """Branch domain endpoints, used as correspondence marks."""
         return tuple(b.lo for b in self.branches)
 
-    @property
-    def d_marked(self) -> float:
-        pts = self.marked_points
-        if len(pts) == 1:
-            return 1.0
-        gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
-        gaps.append(1.0 - pts[-1] + pts[0])
-        return min(gaps)
-
     def branch_index(self, x: float) -> int:
         los = [b.lo for b in self.branches]
         return bisect_right(los, x) - 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class Scenario:
     mesh: float | str | None = None
     mesh_override: bool = False
     probes: int = 9
-    kappa_mode: str = "theoretical"
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "Scenario":
@@ -95,7 +94,7 @@ class Scenario:
             "psi": self.psi, "family": self.family, "curve": self.curve,
             "eps": self.eps, "eps_loc": self.eps_loc, "a_star": self.a_star,
             "mesh": self.mesh, "mesh_override": self.mesh_override,
-            "probes": self.probes, "kappa_mode": self.kappa_mode,
+            "probes": self.probes,
         })
         return out
 
@@ -303,10 +302,12 @@ def run_scenario(scenario: Scenario, out_dir) -> RunResult:
         elif scenario.kind == "curve-driven":
             mode = "piecewise"
             curve, curve_cover, mesh = resolve_curve_plan(scenario)
-            scenario.curve["resolved_mesh"] = mesh
-            if scenario.n_max == "auto":
-                scenario.n_max = min(
-                    math.ceil((curve.b - curve.a) / mesh), N_MAX_CAP)
+            n_max = scenario.n_max
+            if n_max == "auto":
+                n_max = min(math.ceil((curve.b - curve.a) / mesh), N_MAX_CAP)
+            # resolve on a copy: the caller's Scenario stays as given
+            scenario = replace(scenario, n_max=n_max,
+                               curve={**scenario.curve, "resolved_mesh": mesh})
             binding = min(
                 (curve_cover.probes[j] for j in curve_cover.selected),
                 key=lambda p: p.alpha / (2.0 * p.n_block))
@@ -340,8 +341,7 @@ def run_scenario(scenario: Scenario, out_dir) -> RunResult:
             report, covering = _piecewise_constants(scenario, g, pad)
 
         maps = build_sequence(scenario, rng)
-        ledger = run_coupled(maps, phi, psi, mode, bounds=report, plan=plan,
-                             kappa_mode=scenario.kappa_mode)
+        ledger = run_coupled(maps, phi, psi, mode, bounds=report, plan=plan)
         fit = fit_decay(ledger.distances())
         cert = certify(ledger)
 

@@ -7,6 +7,7 @@ length 1/18 > 1/20, so the refinement depth is 4, every 4-cylinder escapes
 in 3 steps, and the positivity floor is kappa0 = (1/2) * 3^-4 = 1/162.
 """
 
+import json
 import math
 import time
 
@@ -142,11 +143,11 @@ def test_ac6_curve_drive(tmp_path):
     res = run_scenario(sc, tmp_path / "thC")
     delta0 = res.bounds.delta0
     final = res.ledger.distances()[-1]
-    n_used = sc.n_max
+    with open(res.artifacts["scenario"]) as fh:
+        n_used = json.load(fh)["n_max"]
     ok_run = (res.exit_code == EXIT_OK and res.certificate.passed
               and final <= 1e-6 and n_used == min(math.ceil(1.0 / delta0), 10 ** 4))
     # doubling the mesh without the override flag must exit with code 2
-    import json
     cfg = {"schema": 1, "name": "thC2", "kind": "curve-driven",
            "grid": 2 ** 12, "n_max": "auto", "seed": 5,
            "phi": {"preset": "sine"}, "psi": {"preset": "uniform"},

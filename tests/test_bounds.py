@@ -5,7 +5,8 @@ import pytest
 
 from circlemix import (cone_parameter, delta0_of_curve, distortion_constant,
                        envelope, envelope_block, family_bounds, lambda_local,
-                       sine_map, slope_curve, slope3_two_branch,
+                       neighborhood_distance, sine_amplitude_curve, sine_map,
+                       slope_curve, slope3_two_branch,
                        smooth_positivity_floor, tau_piecewise, tau_smooth)
 from circlemix.bounds import default_a_star, default_eps_rule
 from circlemix.curves import MapCurve
@@ -132,7 +133,7 @@ def test_default_eps_rule():
 
 def test_delta0_constant_curve():
     g = slope3_two_branch()
-    curve = MapCurve(0.0, 1.0, lambda t: g, label="const")
+    curve = MapCurve(0.0, 1.0, lambda t: g, lipschitz=0.0, label="const")
     cover = delta0_of_curve(curve, [0.5])
     assert cover.covered
     p = cover.probes[0]
@@ -146,15 +147,48 @@ def test_delta0_slope_family():
     cover = delta0_of_curve(curve, grid)
     assert cover.covered
     assert cover.delta0 > 0
-    # each alpha solves 2|t - z| < eps on the affine family (distance is
-    # exactly twice the slope gap), up to bisection resolution
+    # each alpha solves 2|t - z| = eps on the affine family (distance is
+    # exactly twice the slope gap)
     for j in cover.selected:
         p = cover.probes[j]
-        assert p.alpha == pytest.approx(min(p.eps / 2.0, 1.0), abs=1e-6)
+        assert p.alpha == pytest.approx(min(p.eps / 2.0, 1.0), abs=1e-12)
     # refinement with more probes never certifies a larger mesh
     finer = delta0_of_curve(curve, [i / 16 for i in range(17)])
     assert finer.covered
     assert finer.delta0 <= cover.delta0 * 1.000001
+
+
+@pytest.mark.parametrize("curve, probes", [
+    (slope_curve(2.5, 3.5), [i / 8 for i in range(9)]),
+    (sine_amplitude_curve(3.0, 0.0, 0.01), [0.0, 0.5, 1.0]),
+])
+def test_curve_stays_in_every_alpha_window(curve, probes):
+    cover = delta0_of_curve(curve, probes)
+    assert cover.covered and cover.delta0 > 0
+    L = curve.lipschitz
+    for p in cover.probes:
+        # the full length when the whole interval lies within eps/L of t
+        whole = L * max(p.t, 1.0 - p.t) < p.eps
+        assert p.alpha == pytest.approx(1.0 if whole else p.eps / L,
+                                        rel=1e-12)
+        g = curve(p.t)
+        lo, hi = max(curve.a, p.t - p.alpha), min(curve.b, p.t + p.alpha)
+        for t in np.linspace(lo, hi, 1002)[1:-1]:
+            assert neighborhood_distance(curve(float(t)), g) < p.eps
+
+
+def test_understated_lipschitz_raises():
+    true = slope_curve(2.5, 3.5)
+    liar = MapCurve(true.a, true.b, true.factory, lipschitz=1.0, label="liar")
+    with pytest.raises(ValueError, match="liar"):
+        delta0_of_curve(liar, [0.5])
+
+
+def test_lipschitz_must_be_finite_and_nonnegative():
+    g = slope3_two_branch()
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lipschitz"):
+            MapCurve(0.0, 1.0, lambda t: g, lipschitz=bad)
 
 
 def test_delta0_cover_failure_reported():

@@ -106,6 +106,37 @@ def test_run_reruns_byte_identical(tmp_path):
     assert led1 == led2
 
 
+def test_curve_run_leaves_scenario_unchanged(tmp_path):
+    curve = {"family": "slope", "s0": 2.5, "s1": 3.5, "interval": [0, 1]}
+    sc = base_scenario(kind="curve-driven", grid=512, n_max="auto",
+                       curve=dict(curve), mesh="auto", probes=9)
+    outputs = []
+    for run in ("a", "b"):
+        res = run_scenario(sc, tmp_path / run)
+        assert res.exit_code == EXIT_OK
+        outputs.append([open(res.artifacts[k], "rb").read()
+                        for k in ("ledger", "scenario")])
+    assert outputs[0] == outputs[1]
+    assert sc.n_max == "auto" and sc.curve == curve
+    written = json.loads(outputs[0][1])
+    assert written["n_max"] == len(outputs[0][0].splitlines()) - 2
+    assert written["curve"]["resolved_mesh"] > 0
+
+
+def test_kappa_mode_is_an_unknown_field(tmp_path):
+    cfg = {"schema": 1, "name": "km", "kind": "fixed-map", "grid": 512,
+           "n_max": 4, "seed": 1, "phi": {"preset": "uniform"},
+           "psi": {"preset": "uniform"},
+           "family": {"map": {"form": "slope3-two-branch"}},
+           "kappa_mode": "empirical"}
+    with pytest.raises(ScenarioError, match="kappa_mode"):
+        Scenario.from_dict(cfg)
+    cfg_path = tmp_path / "km.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["couple", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
 def test_mesh_gate_exit_2(tmp_path):
     sc = base_scenario(kind="curve-driven", n_max="auto",
                        curve={"family": "slope", "s0": 2.5, "s1": 3.5,
