@@ -9,10 +9,10 @@ from .bounds import (BoundsReport, FamilyBounds, cone_parameter, delta0_of_curve
                      smooth_positivity_floor, tau_piecewise, tau_smooth)
 from .coupling import (BlockPlan, CertificateViolation, CouplingLedger,
                        DecayFit, certify, fit_decay, run_coupled)
-from .covering import (CoveringReport, Cylinder, NotEnvelopingError,
-                       PartitionExplosionError, cylinder_partition,
-                       enveloping_time, escape_time, positivity_horizon,
-                       refine_until, verify_overcover)
+from .covering import (CoveringError, CoveringReport, Cylinder,
+                       NotEnvelopingError, PartitionExplosionError,
+                       cylinder_partition, enveloping_time, escape_time,
+                       positivity_horizon, refine_until, verify_overcover)
 from .curves import MapCurve, sine_amplitude_curve, slope_curve
 from .density import Density
 from .maps import (BranchSpec, MapAnalysis, MapFormError, PiecewiseMap,

@@ -13,8 +13,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .coupling import CertifyReport
-from .covering import positivity_horizon
+from .coupling import CertifyReport, grid_slack
+from .covering import CoveringError, positivity_horizon
 from .maps import analyze, map_from_dict
 from .scenarios import (EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, Scenario,
                         ScenarioError, load_config, run_absorption,
@@ -75,8 +75,12 @@ def _cmd_absorb(args) -> int:
 
 def _cmd_covering(args) -> int:
     cfg = _load_json(args.config)
-    g = map_from_dict(cfg["map"])
-    rep = positivity_horizon(g, cfg["a_star"], cfg.get("eps", 0.0))
+    try:
+        g = map_from_dict(cfg["map"])
+        rep = positivity_horizon(g, cfg["a_star"], cfg.get("eps", 0.0))
+    except (CoveringError, ValueError) as exc:
+        print(f"covering error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     _emit(rep.as_dict(), args.out, "covering.json")
     return EXIT_OK
 
@@ -95,8 +99,8 @@ def _cmd_envelope_check(args) -> int:
     if os.path.exists(scen_path):
         with open(scen_path, "r", encoding="utf-8") as fh:
             grid = json.load(fh).get("grid", grid)
-    a_ref = b["a_star"] if b["mode"] == "piecewise" else b["L_star"]
-    slack = 20.0 * a_ref / grid
+    slack = grid_slack(b["a_star"] if b["mode"] == "piecewise" else b["L_star"],
+                       grid)
     rows = []
     with open(led_path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n").split(",")

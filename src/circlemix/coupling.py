@@ -20,6 +20,14 @@ from .transfer import push
 
 DISTANCE_FLOOR = 1e-12
 MIN_FIT_POINTS = 5
+# The envelope starts at the largest L1 distance of two unit-mass densities.
+ENVELOPE_START = 2.0
+
+
+def grid_slack(a_ref: float, G: int) -> float:
+    """Grid slack 20 a_ref / G of the positivity and envelope checks, from
+    the cone level a_ref (a* piecewise, L* smooth) and the grid size."""
+    return 20.0 * a_ref / G
 
 
 class CertificateViolation(RuntimeError):
@@ -124,8 +132,7 @@ def run_coupled(maps, phi: Density, psi: Density, mode: str, *,
     G = phi.G
     if psi.G != G:
         raise ValueError("phi and psi must share a grid")
-    a_ref = bounds.L_star if smooth else bounds.a_star
-    slack = 20.0 * a_ref / G
+    slack = grid_slack(bounds.L_star if smooth else bounds.a_star, G)
 
     if plan is None:
         if smooth:
@@ -147,7 +154,7 @@ def run_coupled(maps, phi: Density, psi: Density, mode: str, *,
     raw_phi, raw_psi = phi, psi
     u_phi, u_psi = phi, psi
     residual = 1.0
-    env = 2.0
+    env = ENVELOPE_START
     state = "wait"
     block_idx = 0
     cur: BlockPlan | None = None
@@ -212,7 +219,7 @@ def run_coupled(maps, phi: Density, psi: Density, mode: str, *,
         if state == "block" and n == sub_step:
             do_subtract(n)
         if state == "block" and n == end_step:
-            env = 2.0 * residual
+            env = ENVELOPE_START * residual
             start_block(n)
             if n == sub_step:  # smooth blocks subtract at their start
                 do_subtract(n)
@@ -289,11 +296,11 @@ def certify(ledger: CouplingLedger, slack: float | None = None) -> CertifyReport
     max_ratio = 0.0
     checks = 0
     failures = []
-    env = 2.0
+    env = ENVELOPE_START
     for rec in ledger.blocks:
         if rec.end > n_steps:
             break
-        env = 2.0 * rec.residual_after
+        env = ENVELOPE_START * rec.residual_after
         raw = l1[rec.end]
         checks += 1
         max_ratio = max(max_ratio, raw / env)

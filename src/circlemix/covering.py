@@ -24,11 +24,15 @@ FLOAT_DEDUPE = 1e-13
 ESCAPE_CAP_FACTOR = 64
 
 
-class PartitionExplosionError(RuntimeError):
+class CoveringError(RuntimeError):
+    """A covering constant could not be computed for this map."""
+
+
+class PartitionExplosionError(CoveringError):
     pass
 
 
-class NotEnvelopingError(RuntimeError):
+class NotEnvelopingError(CoveringError):
     pass
 
 
@@ -229,6 +233,12 @@ def enveloping_time(g: PiecewiseMap, N_max: int = 16) -> int | None:
 
 def refine_until(g: PiecewiseMap, a_star: float, cap: int = PARTITION_CAP) -> int:
     """Smallest n with every n-cylinder shorter than 1/(2 a*)."""
+    return _refine(g, a_star, cap)[0]
+
+
+def _refine(g: PiecewiseMap, a_star: float,
+            cap: int = PARTITION_CAP) -> tuple[int, list[Cylinder]]:
+    """refine_until's n, with the n-cylinders it built."""
     if a_star <= 0:
         raise ValueError("a_star must be positive")
     exact = _all_affine([g])
@@ -238,7 +248,7 @@ def refine_until(g: PiecewiseMap, a_star: float, cap: int = PARTITION_CAP) -> in
         n += 1
         cyls = cylinder_partition([g] * n, n, cap=cap)
         if max(c.hi - c.lo for c in cyls) < thresh:
-            return n
+            return n, cyls
 
 
 def _arc_contains(a, b, ilo, ihi) -> bool:
@@ -302,7 +312,7 @@ def escape_time(g: PiecewiseMap, J: Cylinder, cap_factor: int = ESCAPE_CAP_FACTO
         if not inside:
             continue  # arc sits inside one first-level interval
         if len(inside) != 1:
-            raise RuntimeError("arc straddles more than one partition point")
+            raise CoveringError("arc straddles more than one partition point")
         off, _ = inside[0]
         low_piece = (a, a + off)
         high_piece = (a + off, a + length)
@@ -319,7 +329,7 @@ def escape_time(g: PiecewiseMap, J: Cylinder, cap_factor: int = ESCAPE_CAP_FACTO
         if k0:
             branch_last, shift_last = hist[-1]
             hist[-1] = (branch_last, shift_last + k0)
-    raise RuntimeError(
+    raise CoveringError(
         f"escape loop exceeded {cap} iterations; expansion likely <= 2")
 
 
@@ -380,8 +390,7 @@ def positivity_horizon(g: PiecewiseMap, a_star: float, eps: float,
     N = enveloping_time(g, N_max)
     if N is None:
         raise NotEnvelopingError("map is not enveloping within N_max")
-    n1 = refine_until(g, a_star)
-    cyls = cylinder_partition([g] * n1, n1)
+    n1, cyls = _refine(g, a_star)
     table = []
     s0 = 0
     for c in cyls:

@@ -149,7 +149,13 @@ class Density:
 
     def ratio_class_L(self, eps_loc: float) -> float:
         """Least L with |phi(x)/phi(y) - 1| <= L d(x,y) over grid pairs with
-        circular distance < eps_loc.  +inf if any sample vanishes."""
+        circular distance < eps_loc.  +inf if any sample vanishes.
+
+        For each shift k only the extremes of the ratios s[i+k]/s[i] are
+        needed: x -> |x - 1| and x -> |1/x - 1| fall then rise about 1, and
+        correctly rounded division and subtraction keep that order, so
+        their maxima over i sit at the smallest or the largest ratio.
+        """
         if not 0.0 < eps_loc < 0.25:
             raise ValueError("eps_loc must lie in (0, 1/4)")
         s = self.samples
@@ -158,10 +164,14 @@ class Density:
         G = self.G
         kmax = math.ceil(eps_loc * G) - 1
         best = 0.0
+        r = np.empty(G)
         for k in range(1, kmax + 1):
             d = k / G
-            r = np.roll(s, -k) / s
-            m = max(float(np.abs(r - 1.0).max()), float(np.abs(1.0 / r - 1.0).max()))
+            np.divide(s[k:], s[:G - k], out=r[:G - k])
+            np.divide(s[:k], s[G - k:], out=r[G - k:])
+            ext = np.array([r.min(), r.max()])
+            m = max(float(np.abs(ext - 1.0).max()),
+                    float(np.abs(1.0 / ext - 1.0).max()))
             best = max(best, m / d)
         return best
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,6 +98,17 @@ class BranchSpec:
         if self.amplitude == 0.0:
             return np.zeros_like(np.asarray(x, dtype=float))
         return -(TWO_PI ** 2) * self.amplitude * np.sin(TWO_PI * x)
+
+    def jet(self, x, sin2, cos2):
+        """(lift, f', f'') at x from the tables sin2 = sin(2 pi x) and
+        cos2 = cos(2 pi x), by the expressions of lift, deriv and deriv2, so
+        the values are the same to the bit.  The derivatives of an affine
+        branch are returned as scalars."""
+        if self.amplitude == 0.0:
+            return self.slope * x + self.offset, self.slope, 0.0
+        return (self.slope * x + self.offset + self.amplitude * sin2,
+                self.slope + TWO_PI * self.amplitude * cos2,
+                -(TWO_PI ** 2) * self.amplitude * sin2)
 
     def deriv_range(self) -> tuple[float, float]:
         """(min, max) of f' over the closed arc, by extremal calculus on cos."""
@@ -363,6 +375,33 @@ def _aligned_shift(marks_f, marks_g) -> tuple[int, float]:
     return best_shift, best
 
 
+# One slot: a neighborhood draw scores every candidate against one base map
+# with the same marks.  An entry holds at most 6 arrays of grid + 1 floats
+# per arc.
+@lru_cache(maxsize=1)
+def _base_samples(g: PiecewiseMap, f_arcs, grid: int):
+    """What neighborhood_distance needs of the base map g against the arcs
+    f_arcs of f: g's cap (a quarter of d_Omega) and, per arc, (sigma, g's
+    lift, g', g'' on the sample points xs, the points ys of f's arc and
+    the tables sin(2 pi ys), cos(2 pi ys)).  None of it depends on f's
+    slope, offset or amplitude.  The arrays are read-only."""
+    arcs = []
+    for gb, (f_lo, f_hi) in zip(g.branches, f_arcs):
+        len_g = gb.length
+        sigma = (f_hi - f_lo) / len_g
+        xs = gb.lo + len_g * np.linspace(0.0, 1.0, grid + 1)
+        # Anchor xi at the left marks; the last arc of f may be traversed
+        # beyond 1.0, where the analytic lift still applies.
+        ys = f_lo + sigma * (xs - gb.lo)
+        tables = (*gb.jet(xs, np.sin(TWO_PI * xs), np.cos(TWO_PI * xs)),
+                  ys, np.sin(TWO_PI * ys), np.cos(TWO_PI * ys))
+        for t in tables:
+            if isinstance(t, np.ndarray):
+                t.flags.writeable = False
+        arcs.append((sigma, *tables))
+    return 0.25 * analyze(g).d_omega, tuple(arcs)
+
+
 def neighborhood_distance(f: PiecewiseMap, g: PiecewiseMap,
                           grid: int = NEIGHBORHOOD_GRID) -> float:
     """Smallest radius eps* with f eps*-near g; math.inf if incomparable.
@@ -375,32 +414,20 @@ def neighborhood_distance(f: PiecewiseMap, g: PiecewiseMap,
     """
     if len(f.branches) != len(g.branches):
         return math.inf
-    cap = 0.25 * analyze(g).d_omega
-    marks_g = g.marked_points
-    marks_f = f.marked_points
-    shift, part1 = _aligned_shift(marks_f, marks_g)
+    shift, part1 = _aligned_shift(f.marked_points, g.marked_points)
+    k = len(g.branches)
+    fbs = [f.branches[(i + shift) % k] for i in range(k)]
+    cap, arcs = _base_samples(g, tuple((fb.lo, fb.hi) for fb in fbs), grid)
     if part1 >= cap:
         return math.inf
-    k = len(marks_g)
     worst = part1
-    for i in range(k):
-        gb = g.branches[i]
-        fb = f.branches[(i + shift) % k]
-        len_g = gb.length
-        len_f = fb.length
-        sigma = len_f / len_g
-        xs = gb.lo + len_g * np.linspace(0.0, 1.0, grid + 1)
-        # Anchor xi at the left marks; the last arc of f may be traversed
-        # beyond 1.0, where the analytic lift still applies.
-        y0 = fb.lo
-        ys = y0 + sigma * (xs - gb.lo)
-        gv = gb.lift(xs)
-        fv = fb.lift(ys)
+    for fb, (sigma, gv, gd, gd2, ys, sin_y, cos_y) in zip(fbs, arcs):
+        fv, fd, fd2 = fb.jet(ys, sin_y, cos_y)
         h = fv - gv
         h = h - round(float(h[0]))
         h = np.abs(h)
-        h1 = np.abs(sigma * fb.deriv(ys) - gb.deriv(xs))
-        h2 = np.abs(sigma ** 2 * fb.deriv2(ys) - gb.deriv2(xs))
+        h1 = np.abs(sigma * fd - gd)
+        h2 = np.abs(sigma ** 2 * fd2 - gd2)
         worst = max(worst, float(h.max() + h1.max() + h2.max()))
         if worst >= cap:
             return math.inf

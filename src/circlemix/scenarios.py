@@ -17,9 +17,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bounds as bnd
-from .coupling import (BlockPlan, CertificateViolation, certify, fit_decay,
-                       run_coupled, write_decay_json)
-from .covering import CoveringReport, positivity_horizon
+from .coupling import (ENVELOPE_START, BlockPlan, CertificateViolation,
+                       certify, fit_decay, grid_slack, run_coupled,
+                       write_decay_json)
+from .covering import CoveringError, CoveringReport, positivity_horizon
 from .curves import curve_from_dict
 from .density import Density
 from .maps import (PiecewiseMap, TransferError, analyze, map_from_dict,
@@ -340,6 +341,15 @@ def run_scenario(scenario: Scenario, out_dir) -> RunResult:
                 raise ScenarioError("neighborhood scenarios need eps")
             report, covering = _piecewise_constants(scenario, g, pad)
 
+        a_ref = report.L_star if mode == "smooth" else report.a_star
+        slack = grid_slack(a_ref, scenario.grid)
+        if slack >= ENVELOPE_START:
+            raise ScenarioError(
+                f"grid {scenario.grid} is too coarse: the grid slack "
+                f"20*{a_ref:g}/{scenario.grid} = {slack:g} is not below the "
+                f"initial envelope {ENVELOPE_START:g}, so the certificate "
+                "would be vacuous")
+
         maps = build_sequence(scenario, rng)
         ledger = run_coupled(maps, phi, psi, mode, bounds=report, plan=plan)
         fit = fit_decay(ledger.distances())
@@ -378,7 +388,7 @@ def run_scenario(scenario: Scenario, out_dir) -> RunResult:
         _write_json(os.path.join(out_dir, "certificate.json"),
                     {"passed": False, "error": str(exc), "block": exc.block})
         return RunResult(EXIT_CERTIFICATE, str(exc), artifacts)
-    except (ScenarioError, ValueError, TransferError) as exc:
+    except (ScenarioError, ValueError, TransferError, CoveringError) as exc:
         return RunResult(EXIT_CONFIG, str(exc), artifacts)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlemix import Density
 
@@ -100,6 +102,52 @@ def test_ratio_class_matches_bruteforce():
         d = Density.from_samples(0.2 + rng.uniform(0.0, 1.0, 64))
         assert d.ratio_class_L(0.2) == pytest.approx(
             brute_ratio_class(d.samples, 0.2), rel=1e-12)
+
+
+def scan_ratio_class(d, eps_loc):
+    """ratio_class_L as it was before it kept only the ratio extremes: the
+    full |r - 1| and |1/r - 1| arrays of every shift, through np.roll."""
+    s = d.samples
+    if np.any(s <= 0.0):
+        return math.inf
+    G = d.G
+    kmax = math.ceil(eps_loc * G) - 1
+    best = 0.0
+    for k in range(1, kmax + 1):
+        r = np.roll(s, -k) / s
+        m = max(float(np.abs(r - 1.0).max()), float(np.abs(1.0 / r - 1.0).max()))
+        best = max(best, m / (k / G))
+    return best
+
+
+@st.composite
+def positive_densities(draw):
+    G = 2 ** draw(st.integers(3, 11))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32))))
+    kind = draw(st.sampled_from(["uniform", "cosine", "random-bv", "wide"]))
+    if kind == "uniform":
+        return Density.uniform(G)
+    if kind == "cosine":
+        return Density.cosine(G, draw(st.integers(1, 4)), draw(st.floats(-0.99, 0.99)))
+    if kind == "random-bv":
+        return Density.from_samples(
+            Density.random_bv(G, draw(st.floats(0.5, 40.0)), rng).samples + 1e-3)
+    # ratios spanning many orders of magnitude
+    return Density.from_samples(10.0 ** rng.uniform(-150.0, 0.0, G))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(d=positive_densities(), eps_loc=st.sampled_from([0.01, 0.1, 0.2, 0.249]))
+def test_ratio_class_matches_full_scan(d, eps_loc):
+    assert d.ratio_class_L(eps_loc) == scan_ratio_class(d, eps_loc)
+
+
+def test_ratio_class_matches_full_scan_on_fine_grids():
+    rng = np.random.Generator(np.random.PCG64(3))
+    for d in (Density.sine(2 ** 14), Density.cosine(2 ** 13, 5, 0.7),
+              Density.random_bv(2 ** 12, 30.0, rng)):
+        for eps_loc in (0.01, 0.1):
+            assert d.ratio_class_L(eps_loc) == scan_ratio_class(d, eps_loc)
 
 
 def test_match_subtract_examples():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlemix import (MapFormError, PiecewiseMap, BranchSpec, affine_map,
                        analyze, circle_dist, doubling_map,
@@ -226,6 +228,126 @@ def test_neighborhood_distance_incomparable():
     f = PiecewiseMap((BranchSpec(0.0, 0.5, 3.0),
                       BranchSpec(0.5, 1.0, 2.5, 0.4)))
     assert neighborhood_distance(f, g) == math.inf
+
+
+# --- neighborhood_distance against the per-call evaluation it replaced --------
+
+
+def oracle_neighborhood_distance(f, g, grid=maps.NEIGHBORHOOD_GRID):
+    """neighborhood_distance as it was before its samples were cached:
+    analyze(g) and every sin/cos evaluated again on each call."""
+    if len(f.branches) != len(g.branches):
+        return math.inf
+    cap = 0.25 * analyze(g).d_omega
+    marks_g = g.marked_points
+    marks_f = f.marked_points
+    shift, part1 = maps._aligned_shift(marks_f, marks_g)
+    if part1 >= cap:
+        return math.inf
+    k = len(marks_g)
+    worst = part1
+    for i in range(k):
+        gb = g.branches[i]
+        fb = f.branches[(i + shift) % k]
+        len_g = gb.length
+        len_f = fb.length
+        sigma = len_f / len_g
+        xs = gb.lo + len_g * np.linspace(0.0, 1.0, grid + 1)
+        y0 = fb.lo
+        ys = y0 + sigma * (xs - gb.lo)
+        gv = gb.lift(xs)
+        fv = fb.lift(ys)
+        h = fv - gv
+        h = h - round(float(h[0]))
+        h = np.abs(h)
+        h1 = np.abs(sigma * fb.deriv(ys) - gb.deriv(xs))
+        h2 = np.abs(sigma ** 2 * fb.deriv2(ys) - gb.deriv2(xs))
+        worst = max(worst, float(h.max() + h1.max() + h2.max()))
+        if worst >= cap:
+            return math.inf
+    return worst
+
+
+@st.composite
+def branch_marks(draw, k):
+    """k marks 0 = m0 < m1 < ... in [0, 1), each arc at least 0.1 long."""
+    marks = [0.0]
+    for i in range(1, k):
+        room = 1.0 - 0.1 * (k - i)
+        marks.append(draw(st.floats(marks[-1] + 0.1, room)))
+    return tuple(marks)
+
+
+def map_with(slope, amp, offset, marks):
+    return sine_map(slope, amp, offset, marks) if amp else \
+        affine_map(slope, offset, marks)
+
+
+SIZES = st.sampled_from([0.0, 1e-6, 1e-3, 0.03, 0.3])
+
+
+@st.composite
+def map_pairs(draw):
+    """(f, g): g affine or sine with 1-3 branches and an offset; f is g with
+    its slope, amplitude, offset and interior marks moved by drawn amounts
+    (moved marks make sigma != 1), or an unrelated map, maybe with another
+    branch count."""
+    k = draw(st.integers(1, 3))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    slope = sign * draw(st.floats(1.6, 4.0))
+    amp = draw(st.sampled_from([0.0, 1.0])) * draw(st.floats(-0.08, 0.08))
+    offset = draw(st.floats(0.0, 1.0))
+    marks = draw(branch_marks(k))
+    g = map_with(slope, amp, offset, marks)
+    if draw(st.booleans()):
+        kf = draw(st.integers(1, 3))
+        f_marks = draw(branch_marks(kf))
+        f = map_with(slope, draw(st.floats(-0.08, 0.08)), draw(st.floats(0.0, 1.0)),
+                     f_marks)
+        return f, g
+    d_mark = draw(SIZES) * 0.1
+    f_marks = (0.0,) + tuple(m + d_mark for m in marks[1:])
+    f = map_with(slope + draw(SIZES), amp + draw(SIZES) * 0.1,
+                 offset + draw(SIZES), f_marks)
+    return f, g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pair=map_pairs(), grid=st.sampled_from([16, 256, maps.NEIGHBORHOOD_GRID]))
+def test_neighborhood_distance_matches_oracle(pair, grid):
+    f, g = pair
+    want = oracle_neighborhood_distance(f, g, grid)
+    assert neighborhood_distance(f, g, grid) == want
+    # and again from the samples cached by the first call
+    assert neighborhood_distance(f, g, grid) == want
+    assert neighborhood_distance(g, f, grid) == \
+        oracle_neighborhood_distance(g, f, grid)
+
+
+def test_neighborhood_distance_oracle_cases_are_mixed():
+    # the hand-made pairs cover each exit of the oracle: finite, capped at
+    # the marks, capped on an arc, and mismatched branch counts
+    g = two_slope_wrap_map()
+    pairs = [
+        (sine_map(3.0, 0.001), slope3_two_branch()),
+        (affine_map(2.5, 0.01), slope25_map()),
+        (PiecewiseMap((BranchSpec(0.0, 0.65, 3.0), BranchSpec(0.65, 1.0, 2.5, 0.1))), g),
+        (PiecewiseMap((BranchSpec(0.0, 0.5, 3.0), BranchSpec(0.5, 1.0, 2.5, 0.4))), g),
+        (slope25_map(), doubling_map()),
+        (sine_map(3.0, 0.002, 0.0, (0.0, 0.52)), slope3_two_branch()),
+    ]
+    got = [neighborhood_distance(f, g_) for f, g_ in pairs]
+    assert got == [oracle_neighborhood_distance(f, g_) for f, g_ in pairs]
+    assert [math.isinf(d) for d in got] == [False, False, True, True, True, False]
+
+
+def test_neighborhood_samples_are_read_only():
+    g = sine_map(2.0, 0.05)
+    _, arcs = maps._base_samples(g, ((0.0, 0.5), (0.5, 1.0)), 64)
+    for arrays in arcs:
+        for a in arrays:
+            if isinstance(a, np.ndarray):
+                assert not a.flags.writeable
 
 
 def bisection_oracle(b, targets):

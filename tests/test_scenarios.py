@@ -316,3 +316,147 @@ def test_density_presets_deterministic():
                        "step_amp": 0.3, "pieces": 8}, 512, rng_for(5))
     assert c.min_value() >= 0.0
     assert abs(c.integral() - 1.0) < 1e-9
+
+
+# --- neighborhood draws with the cached distance -------------------------------
+
+
+def test_neighborhood_draws_unchanged_by_sample_cache(monkeypatch):
+    # the AC5 draw scores about 600 candidates; the distance of the
+    # per-call evaluation accepts and rejects exactly the same ones
+    from circlemix import scenarios
+    from test_maps import oracle_neighborhood_distance
+
+    sc = base_scenario(kind="neighborhood", n_max=40, eps=0.01, grid=8192,
+                       family={"base": {"form": "slope3-two-branch"},
+                               "slope": 3.0, "amp_max": 0.003,
+                               "slope_jitter": 0.002})
+    got = build_sequence(sc, rng_for(101))
+    monkeypatch.setattr(scenarios, "neighborhood_distance",
+                        oracle_neighborhood_distance)
+    assert build_sequence(sc, rng_for(101)) == got
+
+
+# --- typed covering failures and vacuous certificates -------------------------
+
+
+def _not_enveloping(monkeypatch):
+    from circlemix import covering
+    monkeypatch.setattr(covering, "enveloping_time", lambda g, N_max=16: None)
+    return "not enveloping"
+
+
+def _partition_explosion(monkeypatch):
+    from circlemix import covering
+    build = covering.cylinder_partition
+    monkeypatch.setattr(covering, "cylinder_partition",
+                        lambda maps, n, cap=None: build(maps, n, cap=1))
+    return "count exceeded 1"
+
+
+def _escape_loop(monkeypatch):
+    from circlemix import covering
+    escape = covering.escape_time
+    monkeypatch.setattr(covering, "escape_time",
+                        lambda g, J: escape(g, J, cap_factor=0))
+    return "escape loop exceeded 0 iterations"
+
+
+COVERING_FAILURES = [_not_enveloping, _partition_explosion, _escape_loop]
+
+
+def test_covering_errors_share_a_base():
+    from circlemix.covering import (CoveringError, NotEnvelopingError,
+                                    PartitionExplosionError)
+    for cls in (NotEnvelopingError, PartitionExplosionError):
+        assert issubclass(cls, CoveringError)
+    assert issubclass(CoveringError, RuntimeError)
+
+
+@pytest.mark.parametrize("fail", COVERING_FAILURES)
+def test_covering_error_exits_2_with_message(tmp_path, monkeypatch, fail):
+    message = fail(monkeypatch)
+    res = run_scenario(base_scenario(), tmp_path / "cov")
+    assert res.exit_code == EXIT_CONFIG
+    assert message in res.message
+
+
+def _fork_pool(monkeypatch):
+    """Run the --jobs pool in forked workers, which inherit the patches."""
+    import functools
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from circlemix import cli
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+
+
+def _two_scenarios(tmp_path, **over):
+    cfg = {"schema": 1, "scenarios": [
+        dict({"name": f"s{i}", "kind": "fixed-map", "grid": 512, "n_max": 4,
+              "seed": i, "phi": {"preset": "sine"},
+              "psi": {"preset": "uniform"},
+              "family": {"map": {"form": "slope3-two-branch"}}}, **over)
+        for i in range(2)]}
+    p = tmp_path / "two.json"
+    p.write_text(json.dumps(cfg))
+    return p
+
+
+@pytest.mark.parametrize("fail", COVERING_FAILURES)
+def test_covering_error_exits_2_through_jobs_pool(tmp_path, monkeypatch,
+                                                  capsys, fail):
+    message = fail(monkeypatch)
+    _fork_pool(monkeypatch)
+    p = _two_scenarios(tmp_path)
+    assert main(["couple", "--config", str(p), "--out", str(tmp_path / "o"),
+                 "--jobs", "2"]) == EXIT_CONFIG
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert all("exit 2" in ln and message in ln for ln in lines)
+
+
+def test_cli_covering_subcommand_exits_2(tmp_path, monkeypatch, capsys):
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps({"map": {"form": "doubling"}, "a_star": 4.0}))
+    assert main(["covering", "--config", str(cov)]) == EXIT_CONFIG
+    assert "expansion > 2" in capsys.readouterr().err
+    cov.write_text(json.dumps({"map": {"form": "slope3-two-branch"},
+                               "a_star": 10.0}))
+    message = _not_enveloping(monkeypatch)
+    assert main(["covering", "--config", str(cov)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid,slack", [(2, "100"), (16, "12.5"), (64, "3.125")])
+def test_vacuous_certificate_refused(tmp_path, grid, slack):
+    # a* = 10 for the wrap map: the slack 200/G reaches the envelope 2
+    sc = base_scenario(grid=grid, family={"map": {"form": "two-slope-wrap"}})
+    res = run_scenario(sc, tmp_path / "coarse")
+    assert res.exit_code == EXIT_CONFIG
+    assert f"= {slack} is not below the initial envelope 2" in res.message
+    assert not (tmp_path / "coarse" / "ledger.csv").exists()
+    sc = base_scenario(grid=128, family={"map": {"form": "two-slope-wrap"}})
+    assert run_scenario(sc, tmp_path / "fine").exit_code == EXIT_OK
+
+
+def test_vacuous_certificate_refused_smooth(tmp_path):
+    # L* = 6.83 for slope 2, amplitude 0.05: G = 64 is too coarse, 256 is not
+    fam = {"slope": 2.0, "amp_max": 0.05}
+    res = run_scenario(base_scenario(kind="smooth", grid=64, family=fam),
+                       tmp_path / "s64")
+    assert res.exit_code == EXIT_CONFIG and "too coarse" in res.message
+    res = run_scenario(base_scenario(kind="smooth", grid=256, family=fam),
+                       tmp_path / "s256")
+    assert res.exit_code == EXIT_OK
+
+
+def test_vacuous_certificate_refused_through_jobs_pool(tmp_path, capsys):
+    p = _two_scenarios(tmp_path, grid=16,
+                       family={"map": {"form": "two-slope-wrap"}})
+    assert main(["couple", "--config", str(p), "--out", str(tmp_path / "o"),
+                 "--jobs", "2"]) == EXIT_CONFIG
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert all("exit 2" in ln and "too coarse" in ln for ln in lines)
