@@ -4,9 +4,9 @@ under time-dependent expanding circle maps."""
 __version__ = "0.1.0"
 
 from .bounds import (BoundsReport, FamilyBounds, cone_parameter, delta0_of_curve,
-                     default_a_star, distortion_constant, envelope,
-                     envelope_block, family_bounds, lambda_local,
-                     smooth_positivity_floor, tau_piecewise, tau_smooth)
+                     default_a_star, distortion_constant, family_bounds,
+                     lambda_local, smooth_positivity_floor, tau_piecewise,
+                     tau_smooth)
 from .coupling import (BlockPlan, CertificateViolation, CouplingLedger,
                        DecayFit, certify, fit_decay, run_coupled)
 from .covering import (CoveringError, CoveringReport, Cylinder,
@@ -17,9 +17,8 @@ from .curves import MapCurve, sine_amplitude_curve, slope_curve
 from .density import Density
 from .maps import (BranchSpec, MapAnalysis, MapFormError, PiecewiseMap,
                    affine_map, analyze, circle_dist, doubling_map,
-                   map_from_dict, map_to_dict, neighborhood_distance,
-                   sine_map, slope25_map, slope3_two_branch,
-                   two_slope_wrap_map)
+                   map_from_dict, neighborhood_distance, sine_map,
+                   slope25_map, slope3_two_branch, two_slope_wrap_map)
 from .scenarios import Scenario, ScenarioError, build_sequence, run_scenario
 from .transfer import (UlamMatrix, backend_consistency, push, push_sequence,
                        push_with_factor, ulam_matrix, ulam_push)

@@ -1,12 +1,12 @@
 """Closed-form constants and schedules: absorption times, distortion and
-cone parameters, matching rates, decay envelopes, and the safe parameter
+cone parameters, matching rates, the grid slack, and the safe parameter
 mesh for driving a curve of maps."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -100,25 +100,6 @@ def lambda_local(kappa: float, block: int) -> float:
     return (1.0 - kappa) ** (1.0 / block)
 
 
-def envelope(C_prefactor: float, Lambda: float, n: int) -> float:
-    """Geometric bound C * Lambda^n."""
-    if not 0.0 < Lambda < 1.0:
-        raise ValueError("Lambda must lie in (0, 1)")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return C_prefactor * Lambda ** n
-
-
-def envelope_block(C_prefactor: float, kappa: float, fraction: float,
-                   block: int, n: int) -> float:
-    """Block-structured bound C * (1 - fraction*kappa)^floor(n/block)."""
-    if block < 1:
-        raise ValueError("block must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return C_prefactor * (1.0 - fraction * kappa) ** (n // block)
-
-
 @dataclass(frozen=True)
 class FamilyBounds:
     """Uniform analytic bounds over a family of maps (optionally padded by a
@@ -178,24 +159,14 @@ class BoundsReport:
     fraction: float = 1.0
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "lambda0": self.lambda0,
-            "A0": self.A0,
-            "M0_family": self.M0_family,
-            "C1": self.C1,
-            "C0": self.C0,
-            "L_star": self.L_star,
-            "a_star": self.a_star,
-            "tau": self.tau,
-            "kappa": self.kappa,
-            "block": self.block,
-            "Lambda": self.Lambda,
-            "delta0": self.delta0,
-            "eps": self.eps,
-            "eps_loc": self.eps_loc,
-            "fraction": self.fraction,
-        }
+        """Every field by name; `BoundsReport(**as_dict())` rebuilds it."""
+        return asdict(self)
+
+    def grid_slack(self, G: int) -> float:
+        """Grid slack 20 a_ref / G of the positivity and envelope checks,
+        from the cone level a_ref (L* when smooth, a* otherwise)."""
+        a_ref = self.L_star if self.mode == "smooth" else self.a_star
+        return 20.0 * a_ref / G
 
     def to_json(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="\n") as fh:

@@ -1,7 +1,9 @@
 """Batch command-line front-end.
 
 Subcommands: analyze-map, verify-ly, absorb, envelope-check, covering,
-drive-curve, couple (alias decay).  Exit codes: 0 success, 1 certificate
+drive-curve, couple (alias decay).  envelope-check reruns `certify` on a
+finished run directory (ledger.csv, bounds.json and scenario.json) and
+prints the run's certificate.  Exit codes: 0 success, 1 certificate
 violation, 2 configuration error.
 """
 
@@ -13,7 +15,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .coupling import CertifyReport, grid_slack
+from .bounds import BoundsReport
+from .coupling import CouplingLedger, certify
 from .covering import CoveringError, positivity_horizon
 from .maps import analyze, map_from_dict
 from .scenarios import (EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, Scenario,
@@ -86,39 +89,20 @@ def _cmd_covering(args) -> int:
 
 
 def _cmd_envelope_check(args) -> int:
-    """Re-certify a completed run directory from its ledger and bounds."""
-    led_path = os.path.join(args.out, "ledger.csv")
-    bounds_path = os.path.join(args.out, "bounds.json")
-    scen_path = os.path.join(args.out, "scenario.json")
-    if not (os.path.exists(led_path) and os.path.exists(bounds_path)):
-        print("run directory lacks ledger.csv/bounds.json", file=sys.stderr)
+    """Re-certify a finished run directory: read its ledger back with the
+    run's bounds and grid and print what `certify` reports, which for an
+    untouched directory is its certificate.json byte for byte."""
+    run = args.out
+    try:
+        bounds = BoundsReport(**_load_json(os.path.join(run, "bounds.json")))
+        grid = Scenario.from_dict(
+            _load_json(os.path.join(run, "scenario.json"))).grid
+        ledger = CouplingLedger.from_csv(os.path.join(run, "ledger.csv"),
+                                         bounds, grid)
+    except (OSError, ValueError, TypeError) as exc:
+        print(f"envelope-check: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    with open(bounds_path, "r", encoding="utf-8") as fh:
-        b = json.load(fh)
-    grid = 2 ** 12
-    if os.path.exists(scen_path):
-        with open(scen_path, "r", encoding="utf-8") as fh:
-            grid = json.load(fh).get("grid", grid)
-    slack = grid_slack(b["a_star"] if b["mode"] == "piecewise" else b["L_star"],
-                       grid)
-    rows = []
-    with open(led_path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        for line in fh:
-            rows.append(dict(zip(header, line.rstrip("\n").split(","))))
-    failures = []
-    max_ratio = 0.0
-    checks = 0
-    for r in rows:
-        env = float(r["envelope_value"])
-        raw = float(r["l1_distance"])
-        checks += 1
-        if env > 0:
-            max_ratio = max(max_ratio, raw / env)
-        if raw > env + slack:
-            failures.append([int(r["n"]), raw, env])
-    rep = CertifyReport(passed=not failures, max_ratio=max_ratio,
-                        checks=checks, failures=tuple(tuple(f) for f in failures))
+    rep = certify(ledger)
     _emit(rep.as_dict(), None, "")
     return EXIT_OK if rep.passed else EXIT_CERTIFICATE
 

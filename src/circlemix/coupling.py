@@ -22,12 +22,8 @@ DISTANCE_FLOOR = 1e-12
 MIN_FIT_POINTS = 5
 # The envelope starts at the largest L1 distance of two unit-mass densities.
 ENVELOPE_START = 2.0
-
-
-def grid_slack(a_ref: float, G: int) -> float:
-    """Grid slack 20 a_ref / G of the positivity and envelope checks, from
-    the cone level a_ref (a* piecewise, L* smooth) and the grid size."""
-    return 20.0 * a_ref / G
+# Ledger columns written as integers; the rest are floats in %.17g.
+INT_COLUMNS = ("n", "block_index")
 
 
 class CertificateViolation(RuntimeError):
@@ -95,11 +91,39 @@ class CouplingLedger:
             for row in rows:
                 out = []
                 for c, v in zip(cols, row):
-                    if c in ("n", "block_index"):
+                    if c in INT_COLUMNS:
                         out.append(str(int(v)))
                     else:
                         out.append("%.17g" % v)
                 fh.write(",".join(out) + "\n")
+
+    @classmethod
+    def from_csv(cls, path, bounds, G: int) -> "CouplingLedger":
+        """Read back a ledger written by `to_csv` (%.17g round-trips every
+        float).  `bounds` and the grid size G restore the mode, fraction and
+        grid slack; the per-block records and snapshots are not in the CSV
+        and stay empty.  Raises ValueError on a malformed file."""
+        with open(path, "r", encoding="ascii") as fh:
+            header = tuple(fh.readline().rstrip("\n").split(","))
+            if header != cls.COLUMNS:
+                raise ValueError(f"{path}: ledger header is not "
+                                 + ",".join(cls.COLUMNS))
+            steps = {c: [] for c in cls.COLUMNS}
+            for lineno, line in enumerate(fh, start=2):
+                row = line.rstrip("\n").split(",")
+                if len(row) != len(cls.COLUMNS):
+                    raise ValueError(f"{path}:{lineno}: expected "
+                                     f"{len(cls.COLUMNS)} fields")
+                for c, v in zip(cls.COLUMNS, row):
+                    value = int(v) if c in INT_COLUMNS else float(v)
+                    if not math.isfinite(value) or (
+                            c == "envelope_value" and value <= 0.0):
+                        raise ValueError(f"{path}:{lineno}: bad {c} {v!r}")
+                    steps[c].append(value)
+        blocks = steps["block_index"]
+        n_wait = next((n for n, b in enumerate(blocks) if b >= 1), len(blocks))
+        return cls(mode=bounds.mode, G=G, fraction=bounds.fraction,
+                   slack=bounds.grid_slack(G), n_wait=n_wait, steps=steps)
 
 
 def _smooth_wait(phi: Density, psi: Density, eps_loc: float,
@@ -143,7 +167,7 @@ def run_coupled(maps, phi: Density, psi: Density, mode: str, *,
     G = phi.G
     if psi.G != G:
         raise ValueError("phi and psi must share a grid")
-    slack = grid_slack(bounds.L_star if smooth else bounds.a_star, G)
+    slack = bounds.grid_slack(G)
 
     if plan is None:
         if smooth:
@@ -297,26 +321,28 @@ class CertifyReport:
                 "failures": [list(f) for f in self.failures]}
 
 
-def certify(ledger: CouplingLedger, slack: float | None = None) -> CertifyReport:
+def certify(ledger: CouplingLedger) -> CertifyReport:
     """Raw distance must sit below the matched-mass envelope (within grid
-    slack) at every completed block end; reports the tightest ratio."""
-    if slack is None:
-        slack = ledger.slack
+    slack) at every completed block end; reports the tightest ratio.
+
+    Reads only the ledger's columns: block j ends at the step where
+    `block_index` steps up from j >= 1, and `envelope_value` there is
+    2 * prod(1 - r*kappa_i) over the blocks i <= j."""
+    ns = ledger.steps["n"]
     l1 = ledger.steps["l1_distance"]
-    n_steps = len(l1) - 1
+    idx = ledger.steps["block_index"]
+    envs = ledger.steps["envelope_value"]
     max_ratio = 0.0
     checks = 0
     failures = []
-    env = ENVELOPE_START
-    for rec in ledger.blocks:
-        if rec.end > n_steps:
-            break
-        env = ENVELOPE_START * rec.residual_after
-        raw = l1[rec.end]
+    for k in range(1, len(idx)):
+        if not 1 <= idx[k - 1] < idx[k]:
+            continue
+        raw, env = l1[k], envs[k]
         checks += 1
         max_ratio = max(max_ratio, raw / env)
-        if raw > env + slack:
-            failures.append((rec.end, raw, env))
+        if raw > env + ledger.slack:
+            failures.append((ns[k], raw, env))
     return CertifyReport(passed=not failures, max_ratio=max_ratio,
                          checks=checks, failures=tuple(failures))
 

@@ -210,24 +210,28 @@ def _covers_circle(arcs, margin) -> bool:
 def enveloping_time(g: PiecewiseMap, N_max: int = 16) -> int | None:
     """Smallest N such that, over every first-level interval, the open
     images of its N-cylinders jointly cover the circle; None if no N <=
-    N_max works."""
+    N_max works.
+
+    In exact mode the search also ends (None) once every first-level
+    group's set of image arcs repeats: depth N+1's arcs are {g(J & I_b)}
+    over depth N's arcs J and the branch intervals I_b, so a repeated set
+    never changes again and never comes to cover."""
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
     exact = _all_affine([g])
     margin = 0 if exact else FLOAT_MARGIN
+    prev = None
     for N in range(1, N_max + 1):
-        cyls = cylinder_partition([g] * N, N)
-        groups: dict[int, list] = {}
-        for c in cyls:
-            groups.setdefault(c.itinerary[0], []).append(c)
-        ok = True
-        for c0 in groups.values():
-            arcs = [_image_arc([g] * N, c, exact) for c in c0]
-            if not _covers_circle(arcs, margin):
-                ok = False
-                break
-        if ok:
+        maps = [g] * N
+        groups: dict[int, set] = {}
+        for c in cylinder_partition(maps, N):
+            groups.setdefault(c.itinerary[0], set()).add(
+                _image_arc(maps, c, exact))
+        if all(_covers_circle(arcs, margin) for arcs in groups.values()):
             return N
+        if exact and groups == prev:
+            return None
+        prev = groups
     return None
 
 

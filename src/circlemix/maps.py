@@ -501,16 +501,6 @@ def two_slope_wrap_map() -> PiecewiseMap:
     ))
 
 
-def map_to_dict(m: PiecewiseMap) -> dict:
-    return {
-        "branches": [
-            {"lo": b.lo, "hi": b.hi, "slope": b.slope,
-             "offset": b.offset, "amplitude": b.amplitude}
-            for b in m.branches
-        ]
-    }
-
-
 def map_from_dict(spec: dict) -> PiecewiseMap:
     """Build a map from a config dict (named form or explicit branches)."""
     if "branches" in spec:

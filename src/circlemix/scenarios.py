@@ -18,8 +18,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .coupling import (ENVELOPE_START, BlockPlan, CertificateViolation,
-                       certify, fit_decay, grid_slack, run_coupled,
-                       write_decay_json)
+                       certify, fit_decay, run_coupled, write_decay_json)
 from .covering import CoveringError, CoveringReport, positivity_horizon
 from .curves import curve_from_dict
 from .density import Density
@@ -62,7 +61,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "Scenario":
-        if cfg.get("schema") != SCHEMA_VERSION:
+        if not isinstance(cfg, dict) or cfg.get("schema") != SCHEMA_VERSION:
             raise ScenarioError(f"config schema must be {SCHEMA_VERSION}")
         body = {k: v for k, v in cfg.items() if k != "schema"}
         required = ("name", "kind", "grid", "n_max", "seed", "phi", "psi")
@@ -299,10 +298,8 @@ def run_scenario(scenario: Scenario, out_dir) -> RunResult:
         curve_cover = None
         plan = None
         if scenario.kind == "smooth":
-            mode = "smooth"
             report = _smooth_constants(scenario)
         elif scenario.kind == "curve-driven":
-            mode = "piecewise"
             curve, curve_cover, mesh = resolve_curve_plan(scenario)
             n_max = scenario.n_max
             if n_max == "auto":
@@ -332,7 +329,6 @@ def run_scenario(scenario: Scenario, out_dir) -> RunResult:
                 return BlockPlan(kappa=p.kappa, n0=p.covering.n0, tau=p.tau,
                                  anchor="t=%.6f" % p.t)
         else:
-            mode = "piecewise"
             key = "map" if scenario.kind == "fixed-map" else "base"
             if key not in scenario.family:
                 raise ScenarioError(f"{scenario.kind} scenario needs family.{key}")
@@ -342,17 +338,17 @@ def run_scenario(scenario: Scenario, out_dir) -> RunResult:
                 raise ScenarioError("neighborhood scenarios need eps")
             report, covering = _piecewise_constants(scenario, g, pad)
 
-        a_ref = report.L_star if mode == "smooth" else report.a_star
-        slack = grid_slack(a_ref, scenario.grid)
+        slack = report.grid_slack(scenario.grid)
         if slack >= ENVELOPE_START:
             raise ScenarioError(
                 f"grid {scenario.grid} is too coarse: the grid slack "
-                f"20*{a_ref:g}/{scenario.grid} = {slack:g} is not below the "
+                f"20*a_ref/{scenario.grid} = {slack:g} is not below the "
                 f"initial envelope {ENVELOPE_START:g}, so the certificate "
                 "would be vacuous")
 
         maps = build_sequence(scenario, rng)
-        ledger = run_coupled(maps, phi, psi, mode, bounds=report, plan=plan)
+        ledger = run_coupled(maps, phi, psi, report.mode, bounds=report,
+                             plan=plan)
         fit = fit_decay(ledger.distances())
         cert = certify(ledger)
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from circlemix import (cone_parameter, delta0_of_curve, distortion_constant,
-                       envelope, envelope_block, family_bounds, lambda_local,
+from circlemix import (BoundsReport, cone_parameter, delta0_of_curve,
+                       distortion_constant, family_bounds, lambda_local,
                        neighborhood_distance, sine_amplitude_curve, sine_map,
                        slope_curve, slope3_two_branch,
                        smooth_positivity_floor, tau_piecewise, tau_smooth)
@@ -96,21 +96,13 @@ def test_lambda_local():
         lambda_local(0.0, 10)
 
 
-def test_envelope_forms():
-    assert envelope(2.0, 0.9, 0) == 2.0
-    assert envelope(2.0, 0.9, 3) == pytest.approx(2.0 * 0.9 ** 3)
-    assert envelope_block(2.0, 0.5, 0.5, 3, 7) == pytest.approx(1.125)
-    vals = [envelope(2.0, 0.9, n) for n in range(10)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
 def test_envelope_consistency_with_local_rate():
     # 2(1-rk)^floor(n/b) <= 2 * Lambda_local^(n-b) for n >= b
     kappa_eff = 0.3
     block = 4
     lam = lambda_local(kappa_eff, block)
     for n in range(block, 40):
-        lhs = envelope_block(2.0, kappa_eff, 1.0, block, n)
+        lhs = 2.0 * (1.0 - kappa_eff) ** (n // block)
         rhs = 2.0 * lam ** (n - block)
         assert lhs <= rhs * (1 + 1e-12)
 
@@ -203,3 +195,27 @@ def test_default_a_star_satisfies_precondition():
     fam = family_bounds([slope3_two_branch()])
     a_star = default_a_star(fam)
     assert a_star > fam.A0 / (1 - 2 / fam.lambda0)
+
+
+def test_bounds_report_round_trips_and_grid_slack(tmp_path):
+    import json
+
+    from circlemix.scenarios import (Scenario, _piecewise_constants,
+                                     _smooth_constants)
+
+    sc = Scenario(name="t", kind="smooth", grid=1024, n_max=5, seed=1,
+                  phi={}, psi={}, family={"slope": 2.0, "amp_max": 0.05})
+    piecewise, _ = _piecewise_constants(sc, slope3_two_branch(), 0.0)
+    smooth = _smooth_constants(sc)
+    keys = {"mode", "lambda0", "A0", "M0_family", "C1", "C0", "L_star",
+            "a_star", "tau", "kappa", "block", "Lambda", "delta0", "eps",
+            "eps_loc", "fraction"}
+    for report in (piecewise, smooth):
+        assert set(report.as_dict()) == keys
+        assert BoundsReport(**report.as_dict()) == report
+        path = tmp_path / f"{report.mode}.json"
+        report.to_json(path)
+        assert BoundsReport(**json.loads(path.read_text())) == report
+    # the slack's cone level: a* for piecewise runs, L* for smooth ones
+    assert piecewise.grid_slack(1024) == 20.0 * piecewise.a_star / 1024
+    assert smooth.grid_slack(1024) == 20.0 * smooth.L_star / 1024

@@ -6,8 +6,10 @@ import pytest
 from circlemix import (CertificateViolation, Density, certify, doubling_map,
                        fit_decay, push_sequence, run_coupled, sine_map,
                        slope3_two_branch)
-from circlemix.coupling import BlockPlan
-from circlemix.scenarios import Scenario, _piecewise_constants, _smooth_constants
+from circlemix.coupling import (ENVELOPE_START, BlockPlan, CertifyReport,
+                                CouplingLedger)
+from circlemix.scenarios import (Scenario, _piecewise_constants,
+                                 _smooth_constants, run_scenario)
 
 
 def slope3_setup(G=4096, n=30):
@@ -202,3 +204,88 @@ def test_certify_fails_on_synthetic_violation():
                       bounds=rep)
     led.steps["l1_distance"][led.blocks[0].end] = 3.0  # impossible distance
     assert not certify(led).passed
+
+
+def certify_from_blocks(ledger):
+    """Oracle: certify by walking the per-block records, with the envelope
+    2 * residual_after at each block end inside the run."""
+    l1 = ledger.steps["l1_distance"]
+    n_steps = len(l1) - 1
+    max_ratio = 0.0
+    failures = []
+    checks = 0
+    for rec in ledger.blocks:
+        if rec.end > n_steps:
+            break
+        env = ENVELOPE_START * rec.residual_after
+        raw = l1[rec.end]
+        checks += 1
+        max_ratio = max(max_ratio, raw / env)
+        if raw > env + ledger.slack:
+            failures.append((rec.end, raw, env))
+    return CertifyReport(passed=not failures, max_ratio=max_ratio,
+                         checks=checks, failures=tuple(failures))
+
+
+def oracle_ledgers(tmp_path):
+    """(label, ledger, bounds) for a piecewise, a smooth and a curve-plan
+    run, each with at least two completed blocks."""
+    rep, _ = slope3_setup()
+    G = 4096
+    rng = np.random.Generator(np.random.PCG64(3))
+    phi = Density.random_bv(G, 4.0, rng)
+    psi = Density.uniform(G)
+    yield "piecewise", run_coupled([slope3_two_branch()] * 40, phi, psi,
+                                   "piecewise", bounds=rep), rep
+    smooth = smooth_setup()
+    rng = np.random.Generator(np.random.PCG64(10))
+    maps = [sine_map(2.0, float(a)) for a in rng.uniform(-0.05, 0.05, 40)]
+    yield "smooth", run_coupled(maps, Density.sine(G, 1, 0.5), psi, "smooth",
+                                bounds=smooth), smooth
+    sc = Scenario(name="curve", kind="curve-driven", grid=1024, n_max="auto",
+                  seed=5, phi={"preset": "sine"}, psi={"preset": "uniform"},
+                  curve={"family": "slope", "s0": 2.5, "s1": 3.5,
+                         "interval": [0, 1]}, mesh="auto", probes=9)
+    res = run_scenario(sc, tmp_path / "curve")
+    assert res.exit_code == 0, res.message
+    yield "curve-plan", res.ledger, res.bounds
+
+
+def test_certify_matches_block_record_oracle(tmp_path):
+    for label, led, _ in oracle_ledgers(tmp_path):
+        ends = [r.end for r in led.blocks if r.end < len(led.distances())]
+        assert len(ends) >= 2, label
+        want = certify_from_blocks(led)
+        assert want.checks == len(ends), label
+        assert certify(led) == want, label
+        # a violation at the last completed block end is seen by both
+        led.steps["l1_distance"][ends[-1]] = 3.0
+        want = certify_from_blocks(led)
+        assert want.failures[-1][0] == ends[-1], label
+        assert certify(led) == want, label
+
+
+def test_ledger_csv_round_trip(tmp_path):
+    for label, led, bounds in oracle_ledgers(tmp_path):
+        path = tmp_path / f"{label}.csv"
+        led.to_csv(path)
+        back = CouplingLedger.from_csv(path, bounds, led.G)
+        assert back.steps == led.steps, label
+        assert (back.mode, back.fraction, back.slack, back.n_wait) == (
+            led.mode, led.fraction, led.slack, led.n_wait), label
+        assert certify(back) == certify(led), label
+    text = path.read_text().splitlines()
+
+    def with_last(col, value):
+        row = text[-1].split(",")
+        row[CouplingLedger.COLUMNS.index(col)] = value
+        return text[:-1] + [",".join(row)]
+
+    for bad, match in ((["n,l1_distance"] + text[1:], "header"),
+                       (text + ["1,2,3"], "fields"),
+                       (with_last("l1_distance", "nan"), "bad l1_distance"),
+                       (with_last("envelope_value", "0"), "bad envelope"),
+                       (with_last("block_index", "1.5"), "invalid literal")):
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError, match=match):
+            CouplingLedger.from_csv(path, bounds, led.G)

@@ -179,6 +179,37 @@ def test_positivity_horizon_rejects():
         positivity_horizon(doubling_map(), 4.0, 0.0)  # expansion not > 2
 
 
+def count_partitions(monkeypatch):
+    from circlemix import covering
+
+    calls = []
+    real = covering.cylinder_partition
+
+    def counted(maps, n, *args, **kwargs):
+        calls.append(n)
+        return real(maps, n, *args, **kwargs)
+
+    monkeypatch.setattr(covering, "cylinder_partition", counted)
+    return calls
+
+
+def test_enveloping_time_stops_when_image_arcs_repeat(monkeypatch):
+    from circlemix.maps import affine_map
+
+    calls = count_partitions(monkeypatch)
+    for g in (affine_map(4.0), doubling_map()):
+        calls.clear()
+        assert enveloping_time(g) is None  # N_max = 16
+        assert calls == [1, 2]
+    # maps that do envelope keep their N
+    for g, N in ((slope3_two_branch(), 1), (two_slope_wrap_map(), 1),
+                 (slope25_map(), 3), (affine_map(3.0), 2),
+                 (affine_map(2.5), 3)):
+        calls.clear()
+        assert enveloping_time(g) == N
+        assert calls == list(range(1, N + 1))
+
+
 def test_positivity_certified_numerically():
     # pushed rough densities respect the floor kappa0 (grid slack 10/G)
     g = slope3_two_branch()

@@ -218,23 +218,122 @@ def test_cli_drive_curve_kind_gate(tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_envelope_check_exit_1_on_tampered_ledger(tmp_path):
+def _couple(tmp_path, cfg):
+    """Run one scenario config through the CLI; return its run directory."""
+    cfg_path = tmp_path / f"{cfg['name']}.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["couple", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return out / cfg["name"]
+
+
+def test_envelope_check_exit_1_on_tampered_ledger(tmp_path, capsys):
     cfg = {"schema": 1, "name": "tamper", "kind": "fixed-map", "grid": 1024,
            "n_max": 10, "seed": 9, "phi": {"preset": "sine"},
            "psi": {"preset": "uniform"},
            "family": {"map": {"form": "slope3-two-branch"}}}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    assert main(["couple", "--config", str(cfg_path), "--out", str(out)]) == 0
-    led = out / "tamper" / "ledger.csv"
+    run_dir = _couple(tmp_path, cfg)
+    led = run_dir / "ledger.csv"
     lines = led.read_text().splitlines()
     cols = lines[0].split(",")
-    last = lines[-1].split(",")
-    last[cols.index("l1_distance")] = "5.0"  # impossible raw distance
-    lines[-1] = ",".join(last)
-    led.write_text("\n".join(lines) + "\n")
-    assert main(["envelope-check", "--out", str(out / "tamper")]) == 1
+    rows = [ln.split(",") for ln in lines[1:]]
+    blocks = [int(r[cols.index("block_index")]) for r in rows]
+    # the last block end: the step where block_index steps up from a block
+    end = max(n for n in range(1, len(blocks))
+              if 1 <= blocks[n - 1] < blocks[n])
+    rows[end][cols.index("l1_distance")] = "5.0"  # impossible raw distance
+    led.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+    capsys.readouterr()
+    assert main(["envelope-check", "--out", str(run_dir)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [f[0] for f in report["failures"]] == [end]
+
+
+ENVELOPE_CHECK_RUNS = [
+    {"name": "fixed", "kind": "fixed-map", "grid": 1024, "n_max": 30,
+     "phi": {"preset": "random-bv", "a": 8.0},
+     "family": {"map": {"form": "two-slope-wrap"}}},
+    {"name": "nbhd", "kind": "neighborhood", "grid": 1024, "n_max": 20,
+     "eps": 0.01, "phi": {"preset": "sine"},
+     "family": {"base": {"form": "slope3-two-branch"}, "slope": 3.0,
+                "amp_max": 0.003, "slope_jitter": 0.002}},
+    {"name": "curve", "kind": "curve-driven", "grid": 1024, "n_max": "auto",
+     "phi": {"preset": "sine"}, "mesh": "auto", "probes": 9,
+     "curve": {"family": "slope", "s0": 2.5, "s1": 3.5, "interval": [0, 1]}},
+    {"name": "smooth", "kind": "smooth", "grid": 1024, "n_max": 20,
+     "phi": {"preset": "sine"}, "eps_loc": 0.1,
+     "family": {"slope": 2.0, "amp_max": 0.05}},
+]
+
+
+@pytest.mark.parametrize("body", ENVELOPE_CHECK_RUNS,
+                         ids=[b["name"] for b in ENVELOPE_CHECK_RUNS])
+def test_envelope_check_reprints_certificate(tmp_path, capsys, body):
+    cfg = {"schema": 1, "seed": 7, "psi": {"preset": "uniform"}, **body}
+    run_dir = _couple(tmp_path, cfg)
+    cert = (run_dir / "certificate.json").read_text()
+    assert json.loads(cert)["checks"] >= 2
+    capsys.readouterr()
+    assert main(["envelope-check", "--out", str(run_dir)]) == EXIT_OK
+    assert capsys.readouterr().out == cert
+
+
+def _drop(name):
+    return lambda run_dir: os.remove(run_dir / name)
+
+
+def _write(name, text):
+    return lambda run_dir: (run_dir / name).write_text(text)
+
+
+def _bounds_without(key):
+    def edit(run_dir):
+        bounds = json.loads((run_dir / "bounds.json").read_text())
+        del bounds[key]
+        (run_dir / "bounds.json").write_text(json.dumps(bounds))
+    return edit
+
+
+def _ledger_header(run_dir):
+    led = run_dir / "ledger.csv"
+    led.write_text(led.read_text().replace("l1_distance", "l1", 1))
+
+
+@pytest.mark.parametrize("damage,message", [
+    (_drop("scenario.json"), "scenario.json"),
+    (_drop("bounds.json"), "bounds.json"),
+    (_drop("ledger.csv"), "ledger.csv"),
+    (_write("bounds.json", "{not json"), "Expecting"),
+    (_write("bounds.json", "[1, 2]"), "mapping"),
+    (_bounds_without("a_star"), "a_star"),
+    (_write("scenario.json", "[]"), "schema"),
+    (_ledger_header, "ledger header"),
+], ids=["no-scenario", "no-bounds", "no-ledger", "bounds-not-json",
+        "bounds-not-object", "bounds-missing-key", "scenario-not-object",
+        "ledger-header"])
+def test_envelope_check_exit_2_on_damaged_run_dir(tmp_path, capsys, damage,
+                                                  message):
+    cfg = {"schema": 1, "name": "dmg", "kind": "fixed-map", "grid": 1024,
+           "n_max": 10, "seed": 9, "phi": {"preset": "sine"},
+           "psi": {"preset": "uniform"},
+           "family": {"map": {"form": "slope3-two-branch"}}}
+    run_dir = _couple(tmp_path, cfg)
+    damage(run_dir)
+    capsys.readouterr()
+    assert main(["envelope-check", "--out", str(run_dir)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("envelope-check: ")
+    assert message in captured.err
+
+
+def test_not_enveloping_map_exits_2_quickly(tmp_path):
+    # x -> 4x has image (0, 1) on every cylinder at every depth, so the
+    # origin is never covered; the repeated arcs end the search at depth 2
+    sc = base_scenario(family={"map": {"form": "affine", "slope": 4.0}})
+    res = run_scenario(sc, tmp_path / "slope4")
+    assert res.exit_code == EXIT_CONFIG
+    assert "not enveloping" in res.message
 
 
 def test_escape_loop_cap_flags_weak_expansion():
