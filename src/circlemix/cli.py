@@ -20,8 +20,8 @@ from .coupling import CouplingLedger, certify
 from .covering import CoveringError, positivity_horizon
 from .maps import analyze, map_from_dict
 from .scenarios import (EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, Scenario,
-                        ScenarioError, load_config, run_absorption,
-                        run_scenario, run_variation_suite)
+                        ScenarioError, is_number, load_config,
+                        run_absorption, run_scenario, run_variation_suite)
 
 
 def _load_json(path) -> dict:
@@ -77,11 +77,23 @@ def _cmd_absorb(args) -> int:
 
 
 def _cmd_covering(args) -> int:
-    cfg = _load_json(args.config)
     try:
-        g = map_from_dict(cfg["map"])
-        rep = positivity_horizon(g, cfg["a_star"], cfg.get("eps", 0.0))
-    except (CoveringError, ValueError) as exc:
+        cfg = _load_json(args.config)
+        if not isinstance(cfg, dict):
+            raise ValueError("config must be a JSON object")
+        for key in ("map", "a_star"):
+            if key not in cfg:
+                raise ValueError(f"missing field {key!r}")
+        a_star, eps = cfg["a_star"], cfg.get("eps", 0.0)
+        for key, value in (("a_star", a_star), ("eps", eps)):
+            if not is_number(value):
+                raise ValueError(f"{key} must be a number, got {value!r}")
+        try:
+            g = map_from_dict(cfg["map"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed map {cfg['map']!r}: {exc!r}") from exc
+        rep = positivity_horizon(g, a_star, eps)
+    except (CoveringError, OSError, ValueError) as exc:
         print(f"covering error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _emit(rep.as_dict(), args.out, "covering.json")

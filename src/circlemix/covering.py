@@ -1,16 +1,30 @@
 """Cylinder partitions, enveloping times, escape times, positivity horizons.
 
-Combinatorial quantities are computed with exact rational endpoint
-arithmetic whenever every branch is affine (float parameters are lifted to
-exact Fractions), so covering decisions never hinge on roundoff.  Maps
-with sine-perturbed branches fall back to floats; their endpoints carry a
-~1e-12 enclosure and covering checks then require a 1e-9 margin.
+One generator, `_depths`, builds the cylinders of a map sequence depth by
+depth.  An n-cylinder carries its interval, its branch itinerary and its
+image arc under the first n maps; depth n+1 splits it at the next map's
+branch breakpoints that lie strictly inside that arc, pulled back through
+the cylinder's own itinerary.  Every depth is built once, and its size is
+predicted (one piece per cylinder plus the breakpoints inside its arc)
+before it is built, so an oversized depth is refused before allocation.
+
+When every branch is affine the arithmetic is exact and in Python
+integers: each float parameter is a dyadic rational (`float.as_integer_ratio`),
+image arcs are integers over one power-of-two denominator per depth, and
+a cylinder is pulled back through its composed affine lift.  Fractions are
+built only at the API (`Cylinder.lo`/`hi` and the escape witness), so
+covering decisions never hinge on roundoff.  Maps with sine-perturbed
+branches run through the same generator in floats; their endpoints carry a
+~1e-12 enclosure, cuts closer than FLOAT_DEDUPE are merged, and covering
+checks then require a FLOAT_MARGIN margin.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,39 +54,10 @@ def _all_affine(maps) -> bool:
     return all(b.is_affine for m in maps for b in m.branches)
 
 
-def _lift_pt(branch, x, exact: bool):
-    if exact:
-        return Fraction(branch.slope) * x + Fraction(branch.offset)
-    return float(branch.lift(float(x)))
-
-
-def _inv_lift_pt(branch, t, exact: bool):
+def _inv_lift_pt(branch, t: float) -> float:
     if branch.is_affine:
-        if exact:
-            return (t - Fraction(branch.offset)) / Fraction(branch.slope)
         return (t - branch.offset) / branch.slope
     return float(_solve_lift(branch, np.array([float(t)]))[0])
-
-
-def _point_preimages(m: PiecewiseMap, y, exact: bool) -> list:
-    """All x in [0, 1) with f(x) = y (y given as exact or float circle point)."""
-    out = []
-    for b in m.branches:
-        flo = _lift_pt(b, Fraction(b.lo) if exact else b.lo, exact)
-        fhi = _lift_pt(b, Fraction(b.hi) if exact else b.hi, exact)
-        inc = b.increasing
-        lo_l, hi_l = (flo, fhi) if inc else (fhi, flo)
-        k = math.floor(lo_l - y)
-        while y + k <= hi_l:
-            t = y + k
-            if lo_l <= t <= hi_l:
-                x = _inv_lift_pt(b, t, exact)
-                if 0 <= x < 1:
-                    out.append(x)
-                elif x == 1:
-                    out.append(x - x)  # exact zero of matching type
-            k += 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -91,19 +76,214 @@ class Cylinder:
     def length(self) -> float:
         return float(self.hi - self.lo)
 
-    def midpoint(self):
-        return (self.lo + self.hi) / 2
+
+# --- The two arithmetics of the depth generator -------------------------------
+#
+# A piece is a tuple (a, b, itinerary, pull, ...): its image arc [a, b] with
+# 0 <= a < unit, in units of the current depth, its itinerary, and what
+# pulls an arc point back to the domain.  `split` maps the sub-arcs
+# (u, v, branch id, shift k) of a piece, cut at the next map's breakpoints,
+# to the next depth's pieces, in increasing order of their intervals;
+# `advance` then moves the unit to the next depth.
 
 
-def _branch_index_exact(m: PiecewiseMap, z, exact: bool) -> int:
-    los = [Fraction(b.lo) if exact else b.lo for b in m.branches]
-    idx = 0
-    for i, lo in enumerate(los):
-        if z >= lo:
-            idx = i
-        else:
-            break
-    return idx
+class _Ints:
+    """Exact arithmetic of all-affine maps in Python integers.
+
+    Q is the largest denominator of the maps' float parameters, all powers
+    of two, so each branch has integer left end, slope and offset over Q.
+    A traversal starts from [lo, hi] over unit0 = Q * q, q the common
+    denominator of lo and hi, and each step multiplies the unit by Q, so
+    image arcs are integers.  A piece pulls back through its composed lift
+    F, held as the integer pair (P, T) with F(x) * unit = P * unit0 * x + T:
+    the arc point C / unit comes from x = (C - T) / (P * unit0).
+    """
+
+    margin = 0
+
+    def __init__(self, maps, lo, hi):
+        ratios = {}
+        for m in maps:
+            if id(m) not in ratios:
+                ratios[id(m)] = [[float(v).as_integer_ratio()
+                                  for v in (b.lo, b.slope, b.offset)]
+                                 for b in m.branches]
+        self.Q = max(d for rs in ratios.values() for r in rs for _, d in r)
+        self._lefts, self._lifts = {}, {}
+        for key, rs in ratios.items():
+            scaled = [[n * (self.Q // d) for n, d in r] for r in rs]
+            self._lefts[key] = [lam for lam, _, _ in scaled]
+            self._lifts[key] = [(sig, om) for _, sig, om in scaled]
+        lo, hi = Fraction(lo), Fraction(hi)
+        self.unit0 = self.unit = self.Q * math.lcm(lo.denominator,
+                                                   hi.denominator)
+        self.root = (lo.numerator * (self.unit // lo.denominator),
+                     hi.numerator * (self.unit // hi.denominator), (), (1, 0))
+
+    def breakpoints(self, m) -> list[int]:
+        scale = self.unit // self.Q
+        return [lam * scale for lam in self._lefts[id(m)]]
+
+    def split(self, piece, cuts, m) -> list:
+        itin, (P, T) = piece[2], piece[3]
+        D = self.unit
+        D2 = D * self.Q
+        lifts = self._lifts[id(m)]
+        out = []
+        for u, v, j, k in cuts:
+            sig, om = lifts[j]
+            base = (om - sig * k) * D
+            va, vb = sig * u + base, sig * v + base
+            if sig < 0:
+                va, vb = vb, va
+            s = va // D2
+            out.append((va - s * D2, vb - s * D2, itin + (j,),
+                        (sig * P, sig * T + base - s * D2)))
+        if P < 0:
+            out.reverse()
+        return out
+
+    def advance(self) -> None:
+        self.unit *= self.Q
+
+    def shift(self, pull, k: int):
+        """The pull of F - k."""
+        return pull[0], pull[1] - k * self.unit
+
+    def pull_back(self, pull, c) -> Fraction:
+        P, T = pull
+        return Fraction(c - T, P * self.unit0)
+
+    def interval(self, piece) -> tuple[Fraction, Fraction]:
+        lo, hi = (self.pull_back(piece[3], c) for c in piece[:2])
+        return (lo, hi) if piece[3][0] > 0 else (hi, lo)
+
+    def all_shorter(self, pieces, a_star) -> bool:
+        """Is every piece's interval shorter than 1/(2 a*)?"""
+        an, ad = Fraction(a_star).as_integer_ratio()
+        lim = ad * self.unit0
+        return all(2 * an * (b - a) < lim * abs(pull[0])
+                   for a, b, _, pull in pieces)
+
+
+class _Floats:
+    """Float arithmetic for maps with sine-perturbed branches.
+
+    The unit is 1.  A piece also carries its interval (lo, hi), and it
+    pulls back through its chain of (branch, shift k, shift s) steps, the
+    newest first, by `_inv_lift_pt`.  Cuts closer than FLOAT_DEDUPE to the
+    previous cut or to the interval's end are merged away.
+    """
+
+    margin = FLOAT_MARGIN
+    unit = 1.0
+
+    def __init__(self, maps, lo, hi):
+        self._signs = {id(m): [1 if b.increasing else -1 for b in m.branches]
+                       for m in maps}
+        lo, hi = float(lo), float(hi)
+        self.root = (lo, hi, (), (1, None), lo, hi)
+
+    def breakpoints(self, m) -> list[float]:
+        return [float(b.lo) for b in m.branches]
+
+    def split(self, piece, cuts, m) -> list:
+        _, _, itin, pull, lo, hi = piece
+        sign = pull[0]
+        xs = [self.pull_back(pull, c[0]) for c in cuts[1:]]
+        xs = [lo] + xs + [hi] if sign > 0 else [hi] + xs + [lo]
+        segs = [cut + (min(x0, x1), max(x0, x1))
+                for cut, x0, x1 in zip(cuts, xs, xs[1:])]
+        if sign < 0:
+            segs.reverse()
+        kept = []
+        for seg in segs:
+            if kept and (seg[4] - kept[-1][4] <= FLOAT_DEDUPE
+                         or hi - seg[4] <= FLOAT_DEDUPE):
+                prev = kept[-1]
+                wide = max(prev, seg, key=lambda s: s[5] - s[4])
+                kept[-1] = (min(prev[0], seg[0]), max(prev[1], seg[1]),
+                            wide[2], wide[3], prev[4], seg[5])
+            else:
+                kept.append(seg)
+        out = []
+        for u, v, j, k, xlo, xhi in kept:
+            br = m.branches[j]
+            va, vb = float(br.lift(u - k)), float(br.lift(v - k))
+            if va > vb:
+                va, vb = vb, va
+            s = math.floor(va)
+            out.append((va - s, vb - s, itin + (j,),
+                        (sign * self._signs[id(m)][j], (pull[1], br, k, s)),
+                        xlo, xhi))
+        return out
+
+    def advance(self) -> None:
+        pass
+
+    def shift(self, pull, k: int):
+        sign, (steps, br, k0, s) = pull
+        return sign, (steps, br, k0, s + k)
+
+    def pull_back(self, pull, c) -> float:
+        steps = pull[1]
+        while steps is not None:
+            steps, br, k, s = steps
+            c = _inv_lift_pt(br, c + s) + k
+        return c
+
+    def interval(self, piece) -> tuple[float, float]:
+        return piece[4], piece[5]
+
+    def all_shorter(self, pieces, a_star) -> bool:
+        return max(p[5] - p[4] for p in pieces) < 1.0 / (2.0 * a_star)
+
+
+def _arith(maps, lo=0, hi=1, exact=None):
+    if exact is None:
+        exact = _all_affine(maps)
+    return (_Ints if exact else _Floats)(maps, lo, hi)
+
+
+def _cuts(a, b, bps, unit) -> list[tuple]:
+    """Sub-arcs (u, v, branch id, shift k) of the arc [a, b], 0 <= a < unit,
+    cut at the breakpoints bps[j] + k * unit strictly inside it."""
+    m = len(bps)
+    j, k = bisect_right(bps, a) - 1, 0
+    out = []
+    while True:
+        nj, nk = (j + 1, k) if j + 1 < m else (0, k + 1)
+        c = bps[nj] + nk * unit
+        if c >= b:
+            out.append((a, b, j, k))
+            return out
+        out.append((a, c, j, k))
+        a, j, k = c, nj, nk
+
+
+def _inside(a, b, bps, unit):
+    """How many breakpoints bps[j] + k * unit lie strictly inside (a, b)."""
+    return sum(-((p - b) // unit) - ((a - p) // unit) - 1 for p in bps)
+
+
+def _depths(maps, ar, cap: int = PARTITION_CAP):
+    """Yield the pieces of depth 1, 2, ... of the maps (any iterable), one
+    depth per map, over the traversal `ar`; `ar.unit` is the unit of the
+    depth just yielded.  A depth predicted to hold more than `cap` pieces
+    raises PartitionExplosionError before it is built."""
+    level = [ar.root]
+    for n, m in enumerate(maps, 1):
+        unit, bps = ar.unit, ar.breakpoints(m)
+        count = len(level) + sum(_inside(p[0], p[1], bps, unit)
+                                 for p in level)
+        if count > cap:
+            raise PartitionExplosionError(
+                f"cylinder count exceeded {cap}: depth {n} would hold "
+                f"{count}")
+        level = [kid for p in level
+                 for kid in ar.split(p, _cuts(p[0], p[1], bps, unit), m)]
+        ar.advance()
+        yield level
 
 
 def cylinder_partition(maps, n: int, cap: int = PARTITION_CAP) -> list[Cylinder]:
@@ -117,67 +297,15 @@ def cylinder_partition(maps, n: int, cap: int = PARTITION_CAP) -> list[Cylinder]
     maps = list(maps)[:n]
     if len(maps) < n:
         raise ValueError("map sequence shorter than n")
-    exact = _all_affine(maps)
-    pts = set()
-    for i in range(1, n + 1):
-        ends = [Fraction(b.lo) if exact else b.lo for b in maps[i - 1].branches]
-        for m in reversed(maps[: i - 1]):
-            nxt = []
-            for e in ends:
-                nxt.extend(_point_preimages(m, e, exact))
-            ends = nxt
-            if len(ends) > cap:
-                raise PartitionExplosionError(f"breakpoint count exceeded {cap}")
-        pts.update(ends)
-        if len(pts) > cap:
-            raise PartitionExplosionError(f"breakpoint count exceeded {cap}")
-    if exact:
-        cuts = sorted(pts)
-    else:
-        cuts = []
-        for p in sorted(pts):
-            if not cuts or p - cuts[-1] > FLOAT_DEDUPE:
-                cuts.append(p)
-        if cuts and 1.0 - cuts[-1] <= FLOAT_DEDUPE:
-            cuts.pop()
-    one = Fraction(1) if exact else 1.0
-    cylinders = []
-    for q in range(len(cuts)):
-        lo = cuts[q]
-        hi = cuts[q + 1] if q + 1 < len(cuts) else one
-        if hi <= lo:
-            continue
-        z = (lo + hi) / 2
-        itin = []
-        for m in maps:
-            bi = _branch_index_exact(m, z, exact)
-            itin.append(bi)
-            val = _lift_pt(m.branches[bi], z, exact)
-            val -= math.floor(val)
-            z = val
-        cylinders.append(Cylinder(lo, hi, tuple(itin)))
-    if len(cylinders) > cap:
-        raise PartitionExplosionError(f"cylinder count exceeded {cap}")
-    return cylinders
+    ar = _arith(maps)
+    for level in _depths(maps, ar, cap):
+        pass
+    return [Cylinder(*ar.interval(p), p[2]) for p in level]
 
 
-def _image_arc(maps, cyl: Cylinder, exact: bool):
-    """(start in [0,1), length) of the lift image of the cylinder interior."""
-    a, b = cyl.lo, cyl.hi
-    for step, bi in enumerate(cyl.itinerary):
-        branch = maps[step].branches[bi]
-        va = _lift_pt(branch, a, exact)
-        vb = _lift_pt(branch, b, exact)
-        a, b = (va, vb) if va <= vb else (vb, va)
-        if step < len(cyl.itinerary) - 1:
-            k = math.floor(a)
-            a, b = a - k, b - k
-    start = a - math.floor(a)
-    return start, b - a
-
-
-def _covers_circle(arcs, margin) -> bool:
-    """Do the open arcs (start, start+length) jointly cover the circle?
+def _covers_circle(arcs, unit, margin) -> bool:
+    """Do the open arcs (start, start+length) jointly cover the circle of
+    circumference `unit`?
 
     The complement of a finite union of open arcs, if nonempty, contains
     an arc endpoint, so it suffices to check that every endpoint (plus the
@@ -186,25 +314,15 @@ def _covers_circle(arcs, margin) -> bool:
     arcs = list(arcs)
     if not arcs:
         return False
-    for _, length in arcs:
-        if length > 1 + margin:
-            return True
-    candidates = {0 * arcs[0][0]}
+    if any(length > unit + margin for _, length in arcs):
+        return True
+    candidates = {0}
     for s, length in arcs:
         candidates.add(s)
-        e = s + length
-        candidates.add(e - math.floor(e) if e >= 1 else e)
-    for p in candidates:
-        ok = False
-        for s, length in arcs:
-            off = p - s
-            off -= math.floor(off)
-            if margin < off < length - margin:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+        candidates.add((s + length) % unit)
+    return all(any(margin < (p - s) % unit < length - margin
+                   for s, length in arcs)
+               for p in candidates)
 
 
 def enveloping_time(g: PiecewiseMap, N_max: int = 16) -> int | None:
@@ -218,20 +336,22 @@ def enveloping_time(g: PiecewiseMap, N_max: int = 16) -> int | None:
     never changes again and never comes to cover."""
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
-    exact = _all_affine([g])
-    margin = 0 if exact else FLOAT_MARGIN
+    ar = _arith([g])
+    exact = isinstance(ar, _Ints)
     prev = None
-    for N in range(1, N_max + 1):
-        maps = [g] * N
+    for N, level in enumerate(_depths([g] * N_max, ar), 1):
         groups: dict[int, set] = {}
-        for c in cylinder_partition(maps, N):
-            groups.setdefault(c.itinerary[0], set()).add(
-                _image_arc(maps, c, exact))
-        if all(_covers_circle(arcs, margin) for arcs in groups.values()):
+        for a, b, itin, *_ in level:
+            groups.setdefault(itin[0], set()).add((a, b - a))
+        if all(_covers_circle(arcs, ar.unit, ar.margin)
+               for arcs in groups.values()):
             return N
-        if exact and groups == prev:
-            return None
-        prev = groups
+        if exact:
+            if groups == prev:
+                return None
+            # the next depth's unit is Q times this one's
+            prev = {i: {(s * ar.Q, w * ar.Q) for s, w in arcs}
+                    for i, arcs in groups.items()}
     return None
 
 
@@ -245,24 +365,21 @@ def _refine(g: PiecewiseMap, a_star: float,
     """refine_until's n, with the n-cylinders it built."""
     if a_star <= 0:
         raise ValueError("a_star must be positive")
-    exact = _all_affine([g])
-    thresh = Fraction(1) / (2 * Fraction(a_star)) if exact else 1.0 / (2.0 * a_star)
-    n = 0
-    while True:
-        n += 1
-        cyls = cylinder_partition([g] * n, n, cap=cap)
-        if max(c.hi - c.lo for c in cyls) < thresh:
-            return n, cyls
+    ar = _arith([g])
+    for n, level in enumerate(_depths(itertools.repeat(g), ar, cap), 1):
+        if ar.all_shorter(level, a_star):
+            return n, [Cylinder(*ar.interval(p), p[2]) for p in level]
 
 
-def _arc_contains(a, b, ilo, ihi) -> bool:
-    """Does the closed arc [a, b] (lift coords, b <= a+len) contain [ilo, ihi]?"""
+def _holds_branch(a, b, bps, unit) -> bool:
+    """Does the closed arc [a, b] contain a whole first-level interval
+    [bps[j], bps[j+1]] (mod unit)?"""
     length = b - a
-    if length >= 1:
+    if length >= unit:
         return True
-    off = ilo - a
-    off -= math.floor(off)
-    return off + (ihi - ilo) <= length
+    ends = bps + [unit]
+    return any((lo - a) % unit + (hi - lo) <= length
+               for lo, hi in zip(ends, ends[1:]))
 
 
 def escape_time(g: PiecewiseMap, J: Cylinder, cap_factor: int = ESCAPE_CAP_FACTOR):
@@ -271,68 +388,41 @@ def escape_time(g: PiecewiseMap, J: Cylinder, cap_factor: int = ESCAPE_CAP_FACTO
 
     Maintains the current image arc; when it straddles a partition point
     the longer piece is kept (ties toward the piece with the smaller start)
-    and the preimage is recovered through the recorded lift chain.
+    and the witness is pulled back through the composed lift.
     Containment of a first-level interval is checked in the closed sense.
     """
-    exact = _all_affine([g]) and isinstance(J.lo, Fraction)
-    one = Fraction(1) if exact else 1.0
-    elems = [(Fraction(b.lo) if exact else b.lo,
-              Fraction(b.hi) if exact else b.hi) for b in g.branches]
-    ends = [lo for lo, _ in elems]
-
-    def contains_elem(a, b) -> bool:
-        return any(_arc_contains(a, b, ilo, ihi) for ilo, ihi in elems)
-
-    if contains_elem(J.lo, J.hi):
+    ar = _arith([g], J.lo, J.hi,
+                exact=_all_affine([g]) and isinstance(J.lo, Fraction))
+    piece, ends = ar.root, ar.breakpoints(g)
+    if _holds_branch(piece[0], piece[1], ends, ar.unit):
         return 0, (J.lo, J.hi)
-    a, b = J.lo, J.hi
-    hist: list[tuple[object, object]] = []  # (branch, shift)
     cap = cap_factor * max(1, len(J.itinerary))
     for k in range(1, cap + 1):
-        bi = _branch_index_exact(g, a, exact)
-        branch = g.branches[bi]
-        va = _lift_pt(branch, a, exact)
-        vb = _lift_pt(branch, b, exact)
-        lo_l, hi_l = (va, vb) if va <= vb else (vb, va)
-        shift = math.floor(lo_l)
-        a, b = lo_l - shift, hi_l - shift
-        hist.append((branch, shift))
-        if contains_elem(a, b):
-            wa, wb = a, b
-            for br, sh in reversed(hist):
-                wa = _inv_lift_pt(br, wa + sh, exact)
-                wb = _inv_lift_pt(br, wb + sh, exact)
-                if wa > wb:
-                    wa, wb = wb, wa
-            return k, (wa, wb)
+        a, b = piece[0], piece[1]
+        bi = max(bisect_right(ends, a) - 1, 0)
+        (piece,) = ar.split(piece, [(a, b, bi, 0)], g)
+        ar.advance()
+        a, b, _, pull = piece[:4]
+        unit, ends = ar.unit, ar.breakpoints(g)
+        if _holds_branch(a, b, ends, unit):
+            wa, wb = ar.pull_back(pull, a), ar.pull_back(pull, b)
+            return k, (min(wa, wb), max(wa, wb))
         # interior partition points of the open arc (a, b)
         length = b - a
-        inside = []
-        for p in ends:
-            off = p - a
-            off -= math.floor(off)
-            if 0 < off < length:
-                inside.append((off, p))
+        inside = [off for p in ends if 0 < (off := (p - a) % unit) < length]
         if not inside:
             continue  # arc sits inside one first-level interval
         if len(inside) != 1:
             raise CoveringError("arc straddles more than one partition point")
-        off, _ = inside[0]
-        low_piece = (a, a + off)
-        high_piece = (a + off, a + length)
-        if off > length - off:
-            a, b = low_piece
-        elif off < length - off:
-            a, b = high_piece
+        off = inside[0]
+        if off > length - off or (off == length - off
+                                  and a <= (a + off) % unit):
+            b = a + off
         else:
-            first_start = low_piece[0] - math.floor(low_piece[0])
-            second_start = high_piece[0] - math.floor(high_piece[0])
-            a, b = low_piece if first_start <= second_start else high_piece
-        k0 = math.floor(a)
-        a, b = a - k0, b - k0
-        if k0:
-            branch_last, shift_last = hist[-1]
-            hist[-1] = (branch_last, shift_last + k0)
+            a = a + off
+        k0 = a // unit
+        piece = (a - k0 * unit, b - k0 * unit, piece[2],
+                 ar.shift(pull, k0)) + piece[4:]
     raise CoveringError(
         f"escape loop exceeded {cap} iterations; expansion likely <= 2")
 
@@ -420,8 +510,7 @@ def verify_overcover(maps, interval, delta: float) -> bool:
     """Do the images of the delta-shrunk interval's cylinders (under the
     full composition) cover the circle?"""
     maps = list(maps)
-    N = len(maps)
-    if N < 1:
+    if not maps:
         raise ValueError("need at least one map")
     alo, ahi = interval
     if not alo < ahi:
@@ -429,20 +518,14 @@ def verify_overcover(maps, interval, delta: float) -> bool:
     if not 2 * delta < ahi - alo:
         raise ValueError("2*delta must be smaller than the interval length")
     exact = _all_affine(maps)
-    margin = 0 if exact else FLOAT_MARGIN
     if exact:
-        alo, ahi = Fraction(alo), Fraction(ahi)
-        delta = Fraction(delta)
-    lo_d, hi_d = alo + delta, ahi - delta
-    cyls = cylinder_partition(maps, N)
-    arcs = []
-    for c in cyls:
-        plo = max(c.lo, lo_d)
-        phi_ = min(c.hi, hi_d)
-        if phi_ <= plo:
-            continue
-        piece = Cylinder(plo, phi_, c.itinerary)
-        arcs.append(_image_arc(maps, piece, exact))
-    if not arcs:
+        alo, ahi, delta = Fraction(alo), Fraction(ahi), Fraction(delta)
+    # the domain's own depth-N pieces are the cylinders clipped to it
+    lo_d, hi_d = max(alo + delta, 0), min(ahi - delta, 1)
+    if not lo_d < hi_d:
         return False
-    return _covers_circle(arcs, margin)
+    ar = _arith(maps, lo_d, hi_d, exact)
+    for level in _depths(maps, ar):
+        pass
+    return _covers_circle(((p[0], p[1] - p[0]) for p in level), ar.unit,
+                          ar.margin)

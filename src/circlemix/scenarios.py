@@ -41,6 +41,16 @@ class ScenarioError(ValueError):
 KINDS = ("fixed-map", "neighborhood", "curve-driven", "smooth")
 
 
+def is_int(value) -> bool:
+    """An int from a config (a bool does not count)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A finite int or float from a config (a bool does not count)."""
+    return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
 @dataclass
 class Scenario:
     name: str
@@ -74,6 +84,14 @@ class Scenario:
             raise ScenarioError(str(exc)) from exc
         if sc.kind not in KINDS:
             raise ScenarioError(f"unknown scenario kind {sc.kind!r}")
+        for key in ("grid", "seed"):
+            value = getattr(sc, key)
+            if not is_int(value):
+                raise ScenarioError(f"{key} must be an integer, got {value!r}")
+        for key in ("eps", "eps_loc", "a_star"):
+            value = getattr(sc, key)
+            if not (is_number(value) or (value is None and key != "eps_loc")):
+                raise ScenarioError(f"{key} must be a number, got {value!r}")
         if sc.grid < 2 or (sc.grid & (sc.grid - 1)) != 0:
             raise ScenarioError("grid must be a power of two")
         if sc.kind == "smooth" and sc.grid > 2 ** 16:
@@ -83,7 +101,7 @@ class Scenario:
         if sc.n_max == "auto":
             if sc.kind != "curve-driven":
                 raise ScenarioError("n_max 'auto' is only for curve scenarios")
-        elif not (isinstance(sc.n_max, int) and 1 <= sc.n_max <= N_MAX_CAP):
+        elif not (is_int(sc.n_max) and 1 <= sc.n_max <= N_MAX_CAP):
             raise ScenarioError(f"n_max must lie in [1, {N_MAX_CAP}]")
         return sc
 

@@ -1,7 +1,12 @@
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlemix import (Density, NotEnvelopingError, cylinder_partition,
                        doubling_map, enveloping_time, escape_time,
@@ -120,6 +125,18 @@ def test_escape_time_examples():
     assert escape_time(g, big)[0] == 0
 
 
+def test_escape_tie_keeps_piece_with_smaller_start():
+    # 3x maps [7/12, 3/4] onto the arc [3/4, 5/4], split in half by the
+    # point 1 = 0: the pieces start at 3/4 and at 0, so [1, 5/4] is kept,
+    # and its image [0, 3/4] holds [0, 1/2] one step later
+    from circlemix.covering import Cylinder
+
+    g = slope3_two_branch()
+    J = Cylinder(Fraction(7, 12), Fraction(3, 4), (1,))
+    assert escape_time(g, J) == (2, (Fraction(2, 3), Fraction(3, 4)))
+    assert escape_time(g, J) == oracle_escape_time(g, J)
+
+
 def test_escape_witness_recheck():
     # the witness must map onto a full first-level element after s steps
     g = two_slope_wrap_map()
@@ -179,35 +196,67 @@ def test_positivity_horizon_rejects():
         positivity_horizon(doubling_map(), 4.0, 0.0)  # expansion not > 2
 
 
-def count_partitions(monkeypatch):
+def count_depths(monkeypatch):
+    """Record the depth of each level the cylinder generator yields."""
     from circlemix import covering
 
-    calls = []
-    real = covering.cylinder_partition
+    depths = []
+    real = covering._depths
 
-    def counted(maps, n, *args, **kwargs):
-        calls.append(n)
-        return real(maps, n, *args, **kwargs)
+    def counted(*args, **kwargs):
+        for n, level in enumerate(real(*args, **kwargs), 1):
+            depths.append(n)
+            yield level
 
-    monkeypatch.setattr(covering, "cylinder_partition", counted)
-    return calls
+    monkeypatch.setattr(covering, "_depths", counted)
+    return depths
 
 
 def test_enveloping_time_stops_when_image_arcs_repeat(monkeypatch):
     from circlemix.maps import affine_map
 
-    calls = count_partitions(monkeypatch)
+    depths = count_depths(monkeypatch)
     for g in (affine_map(4.0), doubling_map()):
-        calls.clear()
+        depths.clear()
         assert enveloping_time(g) is None  # N_max = 16
-        assert calls == [1, 2]
+        assert depths == [1, 2]
     # maps that do envelope keep their N
     for g, N in ((slope3_two_branch(), 1), (two_slope_wrap_map(), 1),
                  (slope25_map(), 3), (affine_map(3.0), 2),
                  (affine_map(2.5), 3)):
-        calls.clear()
+        depths.clear()
         assert enveloping_time(g) == N
-        assert calls == list(range(1, N + 1))
+        assert depths == list(range(1, N + 1))
+
+
+def test_oversized_depth_refused_before_it_is_built(monkeypatch):
+    # slope-3 depths hold 2, 6, 18, 54 and 162 cylinders: the count of
+    # depth 5 is predicted from depth 4's arcs and refused
+    depths = count_depths(monkeypatch)
+    with pytest.raises(PartitionExplosionError,
+                       match="exceeded 100: depth 5 would hold 162"):
+        refine_until(slope3_two_branch(), 1e7, cap=100)
+    assert depths == [1, 2, 3, 4]
+    depths.clear()
+    with pytest.raises(PartitionExplosionError, match="depth 1 would hold 2"):
+        cylinder_partition([slope3_two_branch()] * 3, 3, cap=1)
+    assert depths == []
+
+
+def test_cli_covering_refuses_oversized_partition(tmp_path, monkeypatch,
+                                                  capsys):
+    from circlemix import covering
+    from circlemix.cli import main
+
+    depths = covering._depths
+    monkeypatch.setattr(covering, "_depths",
+                        lambda maps, ar, cap=None: depths(maps, ar, cap=100))
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps({"map": {"form": "slope3-two-branch"},
+                               "a_star": 1e7}))
+    assert main(["covering", "--config", str(cov)]) == 2
+    assert "covering error: cylinder count exceeded 100" in \
+        capsys.readouterr().err
 
 
 def test_positivity_certified_numerically():
@@ -238,3 +287,358 @@ def test_verify_overcover_shrink_and_sequences():
     # perturbed sequences keep the overcovering (float path with margin)
     maps = [sine_map(3.0, 0.0002), sine_map(3.0, -0.0001)]
     assert verify_overcover(maps, (0.0, 0.5), 0.001) is True
+
+
+# --- the former from-scratch engine in Fraction arithmetic, kept as oracle ---
+#
+# Each depth is rebuilt by pulling every breakpoint back through all earlier
+# maps; itineraries come from iterating each cylinder's midpoint.
+
+
+def _oracle_all_affine(maps):
+    return all(b.is_affine for m in maps for b in m.branches)
+
+
+def _oracle_lift(branch, x, exact):
+    if exact:
+        return Fraction(branch.slope) * x + Fraction(branch.offset)
+    return float(branch.lift(float(x)))
+
+
+def _oracle_inv_lift(branch, t, exact):
+    if branch.is_affine:
+        if exact:
+            return (t - Fraction(branch.offset)) / Fraction(branch.slope)
+        return (t - branch.offset) / branch.slope
+    from circlemix.maps import _solve_lift
+    return float(_solve_lift(branch, np.array([float(t)]))[0])
+
+
+def _oracle_preimages(m, y, exact):
+    out = []
+    for b in m.branches:
+        flo = _oracle_lift(b, Fraction(b.lo) if exact else b.lo, exact)
+        fhi = _oracle_lift(b, Fraction(b.hi) if exact else b.hi, exact)
+        lo_l, hi_l = (flo, fhi) if b.increasing else (fhi, flo)
+        k = math.floor(lo_l - y)
+        while y + k <= hi_l:
+            t = y + k
+            if lo_l <= t <= hi_l:
+                x = _oracle_inv_lift(b, t, exact)
+                if 0 <= x < 1:
+                    out.append(x)
+                elif x == 1:
+                    out.append(x - x)
+            k += 1
+    return out
+
+
+def _oracle_branch_index(m, z, exact):
+    idx = 0
+    for i, b in enumerate(m.branches):
+        if z >= (Fraction(b.lo) if exact else b.lo):
+            idx = i
+        else:
+            break
+    return idx
+
+
+def oracle_cylinder_partition(maps, n):
+    from circlemix.covering import FLOAT_DEDUPE, Cylinder
+
+    maps = list(maps)[:n]
+    exact = _oracle_all_affine(maps)
+    pts = set()
+    for i in range(1, n + 1):
+        ends = [Fraction(b.lo) if exact else b.lo for b in maps[i - 1].branches]
+        for m in reversed(maps[: i - 1]):
+            ends = [x for e in ends for x in _oracle_preimages(m, e, exact)]
+        pts.update(ends)
+    if exact:
+        cuts = sorted(pts)
+    else:
+        cuts = []
+        for p in sorted(pts):
+            if not cuts or p - cuts[-1] > FLOAT_DEDUPE:
+                cuts.append(p)
+        if cuts and 1.0 - cuts[-1] <= FLOAT_DEDUPE:
+            cuts.pop()
+    one = Fraction(1) if exact else 1.0
+    cylinders = []
+    for q in range(len(cuts)):
+        lo = cuts[q]
+        hi = cuts[q + 1] if q + 1 < len(cuts) else one
+        z = (lo + hi) / 2
+        itin = []
+        for m in maps:
+            bi = _oracle_branch_index(m, z, exact)
+            itin.append(bi)
+            z = _oracle_lift(m.branches[bi], z, exact)
+            z -= math.floor(z)
+        cylinders.append(Cylinder(lo, hi, tuple(itin)))
+    return cylinders
+
+
+def _oracle_image_arc(maps, cyl, exact):
+    a, b = cyl.lo, cyl.hi
+    for step, bi in enumerate(cyl.itinerary):
+        branch = maps[step].branches[bi]
+        va = _oracle_lift(branch, a, exact)
+        vb = _oracle_lift(branch, b, exact)
+        a, b = (va, vb) if va <= vb else (vb, va)
+        if step < len(cyl.itinerary) - 1:
+            k = math.floor(a)
+            a, b = a - k, b - k
+    return a - math.floor(a), b - a
+
+
+def _oracle_covers_circle(arcs, margin):
+    arcs = list(arcs)
+    if not arcs:
+        return False
+    if any(length > 1 + margin for _, length in arcs):
+        return True
+    candidates = {0 * arcs[0][0]}
+    for s, length in arcs:
+        candidates.add(s)
+        e = s + length
+        candidates.add(e - math.floor(e) if e >= 1 else e)
+    for p in candidates:
+        for s, length in arcs:
+            off = p - s
+            off -= math.floor(off)
+            if margin < off < length - margin:
+                break
+        else:
+            return False
+    return True
+
+
+def oracle_enveloping_time(g, N_max):
+    exact = _oracle_all_affine([g])
+    margin = 0 if exact else 1e-9
+    for N in range(1, N_max + 1):
+        maps = [g] * N
+        groups = {}
+        for c in oracle_cylinder_partition(maps, N):
+            groups.setdefault(c.itinerary[0], set()).add(
+                _oracle_image_arc(maps, c, exact))
+        if all(_oracle_covers_circle(arcs, margin) for arcs in groups.values()):
+            return N
+    return None
+
+
+def oracle_verify_overcover(maps, interval, delta):
+    from circlemix.covering import Cylinder
+
+    maps = list(maps)
+    exact = _oracle_all_affine(maps)
+    alo, ahi = interval
+    if exact:
+        alo, ahi, delta = Fraction(alo), Fraction(ahi), Fraction(delta)
+    lo_d, hi_d = alo + delta, ahi - delta
+    arcs = []
+    for c in oracle_cylinder_partition(maps, len(maps)):
+        plo, phi_ = max(c.lo, lo_d), min(c.hi, hi_d)
+        if plo < phi_:
+            arcs.append(_oracle_image_arc(
+                maps, Cylinder(plo, phi_, c.itinerary), exact))
+    return _oracle_covers_circle(arcs, 0 if exact else 1e-9)
+
+
+def oracle_escape_time(g, J, cap_factor=64):
+    from circlemix.covering import CoveringError
+
+    exact = _oracle_all_affine([g]) and isinstance(J.lo, Fraction)
+    elems = [(Fraction(b.lo) if exact else b.lo,
+              Fraction(b.hi) if exact else b.hi) for b in g.branches]
+    ends = [lo for lo, _ in elems]
+
+    def contains_elem(a, b):
+        length = b - a
+        if length >= 1:
+            return True
+        for ilo, ihi in elems:
+            off = ilo - a
+            off -= math.floor(off)
+            if off + (ihi - ilo) <= length:
+                return True
+        return False
+
+    if contains_elem(J.lo, J.hi):
+        return 0, (J.lo, J.hi)
+    a, b = J.lo, J.hi
+    hist = []
+    cap = cap_factor * max(1, len(J.itinerary))
+    for k in range(1, cap + 1):
+        branch = g.branches[_oracle_branch_index(g, a, exact)]
+        va = _oracle_lift(branch, a, exact)
+        vb = _oracle_lift(branch, b, exact)
+        lo_l, hi_l = (va, vb) if va <= vb else (vb, va)
+        shift = math.floor(lo_l)
+        a, b = lo_l - shift, hi_l - shift
+        hist.append((branch, shift))
+        if contains_elem(a, b):
+            wa, wb = a, b
+            for br, sh in reversed(hist):
+                wa = _oracle_inv_lift(br, wa + sh, exact)
+                wb = _oracle_inv_lift(br, wb + sh, exact)
+                if wa > wb:
+                    wa, wb = wb, wa
+            return k, (wa, wb)
+        length = b - a
+        inside = []
+        for p in ends:
+            off = p - a
+            off -= math.floor(off)
+            if 0 < off < length:
+                inside.append(off)
+        if not inside:
+            continue
+        if len(inside) != 1:
+            raise CoveringError("arc straddles more than one partition point")
+        off = inside[0]
+        low_piece, high_piece = (a, a + off), (a + off, a + length)
+        if off > length - off:
+            a, b = low_piece
+        elif off < length - off:
+            a, b = high_piece
+        else:
+            first = low_piece[0] - math.floor(low_piece[0])
+            second = high_piece[0] - math.floor(high_piece[0])
+            a, b = low_piece if first <= second else high_piece
+        k0 = math.floor(a)
+        a, b = a - k0, b - k0
+        if k0:
+            hist[-1] = (hist[-1][0], hist[-1][1] + k0)
+    raise CoveringError(f"escape loop exceeded {cap} iterations")
+
+
+def _escape_or_error(g, J):
+    from circlemix.covering import CoveringError
+    from circlemix.maps import TransferError
+
+    try:
+        return escape_time(g, J)
+    except (CoveringError, TransferError) as exc:
+        return type(exc)
+
+
+def _oracle_escape_or_error(g, J):
+    from circlemix.covering import CoveringError
+    from circlemix.maps import TransferError
+
+    try:
+        return oracle_escape_time(g, J)
+    except (CoveringError, TransferError) as exc:
+        return type(exc)
+
+
+@st.composite
+def random_maps(draw, sine=False):
+    """1-3 branches over random cut points, each with a random orientation,
+    slope modulus and offset (and, for sine maps, amplitude)."""
+    from circlemix import BranchSpec, PiecewiseMap
+
+    nb = draw(st.integers(1, 3))
+    cuts = sorted(set(draw(st.lists(st.floats(0.05, 0.95), min_size=nb - 1,
+                                    max_size=nb - 1))))
+    ends = [0.0] + cuts + [1.0]
+    branches = []
+    for lo, hi in zip(ends, ends[1:]):
+        slope = draw(st.floats(2.05, 3.5)) * draw(st.sampled_from((1, -1)))
+        offset = draw(st.floats(-1.0, 1.0))
+        amp = draw(st.floats(-0.1, 0.1)) if sine else 0.0
+        branches.append(BranchSpec(lo, hi, slope, offset, amp))
+    return PiecewiseMap(tuple(branches))
+
+
+ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                           database=None)
+
+
+def _assert_same_partition(got, want, tol=0.0):
+    assert len(got) == len(want)
+    for c, w in zip(got, want):
+        assert c.itinerary == w.itinerary
+        if tol:
+            assert abs(c.lo - w.lo) <= tol and abs(c.hi - w.hi) <= tol
+        else:
+            assert (c.lo, c.hi) == (w.lo, w.hi)
+            assert isinstance(c.lo, Fraction) and isinstance(c.hi, Fraction)
+
+
+@ORACLE_SETTINGS
+@given(g=random_maps(), n=st.integers(1, 6))
+def test_partition_and_escape_match_oracle_on_affine_maps(g, n):
+    want = oracle_cylinder_partition([g] * n, n)
+    got = cylinder_partition([g] * n, n)
+    _assert_same_partition(got, want)
+    # escape times and witnesses, exactly, on up to 16 of the cylinders
+    for J in want[:: max(1, len(want) // 16)]:
+        assert _escape_or_error(g, J) == _oracle_escape_or_error(g, J)
+
+
+@ORACLE_SETTINGS
+@given(maps=st.lists(random_maps(), min_size=1, max_size=6),
+       lo=st.floats(0.0, 0.9), width=st.floats(0.02, 1.0),
+       delta=st.floats(0.0, 0.01))
+def test_partition_and_overcover_match_oracle_on_affine_sequences(
+        maps, lo, width, delta):
+    n = len(maps)
+    _assert_same_partition(cylinder_partition(maps, n),
+                           oracle_cylinder_partition(maps, n))
+    hi = lo + width
+    if 2 * delta < hi - lo:
+        assert verify_overcover(maps, (lo, hi), delta) == \
+            oracle_verify_overcover(maps, (lo, hi), delta)
+
+
+@ORACLE_SETTINGS
+@given(g=random_maps(), N_max=st.integers(1, 4))
+def test_enveloping_time_matches_oracle(g, N_max):
+    assert enveloping_time(g, N_max) == oracle_enveloping_time(g, N_max)
+
+
+@ORACLE_SETTINGS
+@given(g=random_maps(sine=True), n=st.integers(1, 3))
+def test_partition_and_escape_match_oracle_on_sine_maps(g, n):
+    want = oracle_cylinder_partition([g] * n, n)
+    _assert_same_partition(cylinder_partition([g] * n, n), want, tol=1e-12)
+    for J in want[:: max(1, len(want) // 8)]:
+        got, ref = _escape_or_error(g, J), _oracle_escape_or_error(g, J)
+        if isinstance(ref, tuple):
+            assert got[0] == ref[0]
+            assert got[1] == pytest.approx(ref[1], abs=1e-12)
+        else:
+            assert got is ref
+
+
+def test_sine_partition_merges_cuts_closer_than_float_dedupe():
+    # with offset 1/2 + 2^-51 the image of [0, 1/2) ends 2^-51 past the
+    # breakpoint 2 = 0, so that breakpoint pulls back to within 1e-15 of
+    # 1/2; the sliver it would cut off is merged, and 6 and 18 cylinders
+    # remain, not 8 and 26
+    g = sine_map(3.0, 0.01, 0.5 + 2 ** -51)
+    for n, count in ((2, 6), (3, 18)):
+        got = cylinder_partition([g] * n, n)
+        assert len(got) == count
+        _assert_same_partition(got, oracle_cylinder_partition([g] * n, n),
+                               tol=1e-12)
+
+
+GOLDEN = Path(__file__).with_name("covering_golden.json")
+
+
+def test_covering_reports_match_recorded_json():
+    # as_dict() of the shipped affine forms with expansion > 2 and of the
+    # nine curve-slope probe maps, recorded with the Fraction engine
+    from circlemix.maps import map_from_dict
+
+    cases = json.loads(GOLDEN.read_text())
+    assert len(cases) == 16
+    for case in cases:
+        rep = positivity_horizon(map_from_dict(case["map"]), case["a_star"],
+                                 case["eps"])
+        assert json.loads(json.dumps(rep.as_dict())) == case["report"], \
+            case["label"]

@@ -75,6 +75,35 @@ def test_scenario_validation():
                             "phi": {}, "psi": {}})
 
 
+CONFIG_BODY = {"schema": 1, "name": "typed", "kind": "fixed-map",
+               "grid": 512, "n_max": 4, "seed": 1,
+               "phi": {"preset": "uniform"}, "psi": {"preset": "uniform"},
+               "family": {"map": {"form": "slope3-two-branch"}}}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("grid", "1024"), ("grid", 1024.0), ("grid", True),
+    ("n_max", "4"), ("n_max", 4.0), ("n_max", True),
+    ("seed", "1"), ("seed", 1.5), ("seed", False), ("seed", None),
+    ("eps", "0.01"), ("eps", True), ("eps", float("nan")),
+    ("eps_loc", None), ("eps_loc", "0.1"), ("a_star", "ten"),
+    ("a_star", [10.0])])
+def test_scenario_field_types_exit_2(tmp_path, capsys, key, value):
+    cfg = dict(CONFIG_BODY, **{key: value})
+    with pytest.raises(ScenarioError, match=key):
+        Scenario.from_dict(cfg)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["couple", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_scenario_numbers_accepted():
+    sc = Scenario.from_dict(dict(CONFIG_BODY, eps=1, eps_loc=0.2, a_star=12))
+    assert (sc.grid, sc.n_max, sc.seed, sc.eps, sc.a_star) == (512, 4, 1, 1, 12)
+
+
 def test_run_scenario_writes_artifacts(tmp_path):
     sc = base_scenario()
     res = run_scenario(sc, tmp_path / "run")
@@ -447,9 +476,9 @@ def _not_enveloping(monkeypatch):
 
 def _partition_explosion(monkeypatch):
     from circlemix import covering
-    build = covering.cylinder_partition
-    monkeypatch.setattr(covering, "cylinder_partition",
-                        lambda maps, n, cap=None: build(maps, n, cap=1))
+    depths = covering._depths
+    monkeypatch.setattr(covering, "_depths",
+                        lambda maps, ar, cap=None: depths(maps, ar, cap=1))
     return "count exceeded 1"
 
 
@@ -514,6 +543,27 @@ def test_covering_error_exits_2_through_jobs_pool(tmp_path, monkeypatch,
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert all("exit 2" in ln and message in ln for ln in lines)
+
+
+@pytest.mark.parametrize("cfg,message", [
+    ({"map": {"form": "slope3-two-branch"}}, "missing field 'a_star'"),
+    ({"a_star": 10.0}, "missing field 'map'"),
+    ({"map": {"form": "slope3-two-branch"}, "a_star": "ten"},
+     "a_star must be a number"),
+    ({"map": {"form": "slope3-two-branch"}, "a_star": True},
+     "a_star must be a number"),
+    ({"map": {"form": "slope3-two-branch"}, "a_star": 10.0, "eps": "0"},
+     "eps must be a number"),
+    ({"map": {"form": "affine"}, "a_star": 10.0}, "malformed map"),
+    ([1, 2], "must be a JSON object")])
+def test_cli_covering_bad_config_exits_2(tmp_path, capsys, cfg, message):
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps(cfg))
+    assert main(["covering", "--config", str(cov)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("covering error: ")
+    assert message in captured.err
 
 
 def test_cli_covering_subcommand_exits_2(tmp_path, monkeypatch, capsys):
