@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -18,15 +19,53 @@ from concurrent.futures import ProcessPoolExecutor
 from .bounds import BoundsReport
 from .coupling import CouplingLedger, certify
 from .covering import CoveringError, positivity_horizon
-from .maps import analyze, map_from_dict
+from .maps import PiecewiseMap, TransferError, analyze, map_from_dict
 from .scenarios import (EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, Scenario,
-                        ScenarioError, is_number, load_config,
+                        ScenarioError, is_int, is_number, load_config,
                         run_absorption, run_scenario, run_variation_suite)
 
 
 def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _read_config(path) -> dict:
+    """The JSON object in a config file; OSError or ValueError when the
+    file is unreadable, not JSON or not an object."""
+    cfg = _load_json(path)
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    return cfg
+
+
+def _map(spec) -> PiecewiseMap:
+    """map_from_dict, with a malformed spec reported as ValueError."""
+    try:
+        return map_from_dict(spec)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed map {spec!r}: {exc!r}") from exc
+
+
+def _check_fields(cfg: dict, required=(), numbers=(), ints=None) -> None:
+    """ValueError unless every required key is present, every present key
+    of `numbers` is a number and every present key of `ints` an integer at
+    least the value `ints` maps it to."""
+    for key in required:
+        if key not in cfg:
+            raise ValueError(f"missing field {key!r}")
+    for key in numbers:
+        if key in cfg and not is_number(cfg[key]):
+            raise ValueError(f"{key} must be a number, got {cfg[key]!r}")
+    for key, least in (ints or {}).items():
+        if key in cfg and not (is_int(cfg[key]) and cfg[key] >= least):
+            raise ValueError(
+                f"{key} must be an integer >= {least}, got {cfg[key]!r}")
+
+
+def _config_error(command: str, exc: Exception) -> int:
+    print(f"{command} error: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def _emit(payload: dict, out_dir, name: str) -> None:
@@ -39,10 +78,21 @@ def _emit(payload: dict, out_dir, name: str) -> None:
     print(text)
 
 
+def _apply_grid_seed(cfg: dict, args) -> dict:
+    if args.grid:
+        cfg["grid"] = args.grid
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    return cfg
+
+
 def _cmd_analyze_map(args) -> int:
-    cfg = _load_json(args.config)
-    m = map_from_dict(cfg["map"] if "map" in cfg else cfg)
-    an = analyze(m)
+    try:
+        cfg = _read_config(args.config)
+        m = _map(cfg["map"] if "map" in cfg else cfg)
+        an = analyze(m)
+    except (OSError, ValueError) as exc:
+        return _config_error("analyze-map", exc)
     payload = {
         "lambda_min": an.lambda_min, "M0": an.M0, "A": an.A, "C1": an.C1,
         "omega": list(an.omega),
@@ -55,47 +105,59 @@ def _cmd_analyze_map(args) -> int:
 
 
 def _cmd_verify_ly(args) -> int:
-    cfg = _load_json(args.config) if args.config else {}
-    if args.grid:
-        cfg["grid"] = args.grid
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    report = run_variation_suite(cfg)
+    try:
+        cfg = _apply_grid_seed(
+            _read_config(args.config) if args.config else {}, args)
+        _check_fields(cfg, numbers=("var_max", "slack"),
+                      ints={"grid": 2, "count": 1, "seed": 0})
+        specs = cfg.get("maps")
+        if specs is not None:
+            if not isinstance(specs, list):
+                raise ValueError(f"maps must be a list, got {specs!r}")
+            for spec in specs:
+                _map(spec)
+        report = run_variation_suite(cfg)
+    except (OSError, ValueError) as exc:
+        return _config_error("verify-ly", exc)
     _emit(report, args.out, "verify_ly.json")
     return EXIT_OK if report["passed"] else EXIT_CERTIFICATE
 
 
 def _cmd_absorb(args) -> int:
-    cfg = _load_json(args.config)
-    if args.grid:
-        cfg["grid"] = args.grid
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    report = run_absorption(cfg)
+    try:
+        cfg = _apply_grid_seed(_read_config(args.config), args)
+        _check_fields(cfg, required=("a", "a_star"),
+                      numbers=("a", "a_star", "headroom"),
+                      ints={"grid": 2, "seeds": 1, "seed": 0})
+        fam = cfg.get("family", {})
+        if not isinstance(fam, dict):
+            raise ValueError(f"family must be an object, got {fam!r}")
+        for key, top in (("slopes", math.inf), ("split", 1.0)):
+            if key not in fam:
+                continue
+            pair = fam[key]
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(is_number(v) for v in pair)
+                    and 0.0 < pair[0] <= pair[1] < top):
+                raise ValueError(f"family {key} must be two numbers "
+                                 f"0 < lo <= hi < {top:g}, got {pair!r}")
+        report = run_absorption(cfg)
+    except (OSError, ValueError) as exc:
+        return _config_error("absorb", exc)
     _emit(report, args.out, "absorb.json")
     return EXIT_OK if report["passed"] else EXIT_CERTIFICATE
 
 
 def _cmd_covering(args) -> int:
     try:
-        cfg = _load_json(args.config)
-        if not isinstance(cfg, dict):
-            raise ValueError("config must be a JSON object")
-        for key in ("map", "a_star"):
-            if key not in cfg:
-                raise ValueError(f"missing field {key!r}")
-        a_star, eps = cfg["a_star"], cfg.get("eps", 0.0)
-        for key, value in (("a_star", a_star), ("eps", eps)):
-            if not is_number(value):
-                raise ValueError(f"{key} must be a number, got {value!r}")
-        try:
-            g = map_from_dict(cfg["map"])
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed map {cfg['map']!r}: {exc!r}") from exc
-        rep = positivity_horizon(g, a_star, eps)
-    except (CoveringError, OSError, ValueError) as exc:
-        print(f"covering error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        cfg = _read_config(args.config)
+        _check_fields(cfg, required=("map", "a_star"),
+                      numbers=("a_star", "eps"))
+        rep = positivity_horizon(_map(cfg["map"]), cfg["a_star"],
+                                 cfg.get("eps", 0.0))
+    except (CoveringError, TransferError, OSError, ValueError) as exc:
+        # TransferError: a float escape witness left its branch image
+        return _config_error("covering", exc)
     _emit(rep.as_dict(), args.out, "covering.json")
     return EXIT_OK
 

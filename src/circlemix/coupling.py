@@ -263,10 +263,11 @@ def run_coupled(maps, phi: Density, psi: Density, mode: str, *,
     maybe_transitions(0)
     record(0)
     for n, f in enumerate(maps, start=1):
-        raw_phi = push(f, raw_phi)
-        raw_psi = push(f, raw_psi)
-        u_phi = push(f, u_phi)
-        u_psi = push(f, u_psi)
+        # until the first subtraction u_phi is raw_phi: push it once
+        shared = (u_phi is raw_phi, u_psi is raw_psi)
+        raw_phi, raw_psi = push(f, raw_phi), push(f, raw_psi)
+        u_phi = raw_phi if shared[0] else push(f, u_phi)
+        u_psi = raw_psi if shared[1] else push(f, u_psi)
         maybe_transitions(n)
         record(n)
     if ledger.n_wait < 0:

@@ -48,6 +48,20 @@ def _shift_level(s: np.ndarray, k: int, r: np.ndarray) -> float:
     return m / (k / G)
 
 
+def _frozen_samples(arr: np.ndarray) -> np.ndarray:
+    """arr, checked as the samples of a unit-mass density and made
+    read-only; ValueError if it is not one."""
+    _check_grid(arr.shape[0] if arr.ndim == 1 else 0)
+    # written so that NaN fails both checks
+    if not arr.min() >= 0.0:
+        raise ValueError("density samples must be nonnegative numbers")
+    total = float(arr.mean())
+    if not abs(total - 1.0) <= INTEGRAL_TOL:
+        raise ValueError(f"density integral {total} is not 1 within {INTEGRAL_TOL}")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Density:
     """Unit-mass density sampled on the grid i/G."""
@@ -55,17 +69,16 @@ class Density:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
-        _check_grid(arr.shape[0] if arr.ndim == 1 else 0)
-        # written so that NaN fails both checks
-        if not np.all(arr >= 0.0):
-            raise ValueError("density samples must be nonnegative numbers")
-        total = float(arr.mean())
-        if not abs(total - 1.0) <= INTEGRAL_TOL:
-            raise ValueError(f"density integral {total} is not 1 within {INTEGRAL_TOL}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _frozen_samples(
+            np.array(self.samples, dtype=float)))
+
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> "Density":
+        """The density of a fresh float array that no one else holds: the
+        same checks as Density(arr), without the copy."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "samples", _frozen_samples(arr))
+        return self
 
     # --- construction ---------------------------------------------------
 
@@ -151,12 +164,16 @@ class Density:
     def l1_distance(self, other: "Density") -> float:
         if self.G != other.G:
             raise ValueError("mismatched grid sizes")
-        return float(np.abs(self.samples - other.samples).mean())
+        d = self.samples - other.samples
+        return float(np.abs(d, out=d).mean())
 
     def variation(self) -> float:
         """Exact total variation of the piecewise-linear interpolant."""
         s = self.samples
-        return float(np.abs(np.roll(s, -1) - s).sum())
+        d = np.empty_like(s)
+        np.subtract(s[1:], s[:-1], out=d[:-1])
+        d[-1] = s[0] - s[-1]
+        return float(np.abs(d, out=d).sum())
 
     def min_value(self) -> float:
         return float(self.samples.min())
@@ -236,7 +253,8 @@ class Density:
                 f"subtraction {c} exceeds the density minimum {self.min_value()}")
         if c >= 1.0:
             raise ValueError("subtracted amount must be < 1")
-        return Density((self.samples - c) / (1.0 - c))
+        out = self.samples - c
+        return Density._own(np.divide(out, 1.0 - c, out=out))
 
     # --- serialization ----------------------------------------------------
 

@@ -411,7 +411,7 @@ def run_absorption(cfg: dict) -> dict:
     """Absorption suite: the scheduled time tau from the family constants,
     then seeded random-sequence runs checking that the variation has
     entered the cone (with 5% headroom) after tau steps."""
-    from .transfer import push_sequence
+    from .transfer import push
 
     fam_cfg = cfg.get("family", {})
     fam = two_slope_wrap_family_bounds(fam_cfg)
@@ -428,7 +428,9 @@ def run_absorption(cfg: dict) -> dict:
         rng = np.random.Generator(np.random.PCG64(seed0 + s))
         phi = Density.random_bv(G, a, rng)
         maps = [draw_two_slope_wrap(fam_cfg, rng) for _ in range(tau)]
-        final = push_sequence(maps, phi)[-1] if tau > 0 else phi
+        final = phi
+        for m in maps:
+            final = push(m, final)
         v = final.variation()
         worst = max(worst, v)
         results.append({"seed": seed0 + s, "initial_variation": phi.variation(),

@@ -36,6 +36,10 @@ class TransferOperator:
     preimage x of a target contributes the linear interpolant of phi at x
     divided by |f'(x)|: a left sample index i0 and the weights
     (1 - frac)/|f'| and frac/|f'| on samples i0 and i0 + 1.
+
+    The operator owns its scratch arrays, the periodic extension of the
+    samples and two work buffers as long as its longest run, so an apply
+    allocates only the array it returns.
     """
 
     def __init__(self, m: PiecewiseMap, G: int):
@@ -59,18 +63,36 @@ class TransferOperator:
                 xs[xs >= 1.0] -= 1.0
                 pos = xs * G
                 i0 = np.floor(pos)
+                # apply gathers with mode="clip", which would silently
+                # move an index outside [0, G - 1] onto an edge sample
+                if not (i0.min() >= 0.0 and i0.max() <= G - 1):
+                    raise TransferError(
+                        f"preimage sample index outside [0, {G - 1}] on {b}")
                 frac = pos - i0
                 inv = 1.0 / np.abs(b.deriv(xs))
                 self._runs.append((slice(int(j0), int(j1)), i0.astype(np.intp),
                                    (1.0 - frac) * inv, frac * inv))
+        self._ext = np.empty(G + 1)
+        longest = max((i0.size for _, i0, _, _ in self._runs), default=0)
+        self._a = np.empty(longest)
+        self._b = np.empty(longest)
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """Raw (unnormalized) pushforward samples of one density."""
-        s_ext = np.append(samples, samples[0])  # periodic right neighbour
+        s_ext = self._ext
+        s_ext[:-1] = samples
+        s_ext[-1] = samples[0]  # periodic right neighbour
         right = s_ext[1:]
         acc = np.zeros(self.G)
         for sl, i0, w0, w1 in self._runs:
-            acc[sl] += s_ext[i0] * w0 + right[i0] * w1
+            a = self._a[:i0.size]
+            b = self._b[:i0.size]
+            np.take(s_ext, i0, out=a, mode="clip")
+            np.multiply(a, w0, out=a)
+            np.take(right, i0, out=b, mode="clip")
+            np.multiply(b, w1, out=b)
+            np.add(a, b, out=a)
+            np.add(acc[sl], a, out=acc[sl])
         return acc
 
 
@@ -102,7 +124,7 @@ def push_with_factor(m: PiecewiseMap, phi: Density) -> tuple[Density, float]:
     if not FACTOR_WINDOW[0] <= raw <= FACTOR_WINDOW[1]:
         raise TransferError(
             f"pushforward mass {raw} outside {FACTOR_WINDOW}: broken map/density pairing")
-    return Density(acc / raw), 1.0 / raw
+    return Density._own(np.divide(acc, raw, out=acc)), 1.0 / raw
 
 
 def push(m: PiecewiseMap, phi: Density) -> Density:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from circlemix import (CertificateViolation, Density, certify, doubling_map,
-                       fit_decay, push_sequence, run_coupled, sine_map,
+                       fit_decay, push, push_sequence, run_coupled, sine_map,
                        slope3_two_branch)
 from circlemix.coupling import (ENVELOPE_START, BlockPlan, CertifyReport,
                                 CouplingLedger)
@@ -77,6 +77,34 @@ def test_raw_distances_independent_of_matching():
     seq_psi = [psi] + push_sequence(maps, psi)
     raw = [a.l1_distance(b) for a, b in zip(seq_phi, seq_psi)]
     assert np.array_equal(led.distances(), np.array(raw))
+
+
+def test_shared_densities_pushed_once(monkeypatch):
+    # until the first subtraction the unmatched pair is the raw pair, and
+    # each density is pushed once per step; after it all four are pushed
+    from circlemix import coupling
+
+    rep, _ = slope3_setup()
+    G = 4096
+    phi = Density.sine(G, 1, 0.5)
+    psi = Density.step(G, [1.3, 0.7])
+    maps = [slope3_two_branch() for _ in range(20)]  # equal, not identical
+    step_of = {id(f): n for n, f in enumerate(maps, start=1)}
+    calls = []
+
+    def counting_push(f, d):
+        calls.append(step_of[id(f)])
+        return push(f, d)
+
+    monkeypatch.setattr(coupling, "push", counting_push)
+    led = run_coupled(maps, phi, psi, "piecewise", bounds=rep)
+    first = led.blocks[0].sub_step
+    assert 1 <= first < len(maps)
+    per_step = [calls.count(n) for n in range(1, len(maps) + 1)]
+    assert per_step == [2] * first + [4] * (len(maps) - first)
+    raw_phi = [phi] + push_sequence(maps[:first], phi)
+    assert led.steps["variation_phi"][:first] == [
+        d.variation() for d in raw_phi[:first]]
 
 
 def test_ledger_envelope_and_distance_bound():

@@ -49,6 +49,27 @@ def test_constructor_validation():
         Density(np.array([math.inf, 1.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("samples", [
+    np.ones(48),                                                   # grid
+    np.full(64, 1.2),                                              # mass
+    np.array([2.5, -0.5, 1.0, 1.0]),                               # sign
+    np.array([math.nan, 1.0, 1.0, 1.0]),                           # NaN
+    np.array([math.inf, 1.0, 1.0, 1.0]),                           # inf
+], ids=["grid", "mass", "negative", "nan", "inf"])
+def test_owning_constructor_checks_like_the_constructor(samples):
+    with pytest.raises(ValueError):
+        Density(samples.copy())
+    with pytest.raises(ValueError):
+        Density._own(samples.copy())
+
+
+def test_owning_constructor_keeps_the_array_read_only():
+    arr = Density.sine(64, 2, 0.3).samples.copy()
+    d = Density._own(arr)
+    assert d.samples is arr and not arr.flags.writeable
+    assert Density(arr).samples is not arr  # the public constructor copies
+
+
 def test_l1_distance():
     G = 4096
     u = Density.uniform(G)
@@ -83,6 +104,18 @@ def test_variation_rotation_invariant():
     for shift in (1, 17, 200):
         rolled = Density(np.roll(d.samples, shift))
         assert rolled.variation() == pytest.approx(d.variation(), abs=1e-14)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(G=st.sampled_from([2, 4, 64, 1024]), seed=st.integers(0, 2 ** 32),
+       a=st.floats(0.5, 40.0))
+def test_variation_and_l1_match_the_roll_expressions(G, seed, a):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    d = Density.random_bv(G, a, rng)
+    e = Density.random_bv(G, a, rng)
+    s = d.samples
+    assert d.variation() == float(np.abs(np.roll(s, -1) - s).sum())
+    assert d.l1_distance(e) == float(np.abs(s - e.samples).mean())
 
 
 def test_min_value():

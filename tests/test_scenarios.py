@@ -566,6 +566,69 @@ def test_cli_covering_bad_config_exits_2(tmp_path, capsys, cfg, message):
     assert message in captured.err
 
 
+def test_cli_covering_lost_escape_witness_exits_2(tmp_path, capsys):
+    # a float witness of this sine map leaves its branch image
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps({"map": {"branches": [
+        {"lo": 0.0, "hi": 1.0, "slope": 2.5, "offset": -1.0,
+         "amplitude": 0.03125}]}, "a_star": 10.0}))
+    assert main(["covering", "--config", str(cov)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("covering error: preimage solve on")
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    ("analyze-map", {"map": {"form": "affine"}}, "malformed map"),
+    ("analyze-map", {"map": {"form": "nope"}}, "unknown map form"),
+    ("analyze-map", {"form": "affine", "slope": 1.0}, "expansion"),
+    ("analyze-map", [1, 2], "must be a JSON object"),
+    ("absorb", {"a": "x", "a_star": 25.0, "grid": 2048}, "a must be a number"),
+    ("absorb", {"a_star": 25.0}, "missing field 'a'"),
+    ("absorb", {"a": 8.0, "a_star": None}, "a_star must be a number"),
+    ("absorb", {"a": 8.0, "a_star": 25.0, "grid": "2048"},
+     "grid must be an integer"),
+    ("absorb", {"a": 8.0, "a_star": 25.0, "grid": 48}, "power of two"),
+    ("absorb", {"a": 8.0, "a_star": 25.0, "seeds": 0},
+     "seeds must be an integer >= 1"),
+    ("absorb", {"a": 8.0, "a_star": 25.0, "family": {"slopes": [2.5]}},
+     "family slopes must be two numbers"),
+    ("absorb", {"a": 8.0, "a_star": 25.0, "family": {"split": [0.5, 1.0]}},
+     "family split must be two numbers 0 < lo <= hi < 1"),
+    ("absorb", {"a": 8.0, "a_star": 25.0, "family": {"slopes": [3.5, 2.5]}},
+     "family slopes must be two numbers"),
+    ("absorb", {"a": 8.0, "a_star": 25.0, "family": []},
+     "family must be an object"),
+    ("absorb", "text", "must be a JSON object"),
+    ("verify-ly", {"maps": [{"form": "affine"}]}, "malformed map"),
+    ("verify-ly", {"maps": {"form": "doubling"}}, "maps must be a list"),
+    ("verify-ly", {"count": 2.5}, "count must be an integer"),
+    ("verify-ly", {"var_max": None}, "var_max must be a number"),
+    ("verify-ly", {"seed": -1}, "seed must be an integer >= 0"),
+])
+def test_cli_calculators_bad_config_exit_2(tmp_path, capsys, command, cfg,
+                                           message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{command} error: ")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("command", ["analyze-map", "absorb", "verify-ly",
+                                     "covering"])
+def test_cli_calculators_unreadable_config_exit_2(tmp_path, capsys, command):
+    missing = tmp_path / "none.json"
+    assert main([command, "--config", str(missing)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"{command} error: ")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    assert main([command, "--config", str(bad)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"{command} error: ")
+
+
 def test_cli_covering_subcommand_exits_2(tmp_path, monkeypatch, capsys):
     cov = tmp_path / "cov.json"
     cov.write_text(json.dumps({"map": {"form": "doubling"}, "a_star": 4.0}))

@@ -10,7 +10,8 @@ from circlemix import (BranchSpec, Density, PiecewiseMap, affine_map, analyze,
                        push_with_factor, sine_map, slope25_map,
                        slope3_two_branch, two_slope_wrap_map, ulam_matrix,
                        ulam_push)
-from circlemix.transfer import TransferError, transfer_operator
+from circlemix.transfer import (TransferError, TransferOperator,
+                                transfer_operator)
 
 BUILTINS = [doubling_map(), slope25_map(), slope3_two_branch(),
             two_slope_wrap_map()]
@@ -323,3 +324,67 @@ def test_push_duality(m, G, q, theta, data):
     M0 = analyze(m).M0
     slack = 2.0 * (1.0 + phi.variation()) * (1.0 + q * M0) / G
     assert abs(lhs - rhs) <= slack
+
+
+# --- the buffered apply against the allocating apply it replaced -------------
+
+
+def allocating_apply(op, samples):
+    """TransferOperator.apply as it was before it gathered into the
+    operator's own buffers: fancy indexing and fresh temporaries."""
+    s_ext = np.append(samples, samples[0])  # periodic right neighbour
+    right = s_ext[1:]
+    acc = np.zeros(op.G)
+    for sl, i0, w0, w1 in op._runs:
+        acc[sl] += s_ext[i0] * w0 + right[i0] * w1
+    return acc
+
+
+@PROPERTY
+@given(m=circle_maps(), G=st.sampled_from([2 ** k for k in range(4, 13)]),
+       data=st.data())
+def test_apply_bit_identical_to_allocating_apply(m, G, data):
+    op = TransferOperator(m, G)
+    phi = data.draw(densities(G))
+    assert np.array_equal(op.apply(phi.samples),
+                          allocating_apply(op, phi.samples))
+
+
+def test_one_operator_serves_densities_in_turn():
+    # the buffers carry nothing from one apply to the next
+    G = 2 ** 10
+    rng = np.random.Generator(np.random.PCG64(8))
+    phis = [Density.random_bv(G, 20.0, rng), Density.uniform(G),
+            Density.sine(G, 3, 0.9), Density.random_bv(G, 2.0, rng)]
+    for m in ORACLE_MAPS:
+        op = TransferOperator(m, G)
+        got = [op.apply(phi.samples) for phi in phis]
+        for phi, out in zip(phis, got):
+            fresh = TransferOperator(m, G)
+            assert np.array_equal(out, fresh.apply(phi.samples))
+
+
+def test_pushed_density_is_read_only_and_kept():
+    G = 2 ** 12
+    rng = np.random.Generator(np.random.PCG64(13))
+    m = two_slope_wrap_map()
+    out = push(m, Density.random_bv(G, 10.0, rng))
+    kept = out.samples.copy()
+    assert not out.samples.flags.writeable
+    assert out.samples.base is None  # owns its memory, no operator buffer
+    with pytest.raises(ValueError):
+        out.samples[0] = 0.0
+    push(m, Density.random_bv(G, 30.0, rng))
+    push(m, out)
+    push(m, Density.uniform(G))
+    assert np.array_equal(out.samples, kept)
+
+
+@pytest.mark.parametrize("xs", [-0.5, math.nan], ids=["negative", "nan"])
+def test_out_of_range_preimage_index_refused(monkeypatch, xs):
+    from circlemix import transfer
+
+    monkeypatch.setattr(transfer, "_solve_lift",
+                        lambda b, t: np.full_like(t, xs))
+    with pytest.raises(TransferError, match="outside"):
+        TransferOperator(doubling_map(), 64)
