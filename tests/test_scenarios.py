@@ -434,6 +434,33 @@ def test_cli_calculator_subcommands(tmp_path, capsys):
     assert out["passed"] and out["violations"] == []
 
 
+# --- verify-ly: the variation-inequality suite ---------------------------------
+
+
+def test_variation_suite_report_pinned():
+    from circlemix.scenarios import run_variation_suite
+
+    rep = run_variation_suite({"grid": 2 ** 12, "count": 5, "seed": 0})
+    assert rep["passed"] and rep["violations"] == []
+    assert rep["max_margin"] == pytest.approx(-23.622737933520337, rel=1e-12)
+
+
+def test_variation_suite_builds_one_operator_per_map(monkeypatch):
+    from circlemix.scenarios import run_variation_suite
+    from circlemix.transfer import TransferOperator
+
+    built = []
+    init = TransferOperator.__init__
+
+    def counting_init(self, m, G):
+        built.append(m)
+        init(self, m, G)
+
+    monkeypatch.setattr(TransferOperator, "__init__", counting_init)
+    rep = run_variation_suite({"grid": 2 ** 10, "count": 3, "seed": 0})
+    assert len(built) == rep["maps"] == 4
+
+
 def test_density_presets_deterministic():
     from circlemix.scenarios import build_density
 
