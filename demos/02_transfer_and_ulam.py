@@ -8,23 +8,27 @@ so their disagreement should shrink linearly as the bin count grows.
 
 import numpy as np
 
-from circlemix import (Density, backend_consistency, doubling_map, push,
-                       push_sequence, slope25_map, ulam_matrix, ulam_push)
+from circlemix import (Density, TransferOperator, backend_consistency,
+                       doubling_map, push, push_sequence, slope25_map,
+                       ulam_matrix, ulam_push)
 
 G = 4096
 
-# The uniform density is invariant for the doubling map, and the first
-# Fourier mode dies in a single step.
+# An operator solves the map's preimages on the grid once; every push
+# through it is then a weighted sum of samples.  The uniform density is
+# invariant for the doubling map, and the first Fourier mode dies in a
+# single step.
+doubling = TransferOperator(doubling_map(), G)
 u = Density.uniform(G)
 wave = Density.sine(G, 1, 0.5)
 print("doubling, uniform  -> max deviation:",
-      float(np.abs(push(doubling_map(), u).samples - 1).max()))
+      float(np.abs(push(doubling, u).samples - 1).max()))
 print("doubling, 1+sin/2  -> L1 from uniform:",
-      push(doubling_map(), wave).l1_distance(u))
+      push(doubling, wave).l1_distance(u))
 
 # 2.5x mod 1 sends the uniform density to a two-level step: three branches
 # cover the lower half-circle, two the upper.
-step = push(slope25_map(), u)
+step = push(TransferOperator(slope25_map(), G), u)
 print("2.5x, uniform -> samples at 0.1 and 0.9:",
       step.samples[G // 10], step.samples[9 * G // 10])
 

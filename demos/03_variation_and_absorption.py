@@ -7,13 +7,15 @@ variation cone after an explicitly computable number of steps.
 
 import numpy as np
 
-from circlemix import Density, analyze, push, two_slope_wrap_map
+from circlemix import (Density, TransferOperator, analyze, push,
+                       two_slope_wrap_map)
 from circlemix.bounds import tau_piecewise
 from circlemix.scenarios import (draw_two_slope_wrap, run_absorption,
                                  two_slope_wrap_family_bounds)
 
 G = 2 ** 13
 m = two_slope_wrap_map()
+op = TransferOperator(m, G)
 an = analyze(m)
 print(f"two-slope wrap: 2/lambda = {2 / an.lambda_min:.4f}, A = {an.A:.4f}")
 
@@ -22,7 +24,7 @@ print("\none-step variation bound on rough densities:")
 for _ in range(5):
     phi = Density.random_bv(G, 40.0, rng)
     v0 = phi.variation()
-    v1 = push(m, phi).variation()
+    v1 = push(op, phi).variation()
     bound = 2 / an.lambda_min * v0 + an.A
     print(f"  V(phi)={v0:7.2f}  V(P phi)={v1:7.2f}  bound {bound:7.2f}")
 
@@ -45,6 +47,6 @@ rng = np.random.Generator(np.random.PCG64(7))
 phi = Density.random_bv(G, 200.0, rng)
 track = [phi.variation()]
 for _ in range(tau):
-    phi = push(draw_two_slope_wrap({}, rng), phi)
+    phi = push(TransferOperator(draw_two_slope_wrap({}, rng), G), phi)
     track.append(phi.variation())
 print("\nvariation trajectory:", " ".join(f"{v:.1f}" for v in track))

@@ -1,7 +1,7 @@
 """Batch command-line front-end.
 
 Subcommands: analyze-map, verify-ly, absorb, envelope-check, covering,
-drive-curve, couple (alias decay).  envelope-check reruns `certify` on a
+drive-curve, couple.  envelope-check reruns `certify` on a
 finished run directory (ledger.csv, bounds.json and scenario.json) and
 prints the run's certificate.  Exit codes: 0 success, 1 certificate
 violation, 2 configuration error.
@@ -200,6 +200,9 @@ def _run_one(payload):
 
 
 def _cmd_pipeline(args, required_kind: str | None = None) -> int:
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         scenarios = load_config(args.config)
     except (ScenarioError, OSError, json.JSONDecodeError) as exc:
@@ -216,7 +219,8 @@ def _cmd_pipeline(args, required_kind: str | None = None) -> int:
             for sc in scenarios]
     worst = EXIT_OK
     if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # one worker per scenario at most: the pool starts them all at once
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             for code, msg, name in pool.map(_run_one, jobs):
                 print(f"{name}: exit {code} ({msg})")
                 worst = max(worst, code)
@@ -270,9 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_envelope_check)
 
-    for name, kind, aliases in (("couple", None, ["decay"]),
-                                ("drive-curve", "curve-driven", [])):
-        sp = sub.add_parser(name, aliases=aliases)
+    for name, kind in (("couple", None), ("drive-curve", "curve-driven")):
+        sp = sub.add_parser(name)
         common(sp)
         sp.set_defaults(fn=lambda a, k=kind: _cmd_pipeline(a, k))
     return p

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import Density
-from .transfer import push
+from .transfer import TransferOperator, push
 
 DISTANCE_FLOOR = 1e-12
 MIN_FIT_POINTS = 5
@@ -262,12 +262,16 @@ def run_coupled(maps, phi: Density, psi: Density, mode: str, *,
     # step 0: transitions may already fire (densities can start in the cone)
     maybe_transitions(0)
     record(0)
+    op = None
     for n, f in enumerate(maps, start=1):
+        if op is None or op.m != f:
+            op = None  # drop the old operator before building the next
+            op = TransferOperator(f, G)
         # until the first subtraction u_phi is raw_phi: push it once
         shared = (u_phi is raw_phi, u_psi is raw_psi)
-        raw_phi, raw_psi = push(f, raw_phi), push(f, raw_psi)
-        u_phi = raw_phi if shared[0] else push(f, u_phi)
-        u_psi = raw_psi if shared[1] else push(f, u_psi)
+        raw_phi, raw_psi = push(op, raw_phi), push(op, raw_psi)
+        u_phi = raw_phi if shared[0] else push(op, u_phi)
+        u_psi = raw_psi if shared[1] else push(op, u_psi)
         maybe_transitions(n)
         record(n)
     if ledger.n_wait < 0:

@@ -246,22 +246,6 @@ class PiecewiseMap:
         """f(x) for a single point x in [0, 1)."""
         return wrap(float(self.branch_of(x).lift(x)))
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        los = np.array([b.lo for b in self.branches])
-        idx = np.searchsorted(los, xs, side="right") - 1
-        out = np.empty_like(xs)
-        for i, b in enumerate(self.branches):
-            m = idx == i
-            if np.any(m):
-                out[m] = b.lift(xs[m])
-        return out - np.floor(out)
-
-    def derivs(self, x: float) -> tuple[float, float]:
-        """(f'(x), f''(x)) from the branch owning x (one-sided at junctions)."""
-        b = self.branch_of(x)
-        return float(b.deriv(x)), float(b.deriv2(x))
-
     def is_continuous(self) -> bool:
         return len(discontinuities(self)) == 0
 

@@ -411,7 +411,7 @@ def run_absorption(cfg: dict) -> dict:
     """Absorption suite: the scheduled time tau from the family constants,
     then seeded random-sequence runs checking that the variation has
     entered the cone (with 5% headroom) after tau steps."""
-    from .transfer import push
+    from .transfer import TransferOperator, push
 
     fam_cfg = cfg.get("family", {})
     fam = two_slope_wrap_family_bounds(fam_cfg)
@@ -430,7 +430,7 @@ def run_absorption(cfg: dict) -> dict:
         maps = [draw_two_slope_wrap(fam_cfg, rng) for _ in range(tau)]
         final = phi
         for m in maps:
-            final = push(m, final)
+            final = push(TransferOperator(m, G), final)
         v = final.variation()
         worst = max(worst, v)
         results.append({"seed": seed0 + s, "initial_variation": phi.variation(),
@@ -445,7 +445,7 @@ def run_variation_suite(cfg: dict) -> dict:
     """Empirical variation-inequality sweep: seeded rough densities pushed
     through the configured maps must respect
     2/lambda * V(phi) + A + 0.02*(1 + V(phi))."""
-    from .transfer import push
+    from .transfer import TransferOperator, push
 
     map_specs = cfg.get("maps") or [
         {"form": "doubling"}, {"form": "slope25"},
@@ -456,16 +456,17 @@ def run_variation_suite(cfg: dict) -> dict:
     var_max = cfg.get("var_max", 50.0)
     seed0 = cfg.get("seed", 0)
     slack_lin = cfg.get("slack", 0.02)
+    ops = [TransferOperator(m, G) for m in maps]
     violations = []
     max_margin = -math.inf
     for s in range(count):
         rng = np.random.Generator(np.random.PCG64(seed0 + s))
         phi = Density.random_bv(G, var_max, rng)
         v0 = phi.variation()
-        for mi, m in enumerate(maps):
+        for mi, (m, op) in enumerate(zip(maps, ops)):
             an = analyze(m)
             allowed = (2.0 / an.lambda_min) * v0 + an.A + slack_lin * (1.0 + v0)
-            got = push(m, phi).variation()
+            got = push(op, phi).variation()
             margin = got - allowed
             max_margin = max(max_margin, margin)
             if margin > 0:

@@ -4,11 +4,12 @@ Two interchangeable backends.  The primary pullback backend evaluates
 sum_{y in f^-1 x} phi(y)/|f'(y)| at every grid point.  The preimages and
 the weights 1/|f'| depend only on the map and the grid, so a
 TransferOperator solves them once per (map, G) and every push is then two
-gathers and a weighted sum; push_with_factor keeps the operator of the
-last map it saw, so a run that pushes several densities through one map,
-or reuses a map, builds it once.  The Ulam backend discretizes the same
-operator as a column-stochastic bin-to-bin mass-transport matrix and
-serves as an independent consistency oracle.
+gathers and a weighted sum.  The caller builds the operator and pushes
+through it, so it decides how long an operator lives: a run that pushes
+several densities through one map, or reuses a map, builds it once.  The
+Ulam backend discretizes the same operator as a column-stochastic
+bin-to-bin mass-transport matrix and serves as an independent consistency
+oracle.
 """
 
 from __future__ import annotations
@@ -96,30 +97,17 @@ class TransferOperator:
         return acc
 
 
-# The operator of the last (map, G) pushed.  Equal maps give equal
-# operators, so sharing it between callers changes no result.
-_last_operator: TransferOperator | None = None
-
-
-def transfer_operator(m: PiecewiseMap, G: int) -> TransferOperator:
-    """The TransferOperator of (m, G), rebuilt only when either changes."""
-    global _last_operator
-    op = _last_operator
-    if op is None or op.G != G or op.m != m:
-        # Drop the old operator first, so two are never alive at once.
-        op = _last_operator = None
-        op = _last_operator = TransferOperator(m, G)
-    return op
-
-
-def push_with_factor(m: PiecewiseMap, phi: Density) -> tuple[Density, float]:
+def push_with_factor(op: TransferOperator,
+                     phi: Density) -> tuple[Density, float]:
     """One transfer-operator step, plus the mass renormalization factor.
 
     The raw pullback is exact for the piecewise-linear interpolant up to
     interpolation at preimages; its grid integral drifts from 1 by
     O(variation/G), which is divided out and returned.
     """
-    acc = transfer_operator(m, phi.G).apply(phi.samples)
+    if phi.G != op.G:
+        raise ValueError(f"density grid {phi.G} != operator grid {op.G}")
+    acc = op.apply(phi.samples)
     raw = float(acc.mean())
     if not FACTOR_WINDOW[0] <= raw <= FACTOR_WINDOW[1]:
         raise TransferError(
@@ -127,20 +115,25 @@ def push_with_factor(m: PiecewiseMap, phi: Density) -> tuple[Density, float]:
     return Density._own(np.divide(acc, raw, out=acc)), 1.0 / raw
 
 
-def push(m: PiecewiseMap, phi: Density) -> Density:
-    return push_with_factor(m, phi)[0]
+def push(op: TransferOperator, phi: Density) -> Density:
+    return push_with_factor(op, phi)[0]
 
 
 def push_sequence(maps, phi: Density) -> list[Density]:
     """Iterates push along f_1, f_2, ..., returning every intermediate.
 
-    An empty map list returns [] (the identity composition leaves phi as
-    the step-0 density).
+    A map equal to the one before it reuses its operator.  An empty map
+    list returns [] (the identity composition leaves phi as the step-0
+    density).
     """
     out = []
     cur = phi
+    op = None
     for m in maps:
-        cur = push(m, cur)
+        if op is None or op.m != m:
+            op = None  # drop the old operator before building the next
+            op = TransferOperator(m, phi.G)
+        cur = push(op, cur)
         out.append(cur)
     return out
 
@@ -207,7 +200,7 @@ def backend_consistency(m: PiecewiseMap, phi: Density, B: int) -> float:
     """L1 distance between the bin-averaged pullback pushforward and the
     Ulam image of the bin-averaged input (B must divide G)."""
     masses_in = phi.bin_masses(B)
-    pushed = push(m, phi)
+    pushed = push(TransferOperator(m, phi.G), phi)
     masses_push = pushed.bin_masses(B)
     masses_ulam = ulam_push(ulam_matrix(m, B), masses_in)
     return float(np.abs(masses_push - masses_ulam).sum())

@@ -14,10 +14,11 @@ import time
 import numpy as np
 import pytest
 
-from circlemix import (Density, analyze, backend_consistency, certify,
-                       doubling_map, neighborhood_distance, push,
-                       push_sequence, run_coupled, sine_map, slope3_two_branch,
-                       slope25_map, two_slope_wrap_map)
+from circlemix import (Density, TransferOperator, analyze,
+                       backend_consistency, certify, doubling_map,
+                       neighborhood_distance, push, push_sequence, run_coupled,
+                       sine_map, slope3_two_branch, slope25_map,
+                       two_slope_wrap_map)
 from circlemix.bounds import tau_piecewise
 from circlemix.cli import main as cli_main
 from circlemix.covering import positivity_horizon
@@ -34,9 +35,9 @@ def report(num, ok, detail):
 def test_ac1_transfer_oracles():
     t0 = time.monotonic()
     G = 4096
-    out = push(doubling_map(), Density.sine(G, 1, 0.5))
+    out = push(TransferOperator(doubling_map(), G), Density.sine(G, 1, 0.5))
     err_doubling = out.l1_distance(Density.uniform(G))
-    step = push(slope25_map(), Density.uniform(G))
+    step = push(TransferOperator(slope25_map(), G), Density.uniform(G))
     target = Density(np.where(np.arange(G) / G < 0.5, 1.2, 0.8))
     err_step = step.l1_distance(target)
     elapsed = time.monotonic() - t0
@@ -51,14 +52,15 @@ def test_ac2_variation_inequality_suite():
     maps = [doubling_map(), slope25_map(), slope3_two_branch(),
             two_slope_wrap_map()]
     analyses = [analyze(m) for m in maps]
+    ops = [TransferOperator(m, G) for m in maps]
     violations = 0
     for seed in range(100):
         rng = np.random.Generator(np.random.PCG64(seed))
         phi = Density.random_bv(G, 50.0, rng)
         v0 = phi.variation()
-        for m, an in zip(maps, analyses):
+        for op, an in zip(ops, analyses):
             bound = 2.0 / an.lambda_min * v0 + an.A + 0.02 * (1.0 + v0)
-            if push(m, phi).variation() > bound:
+            if push(op, phi).variation() > bound:
                 violations += 1
     report(2, violations == 0,
            f"{violations} violations over 100 densities x 4 maps at G=2^14")

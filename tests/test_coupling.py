@@ -89,19 +89,22 @@ def test_shared_densities_pushed_once(monkeypatch):
     phi = Density.sine(G, 1, 0.5)
     psi = Density.step(G, [1.3, 0.7])
     maps = [slope3_two_branch() for _ in range(20)]  # equal, not identical
-    step_of = {id(f): n for n, f in enumerate(maps, start=1)}
-    calls = []
+    pushes = []
+    monkeypatch.setattr(coupling, "push",
+                        lambda op, d: pushes.append(op) or push(op, d))
+    before = []  # pushes made before each step reads its map
 
-    def counting_push(f, d):
-        calls.append(step_of[id(f)])
-        return push(f, d)
+    def stepping():
+        for f in maps:
+            before.append(len(pushes))
+            yield f
 
-    monkeypatch.setattr(coupling, "push", counting_push)
-    led = run_coupled(maps, phi, psi, "piecewise", bounds=rep)
+    led = run_coupled(stepping(), phi, psi, "piecewise", bounds=rep)
     first = led.blocks[0].sub_step
     assert 1 <= first < len(maps)
-    per_step = [calls.count(n) for n in range(1, len(maps) + 1)]
+    per_step = np.diff(before + [len(pushes)]).tolist()
     assert per_step == [2] * first + [4] * (len(maps) - first)
+    assert all(op is pushes[0] for op in pushes)  # one operator serves all
     raw_phi = [phi] + push_sequence(maps[:first], phi)
     assert led.steps["variation_phi"][:first] == [
         d.variation() for d in raw_phi[:first]]

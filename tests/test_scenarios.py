@@ -195,19 +195,13 @@ def test_cli_couple_and_envelope_check(tmp_path):
     assert main(["envelope-check", "--out", str(run_dir)]) == 0
 
 
-def test_cli_decay_is_alias_of_couple(tmp_path):
-    cfg = {"schema": 1, "name": "alias", "kind": "fixed-map", "grid": 1024,
-           "n_max": 4, "seed": 9, "phi": {"preset": "sine"},
-           "psi": {"preset": "uniform"},
-           "family": {"map": {"form": "slope3-two-branch"}}}
+def test_cli_decay_is_no_longer_a_command(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    ledgers = []
-    for command in ("couple", "decay"):
-        out = tmp_path / command
-        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
-        ledgers.append((out / "alias" / "ledger.csv").read_bytes())
-    assert ledgers[0] == ledgers[1]
+    cfg_path.write_text(json.dumps(base_scenario().as_dict()))
+    with pytest.raises(SystemExit) as exc:
+        main(["decay", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'decay'" in capsys.readouterr().err
 
 
 def test_transfer_error_exits_2_with_message(tmp_path, monkeypatch):
@@ -391,6 +385,51 @@ def test_cli_jobs_parallel(tmp_path):
                  "--jobs", "2"]) == 0
     for i in range(3):
         assert (out / f"j{i}" / "ledger.csv").exists()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    jobs in this process, so no worker process is started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_cli_jobs_pool_holds_one_worker_per_scenario(tmp_path, monkeypatch,
+                                                     capsys):
+    from circlemix import cli
+
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    p = _two_scenarios(tmp_path)
+    assert main(["couple", "--config", str(p), "--out", str(tmp_path / "o"),
+                 "--jobs", "1000"]) == EXIT_OK
+    assert RecordingPool.sizes == [2]
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_jobs_below_one_exits_2(tmp_path, monkeypatch, capsys, jobs):
+    from circlemix import cli
+
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    p = _two_scenarios(tmp_path)
+    assert main(["couple", "--config", str(p), "--out", str(tmp_path / "o"),
+                 f"--jobs={jobs}"]) == EXIT_CONFIG
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert RecordingPool.sizes == [] and not (tmp_path / "o").exists()
 
 
 def test_load_config_multi(tmp_path):

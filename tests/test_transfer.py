@@ -10,26 +10,27 @@ from circlemix import (BranchSpec, Density, PiecewiseMap, affine_map, analyze,
                        push_with_factor, sine_map, slope25_map,
                        slope3_two_branch, two_slope_wrap_map, ulam_matrix,
                        ulam_push)
-from circlemix.transfer import (TransferError, TransferOperator,
-                                transfer_operator)
+from circlemix.transfer import TransferError, TransferOperator
+from test_maps import eval_many
 
 BUILTINS = [doubling_map(), slope25_map(), slope3_two_branch(),
             two_slope_wrap_map()]
 
 
 def test_doubling_uniform_invariant():
-    out = push(doubling_map(), Density.uniform(4096))
+    out = push(TransferOperator(doubling_map(), 4096), Density.uniform(4096))
     assert float(np.abs(out.samples - 1.0).max()) < 1e-14
 
 
 def test_doubling_kills_first_mode():
-    out = push(doubling_map(), Density.sine(4096, 1, 0.5))
+    out = push(TransferOperator(doubling_map(), 4096),
+               Density.sine(4096, 1, 0.5))
     assert out.l1_distance(Density.uniform(4096)) <= 1e-4
 
 
 def test_slope25_step_profile():
     G = 4096
-    out = push(slope25_map(), Density.uniform(G))
+    out = push(TransferOperator(slope25_map(), G), Density.uniform(G))
     xs = np.arange(G) / G
     away = (np.abs(xs - 0.5) > 2.0 / G) & (xs > 2.0 / G) & (xs < 1.0 - 2.0 / G)
     expected = np.where(xs < 0.5, 1.2, 0.8)
@@ -41,7 +42,7 @@ def test_push_factor_recorded_and_tight():
     G = 2 ** 13
     for m in BUILTINS:
         phi = Density.random_bv(G, 30.0, rng)
-        out, factor = push_with_factor(m, phi)
+        out, factor = push_with_factor(TransferOperator(m, G), phi)
         assert abs(factor - 1.0) <= 5.0 * phi.variation() / G
         assert abs(out.integral() - 1.0) < 1e-12
 
@@ -63,7 +64,8 @@ def test_push_sequence_composes_single_pushes():
     phi = Density.uniform(2048)
     m = slope25_map()
     seq = push_sequence([m, m], phi)
-    again = push(m, push(m, phi))
+    op = TransferOperator(m, 2048)
+    again = push(op, push(op, phi))
     assert float(np.abs(seq[1].samples - again.samples).max()) == 0.0
 
 
@@ -112,7 +114,7 @@ def test_decreasing_branch_push_and_ulam():
     from circlemix import BranchSpec, PiecewiseMap
 
     m = PiecewiseMap((BranchSpec(0.0, 1.0, -2.0),))  # -2x mod 1
-    out = push(m, Density.uniform(1024))
+    out = push(TransferOperator(m, 1024), Density.uniform(1024))
     assert float(np.abs(out.samples - 1.0).max()) < 1e-14
     U = ulam_matrix(m, 4)
     assert float(np.abs(U.entries.sum(axis=0) - 1.0).max()) < 1e-12
@@ -127,7 +129,8 @@ def test_mass_and_column_guards():
     with pytest.raises(TransferError):
         UlamMatrix(4, bad)
     rng = np.random.Generator(np.random.PCG64(9))
-    push(two_slope_wrap_map(), Density.random_bv(1024, 10.0, rng))  # no trip
+    push(TransferOperator(two_slope_wrap_map(), 1024),
+         Density.random_bv(1024, 10.0, rng))  # no trip
 
 
 def test_duality_change_of_variables():
@@ -138,21 +141,22 @@ def test_duality_change_of_variables():
         phi = Density.random_bv(G, 20.0, rng)
         xs = np.arange(G) / G
         h = np.cos(2 * np.pi * xs)
-        lhs = float((h * push(m, phi).samples).mean())
-        rhs = float((np.cos(2 * np.pi * m.eval_many(xs)) * phi.samples).mean())
+        lhs = float((h * push(TransferOperator(m, G), phi).samples).mean())
+        rhs = float((np.cos(2 * np.pi * eval_many(m, xs)) * phi.samples).mean())
         assert abs(lhs - rhs) <= 10.0 * phi.variation() / G
 
 
 def test_variation_inequality_all_builtins():
     rng = np.random.Generator(np.random.PCG64(2))
     G = 2 ** 14
+    ops = [TransferOperator(m, G) for m in BUILTINS]
     for _ in range(10):
         phi = Density.random_bv(G, 50.0, rng)
         v0 = phi.variation()
-        for m in BUILTINS:
-            an = analyze(m)
+        for op in ops:
+            an = analyze(op.m)
             bound = 2.0 / an.lambda_min * v0 + an.A + 0.02 * (1.0 + v0)
-            assert push(m, phi).variation() <= bound
+            assert push(op, phi).variation() <= bound
 
 
 def test_iterated_variation_envelope():
@@ -167,9 +171,7 @@ def test_iterated_variation_envelope():
         phi = Density.random_bv(G, 40.0, rng)
         v0 = phi.variation()
         maps = [draw_two_slope_wrap({}, rng) for _ in range(8)]
-        cur = phi
-        for n, m in enumerate(maps, start=1):
-            cur = push(m, cur)
+        for n, cur in enumerate(push_sequence(maps, phi), start=1):
             env = ((2.0 / fam.lambda0) ** n * v0
                    + fam.A0 / (1.0 - 2.0 / fam.lambda0))
             assert cur.variation() <= env * (1.0 + slack) + slack
@@ -237,24 +239,43 @@ ORACLE_MAPS = BUILTINS + [
 def test_push_matches_per_density_push(G):
     rng = np.random.Generator(np.random.PCG64(21))
     for m in ORACLE_MAPS:
+        op = TransferOperator(m, G)
         for phi in (Density.random_bv(G, 20.0, rng), Density.sine(G, 3, 0.9)):
-            got = push(m, phi).samples
+            got = push(op, phi).samples
             assert float(np.abs(got - per_density_push(m, phi)).max()) <= 1e-13
 
 
-def test_equal_maps_give_byte_identical_pushes():
+def test_equal_maps_give_byte_identical_pushes(monkeypatch):
+    # run_coupled builds an operator only when the step's map differs (==,
+    # not identity) from the last one, and its ledger is byte-identical to
+    # pushing every step through a fresh operator
+    from circlemix import run_coupled
+    from test_coupling import slope3_setup
+
     G = 2 ** 12
+    rep, _ = slope3_setup(G)
     phi = Density.random_bv(G, 10.0, np.random.Generator(np.random.PCG64(4)))
+    psi = Density.uniform(G)
     a = sine_map(2.0, 0.05, 0.1)
     b = sine_map(2.0, 0.05, 0.1)
     assert a == b and a is not b
-    first = push(a, phi).samples.tobytes()
-    op = transfer_operator(a, G)
-    assert push(b, phi).samples.tobytes() == first
-    assert transfer_operator(b, G) is op  # one build serves both
-    push(doubling_map(), phi)  # evicts the operator of a
-    assert transfer_operator(b, G) is not op
-    assert push(b, phi).samples.tobytes() == first
+    maps = [a, b, a, doubling_map(), b, b, a]
+    built = []
+    init = TransferOperator.__init__
+
+    def counting_init(self, m, G):
+        built.append(m)
+        init(self, m, G)
+
+    monkeypatch.setattr(TransferOperator, "__init__", counting_init)
+    led = run_coupled(maps, phi, psi, "piecewise", bounds=rep)
+    assert built == [a, doubling_map(), b]
+    want = [phi.l1_distance(psi)]
+    for f in maps:
+        op = TransferOperator(f, G)
+        phi, psi = push(op, phi), push(op, psi)
+        want.append(phi.l1_distance(psi))
+    assert led.steps["l1_distance"] == want
 
 
 # --- operator invariants over random maps and densities ----------------------
@@ -289,7 +310,8 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
 @PROPERTY
 @given(m=circle_maps(), G=GRIDS, data=st.data())
 def test_push_unit_mass_and_nonnegative(m, G, data):
-    out, factor = push_with_factor(m, data.draw(densities(G)))
+    out, factor = push_with_factor(TransferOperator(m, G),
+                                   data.draw(densities(G)))
     assert abs(out.integral() - 1.0) <= 1e-12
     assert float(out.samples.min()) >= 0.0
     assert 0.5 <= factor <= 2.0
@@ -308,7 +330,8 @@ def test_push_l1_non_expansive(m, G, w, data):
     d = phi.l1_distance(psi)
     # grid error of the pullback of phi - psi, plus roundoff
     slack = (2.0 * var_h + analyze(m).A * d) / G + 1e-14
-    assert push(m, phi).l1_distance(push(m, psi)) <= d + slack
+    op = TransferOperator(m, G)
+    assert push(op, phi).l1_distance(push(op, psi)) <= d + slack
 
 
 @PROPERTY
@@ -319,8 +342,8 @@ def test_push_duality(m, G, q, theta, data):
     phi = data.draw(densities(G))
     xs = np.arange(G) / G
     h = lambda x: np.cos(2.0 * math.pi * q * x + theta)  # noqa: E731
-    lhs = float((h(xs) * push(m, phi).samples).mean())
-    rhs = float((h(m.eval_many(xs)) * phi.samples).mean())
+    lhs = float((h(xs) * push(TransferOperator(m, G), phi).samples).mean())
+    rhs = float((h(eval_many(m, xs)) * phi.samples).mean())
     M0 = analyze(m).M0
     slack = 2.0 * (1.0 + phi.variation()) * (1.0 + q * M0) / G
     assert abs(lhs - rhs) <= slack
@@ -367,17 +390,23 @@ def test_one_operator_serves_densities_in_turn():
 def test_pushed_density_is_read_only_and_kept():
     G = 2 ** 12
     rng = np.random.Generator(np.random.PCG64(13))
-    m = two_slope_wrap_map()
-    out = push(m, Density.random_bv(G, 10.0, rng))
+    op = TransferOperator(two_slope_wrap_map(), G)
+    out = push(op, Density.random_bv(G, 10.0, rng))
     kept = out.samples.copy()
     assert not out.samples.flags.writeable
     assert out.samples.base is None  # owns its memory, no operator buffer
     with pytest.raises(ValueError):
         out.samples[0] = 0.0
-    push(m, Density.random_bv(G, 30.0, rng))
-    push(m, out)
-    push(m, Density.uniform(G))
+    push(op, Density.random_bv(G, 30.0, rng))
+    push(op, out)
+    push(op, Density.uniform(G))
     assert np.array_equal(out.samples, kept)
+
+
+def test_push_refuses_a_density_on_another_grid():
+    op = TransferOperator(doubling_map(), 64)
+    with pytest.raises(ValueError, match="density grid 128 != operator grid 64"):
+        push(op, Density.uniform(128))
 
 
 @pytest.mark.parametrize("xs", [-0.5, math.nan], ids=["negative", "nan"])
