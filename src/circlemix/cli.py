@@ -1,10 +1,10 @@
 """Batch command-line front-end.
 
 Subcommands: analyze-map, verify-ly, absorb, envelope-check, covering,
-drive-curve, couple.  envelope-check reruns `certify` on a
-finished run directory (ledger.csv, bounds.json and scenario.json) and
-prints the run's certificate.  Exit codes: 0 success, 1 certificate
-violation, 2 configuration error.
+drive-curve, couple.  envelope-check reruns `certify` on a finished run
+directory (ledger.csv, bounds.json and scenario.json) and prints the run's
+certificate.  Exit codes: 0 success, 1 certificate violation, 2
+configuration error.
 """
 
 from __future__ import annotations

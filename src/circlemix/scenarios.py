@@ -456,15 +456,14 @@ def run_variation_suite(cfg: dict) -> dict:
     var_max = cfg.get("var_max", 50.0)
     seed0 = cfg.get("seed", 0)
     slack_lin = cfg.get("slack", 0.02)
-    ops = [TransferOperator(m, G) for m in maps]
+    per_map = [(analyze(m), TransferOperator(m, G)) for m in maps]
     violations = []
     max_margin = -math.inf
     for s in range(count):
         rng = np.random.Generator(np.random.PCG64(seed0 + s))
         phi = Density.random_bv(G, var_max, rng)
         v0 = phi.variation()
-        for mi, (m, op) in enumerate(zip(maps, ops)):
-            an = analyze(m)
+        for mi, (an, op) in enumerate(per_map):
             allowed = (2.0 / an.lambda_min) * v0 + an.A + slack_lin * (1.0 + v0)
             got = push(op, phi).variation()
             margin = got - allowed

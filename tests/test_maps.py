@@ -27,7 +27,8 @@ def eval_many(m, xs):
     idx = np.searchsorted([b.lo for b in m.branches], xs, side="right") - 1
     out = np.empty_like(xs)
     for i, b in enumerate(m.branches):
-        out[idx == i] = b.lift(xs[idx == i])
+        own = idx == i
+        out[own] = b.lift(xs[own])
     return out - np.floor(out)
 
 

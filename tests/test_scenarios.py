@@ -387,49 +387,48 @@ def test_cli_jobs_parallel(tmp_path):
         assert (out / f"j{i}" / "ledger.csv").exists()
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    jobs in this process, so no worker process is started."""
+def _recording_pool(monkeypatch):
+    """Patch in a stand-in for ProcessPoolExecutor that records max_workers
+    and runs the jobs in this process, so no worker process is started."""
+    from circlemix import cli
 
     sizes = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
+        def __enter__(self):
+            return self
 
-    def __exit__(self, *exc):
-        return False
+        def __exit__(self, *exc):
+            return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    return sizes
 
 
 def test_cli_jobs_pool_holds_one_worker_per_scenario(tmp_path, monkeypatch,
                                                      capsys):
-    from circlemix import cli
-
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    sizes = _recording_pool(monkeypatch)
     p = _two_scenarios(tmp_path)
     assert main(["couple", "--config", str(p), "--out", str(tmp_path / "o"),
                  "--jobs", "1000"]) == EXIT_OK
-    assert RecordingPool.sizes == [2]
+    assert sizes == [2]
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_cli_jobs_below_one_exits_2(tmp_path, monkeypatch, capsys, jobs):
-    from circlemix import cli
-
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    sizes = _recording_pool(monkeypatch)
     p = _two_scenarios(tmp_path)
     assert main(["couple", "--config", str(p), "--out", str(tmp_path / "o"),
                  f"--jobs={jobs}"]) == EXIT_CONFIG
     assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
-    assert RecordingPool.sizes == [] and not (tmp_path / "o").exists()
+    assert sizes == [] and not (tmp_path / "o").exists()
 
 
 def test_load_config_multi(tmp_path):
