@@ -7,7 +7,9 @@ closed-form derivatives and monotone, invertible lifts, so preimages are
 exact (affine) or solved by Newton's method, warm-started from the inverse
 of the lift's linear interpolant on a table and kept inside a proven bracket
 (sine), to a residual of at most 1e-14 * max(1, |t|) for target t; a solve
-left above 1e-12 raises.
+left above 1e-12 raises.  Convergence is tested at each iterate before it
+steps, so from the table start a sine solve takes one Newton step and the
+residual that passes is the returned root's own.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ NEIGHBORHOOD_GRID = 4096
 
 # Preimage solves on sine branches stop once every residual
 # |lift(x) - t| is at most SOLVE_TOL * max(1, |t|).  From the table warm
-# start Newton takes 2 steps per chunk on slope-2 and slope-3 sine maps with
-# amplitudes up to 0.15 at grids 2^12 to 2^16, and SOLVE_MAX_ITERS
+# start Newton takes 1 step per full chunk on slope-2 and slope-3 sine maps
+# with amplitudes up to 0.15 at grids 2^12 to 2^16, and SOLVE_MAX_ITERS
 # bisections alone would shrink any bracket below 1e-17; a residual still
 # above SOLVE_GUARD at the cap raises.
 SOLVE_TOL = 1e-14
@@ -129,6 +131,14 @@ class BranchSpec:
         vals = [float(self.deriv2(x)) for x in xs]
         return min(vals), max(vals)
 
+    def image(self) -> tuple[float, float, range]:
+        """(lift(lo), lift(hi), the integer shifts k such that {y + k} may
+        intersect the branch image)."""
+        flo = float(self.lift(self.lo))
+        fhi = float(self.lift(self.hi))
+        lo, hi = min(flo, fhi), max(flo, fhi)
+        return flo, fhi, range(math.floor(lo) - 1, math.ceil(hi) + 1)
+
     @property
     def increasing(self) -> bool:
         dmin, _ = self.deriv_range()
@@ -148,21 +158,22 @@ def _solve_lift(branch: BranchSpec, targets: np.ndarray) -> np.ndarray:
     is of the order of the squared node spacing, so on a full chunk the
     first step reaches the tolerance.  (A branch of slope 0 starts at the
     midpoint of its arc.)
-    Iteration stops once every residual is at most SOLVE_TOL * max(1, |t|);
-    if one is still above SOLVE_GUARD after SOLVE_MAX_ITERS steps,
-    TransferError names the branch.
+    Iteration stops at the first iterate whose residuals are all at most
+    SOLVE_TOL * max(1, |t|); if one is still above SOLVE_GUARD after
+    SOLVE_MAX_ITERS steps, TransferError names the branch.
     """
     if branch.is_affine:
         return (targets - branch.offset) / branch.slope
+    inc = branch.increasing
     x = np.empty_like(targets)
     for i in range(0, targets.size, SOLVE_CHUNK):
-        x[i:i + SOLVE_CHUNK] = _newton(branch, targets[i:i + SOLVE_CHUNK])
+        x[i:i + SOLVE_CHUNK] = _newton(branch, targets[i:i + SOLVE_CHUNK], inc)
     return x
 
 
-def _newton(branch: BranchSpec, targets: np.ndarray) -> np.ndarray:
-    """The bracketed Newton solve of _solve_lift on one sine branch."""
-    inc = branch.increasing
+def _newton(branch: BranchSpec, targets: np.ndarray, inc: bool) -> np.ndarray:
+    """The bracketed Newton solve of _solve_lift on one sine branch, whose
+    lift increases if inc."""
     if branch.slope == 0.0:  # no affine part to bracket by
         lo = np.full_like(targets, branch.lo)
         hi = np.full_like(targets, branch.hi)
@@ -177,26 +188,29 @@ def _newton(branch: BranchSpec, targets: np.ndarray) -> np.ndarray:
         if not inc:
             xs, ys = xs[::-1], ys[::-1]
         x = np.clip(np.interp(targets, ys, xs), lo, hi)
-    # A point already within tolerance still takes its Newton step unless
-    # the step leaves the bracket, so the last step puts every point at
-    # roundoff level.  A root at a bracket end (|sin| = 1 there) makes every
-    # step overshoot; such points fall back to bisection.
+    # Convergence is tested at the current iterate before it steps, so the
+    # residual that passes is the returned root's check.  While some point
+    # is above tolerance, a point within it still takes its Newton step
+    # unless the step leaves the bracket.  A root at a bracket end (|sin| = 1
+    # there) makes every step overshoot; such points fall back to bisection.
     tol = SOLVE_TOL * np.maximum(1.0, np.abs(targets))
     for _ in range(SOLVE_MAX_ITERS):
         res = branch.lift(x) - targets
         done = np.abs(res) <= tol
+        if done.all():
+            break
         below = (res < 0.0) if inc else (res > 0.0)
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
         step = x - res / branch.deriv(x)
         inside = (lo <= step) & (step <= hi)
         x = np.where(inside, step, np.where(done, x, 0.5 * (lo + hi)))
-        if done.all():
-            break
-    res = float(np.abs(branch.lift(x) - targets).max())
-    if not res <= SOLVE_GUARD:  # also catches NaN
+    else:  # the last step's point is not checked yet
+        res = branch.lift(x) - targets
+    worst = float(np.abs(res).max())
+    if not worst <= SOLVE_GUARD:  # also catches NaN
         raise TransferError(
-            f"preimage solve on {branch} left residual {res:.3g} > "
+            f"preimage solve on {branch} left residual {worst:.3g} > "
             f"{SOLVE_GUARD:g} after {SOLVE_MAX_ITERS} iterations")
     return x
 
@@ -249,13 +263,6 @@ class PiecewiseMap:
     def is_continuous(self) -> bool:
         return len(discontinuities(self)) == 0
 
-    def branch_offsets(self, branch: BranchSpec) -> range:
-        """Integer shifts k such that {y + k} may intersect the branch image."""
-        flo = float(branch.lift(branch.lo))
-        fhi = float(branch.lift(branch.hi))
-        lo, hi = min(flo, fhi), max(flo, fhi)
-        return range(math.floor(lo) - 1, math.ceil(hi) + 1)
-
     def inverse_branches(self, y: float) -> list[tuple[int, float, float]]:
         """All preimages of the circle point y.
 
@@ -265,10 +272,9 @@ class PiecewiseMap:
         """
         out = []
         for i, b in enumerate(self.branches):
-            flo = float(b.lift(b.lo))
-            fhi = float(b.lift(b.hi))
+            flo, fhi, offsets = b.image()
             inc = b.increasing
-            for k in self.branch_offsets(b):
+            for k in offsets:
                 t = y + k
                 if inc:
                     ok = flo <= t < fhi

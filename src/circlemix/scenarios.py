@@ -92,6 +92,13 @@ class Scenario:
             value = getattr(sc, key)
             if not (is_number(value) or (value is None and key != "eps_loc")):
                 raise ScenarioError(f"{key} must be a number, got {value!r}")
+        if not isinstance(sc.family, dict):
+            raise ScenarioError(f"family must be an object, got {sc.family!r}")
+        for key in ("slope", "amp_max", "slope_jitter"):
+            value = sc.family.get(key, 0.0)
+            if not is_number(value):
+                raise ScenarioError(
+                    f"family.{key} must be a number, got {value!r}")
         if sc.grid < 2 or (sc.grid & (sc.grid - 1)) != 0:
             raise ScenarioError("grid must be a power of two")
         if sc.kind == "smooth" and sc.grid > 2 ** 16:

@@ -49,10 +49,9 @@ class TransferOperator:
         ys = np.arange(G) / G
         self._runs = []
         for b in m.branches:
-            flo = float(b.lift(b.lo))
-            fhi = float(b.lift(b.hi))
+            flo, fhi, offsets = b.image()
             inc = b.increasing
-            for k in m.branch_offsets(b):
+            for k in offsets:
                 t = ys + k
                 if inc:  # targets in [flo, fhi)
                     j0, j1 = np.searchsorted(t, (flo, fhi), side="left")

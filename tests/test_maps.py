@@ -440,6 +440,92 @@ def test_solve_lift_warm_start_converges_in_three_steps(monkeypatch):
     assert np.all(np.abs(b.lift(x) - t) <= SOLVE_TOL * np.maximum(1.0, np.abs(t)))
 
 
+def test_solve_lift_guard_checks_the_last_step(monkeypatch):
+    # with one step allowed the loop ends without a passing test; the guard
+    # must judge the stepped point x1, not the table start x0
+    b = BranchSpec(0.0, 0.5, 2.0, 0.0, 0.05)
+    G = 2 ** 14
+    t = float(b.lift(b.lo)) + np.arange(G) / G
+    monkeypatch.setattr(maps, "SOLVE_MAX_ITERS", 1)
+    x = _solve_lift(b, t)
+    assert np.all(np.abs(b.lift(x) - t) <= SOLVE_TOL * np.maximum(1.0, np.abs(t)))
+
+
+def count_lifts(monkeypatch):
+    """A one-element list counting BranchSpec.lift evaluations."""
+    calls = [0]
+    lift = BranchSpec.lift
+
+    def counted(self, x):
+        calls[0] += 1
+        return lift(self, x)
+
+    monkeypatch.setattr(BranchSpec, "lift", counted)
+    return calls
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(slope=st.sampled_from([-3.0, -2.0, 2.0, 3.0]),
+       amplitude=st.floats(-0.15, 0.15), offset=st.floats(-1.0, 1.0),
+       lo=st.floats(0.0, 0.9), width=st.floats(0.05, 1.0),
+       log2_grid=st.integers(12, 16))
+def test_solve_lift_roots_lie_in_their_brackets(slope, amplitude, offset, lo,
+                                                width, log2_grid):
+    # every grid target of the branch image, plus the targets whose roots
+    # sit at x = 1/4 or 3/4, where |sin| = 1 puts them at a bracket end
+    b = BranchSpec(lo, min(1.0, lo + width), slope, offset, amplitude)
+    G = 2 ** log2_grid
+    flo, fhi, _ = b.image()
+    js = np.arange(math.ceil(min(flo, fhi) * G), math.floor(max(flo, fhi) * G) + 1)
+    ends = np.array([x for x in (0.25, 0.75) if b.lo <= x <= b.hi])
+    t = np.concatenate([js / G, b.lift(ends)])
+    x = _solve_lift(b, t)
+    x0 = (t - offset) / slope
+    r = abs(amplitude / slope)
+    assert np.all(np.maximum(x0 - r, b.lo) <= x)
+    assert np.all(x <= np.minimum(x0 + r, b.hi))
+    assert np.all(np.abs(b.lift(x) - t) <= SOLVE_TOL * np.maximum(1.0, np.abs(t)))
+
+
+@pytest.mark.parametrize("slope,jitter,amp_max,G", [
+    (2.0, 0.0, 0.05, 2 ** 14), (3.0, 0.002, 0.003, 2 ** 13)],
+    ids=["smooth-sine", "neighborhood-sine"])
+def test_operator_build_lifts_three_times_per_chunk(monkeypatch, slope,
+                                                   jitter, amp_max, G):
+    # each branch's image ends are lifted once, and each chunk its table,
+    # x0 and x1: one Newton step reaches the tolerance.  Only a nearly
+    # affine branch may start within it and take no step.
+    calls = count_lifts(monkeypatch)
+    rng = np.random.Generator(np.random.PCG64(5))
+    for _ in range(12):
+        a = rng.uniform(-amp_max, amp_max)
+        m = sine_map(slope + rng.uniform(-jitter, jitter), a)
+        calls[0] = 0
+        op = transfer.TransferOperator(m, G)
+        chunks = sum(-(-i0.size // maps.SOLVE_CHUNK) for _, i0, _, _ in op._runs)
+        per_chunk = (calls[0] - 2 * len(m.branches)) / chunks
+        if abs(a) >= amp_max / 4:
+            assert per_chunk == 3
+        else:
+            assert 2 <= per_chunk <= 3
+
+
+@pytest.mark.parametrize("slope,amplitude", [
+    (2.0, 0.15), (2.0, -0.15), (-2.0, 0.15), (-3.0, -0.15), (3.0, 0.1)])
+def test_root_at_bracket_end_converges_by_bisection(monkeypatch, slope,
+                                                    amplitude):
+    # lift(1/4) has its root at an end of the bracket |x - x0| <= |a|/|s|;
+    # on a coarse table every Newton step toward it overshoots
+    b = BranchSpec(0.0, 0.5, slope, 0.1, amplitude)
+    t = np.concatenate([b.lift(np.array([0.25])),
+                        np.linspace(float(b.lift(0.1)), float(b.lift(0.4)), 16)])
+    calls = count_lifts(monkeypatch)
+    x = _solve_lift(b, t)
+    assert calls[0] > 3
+    assert abs(x[0] - 0.25) <= 1e-15
+    assert np.all(np.abs(b.lift(x) - t) <= SOLVE_TOL * np.maximum(1.0, np.abs(t)))
+
+
 def test_transfer_error_shared_with_transfer():
     assert transfer.TransferError is TransferError
     assert issubclass(TransferError, RuntimeError)

@@ -99,6 +99,40 @@ def test_scenario_field_types_exit_2(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+SINE_BODIES = {
+    "neighborhood": dict(CONFIG_BODY, kind="neighborhood", eps=0.01,
+                         family={"base": {"form": "slope3-two-branch"}}),
+    "smooth": dict(CONFIG_BODY, kind="smooth", family={}),
+}
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("neighborhood", "slope", "x"), ("smooth", "slope", "x"),
+    ("smooth", "amp_max", "x"), ("neighborhood", "slope_jitter", None),
+    ("smooth", "amp_max", float("inf")), ("neighborhood", "amp_max", True)])
+def test_sine_family_field_types_exit_2(tmp_path, capsys, kind, key, value):
+    body = SINE_BODIES[kind]
+    cfg = dict(body, family=dict(body["family"], **{key: value}))
+    with pytest.raises(ScenarioError, match=f"family.{key} must be a number"):
+        Scenario.from_dict(cfg)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["couple", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"family.{key} must be a number" in capsys.readouterr().err
+
+
+def test_sine_family_must_be_an_object():
+    with pytest.raises(ScenarioError, match="family must be an object"):
+        Scenario.from_dict(dict(SINE_BODIES["smooth"], family=[2.0]))
+
+
+def test_sine_family_numbers_accepted():
+    for body in SINE_BODIES.values():
+        family = dict(body["family"], slope=3, amp_max=0.002, slope_jitter=0)
+        Scenario.from_dict(dict(body, family=family))
+
+
 def test_scenario_numbers_accepted():
     sc = Scenario.from_dict(dict(CONFIG_BODY, eps=1, eps_loc=0.2, a_star=12))
     assert (sc.grid, sc.n_max, sc.seed, sc.eps, sc.a_star) == (512, 4, 1, 1, 12)

@@ -207,9 +207,8 @@ def per_density_push(m, phi):
     ys = np.arange(G) / G
     acc = np.zeros(G)
     for b in m.branches:
-        flo = float(b.lift(b.lo))
-        fhi = float(b.lift(b.hi))
-        for k in m.branch_offsets(b):
+        flo, fhi, offsets = b.image()
+        for k in offsets:
             t = ys + k
             if b.increasing:
                 mask = (t >= flo) & (t < fhi)
