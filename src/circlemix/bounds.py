@@ -133,6 +133,8 @@ def family_bounds(maps, eps_pad: float = 0.0) -> FamilyBounds:
 
 def default_a_star(fam: FamilyBounds) -> float:
     """Reproducible default cone level: 1.25 x the absorption threshold."""
+    if fam.lambda0 <= 2.0:
+        raise ValueError("absorption needs lambda0 > 2")
     return 1.25 * fam.A0 / (1.0 - 2.0 / fam.lambda0)
 
 

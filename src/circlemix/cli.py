@@ -11,71 +11,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .bounds import BoundsReport
+from .config import read
 from .coupling import CouplingLedger, certify
 from .covering import CoveringError, positivity_horizon
-from .maps import PiecewiseMap, TransferError, analyze, map_from_dict
+from .maps import MAP, TransferError, analyze, map_from_dict
 from .scenarios import (EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, Scenario,
-                        ScenarioError, is_int, is_number, load_config,
-                        run_absorption, run_scenario, run_variation_suite)
+                        ScenarioError, load_config, run_absorption,
+                        run_scenario, run_variation_suite)
 
 
 def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _read_config(path) -> dict:
-    """The JSON object in a config file; OSError or ValueError when the
-    file is unreadable, not JSON or not an object."""
-    cfg = _load_json(path)
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
-    return cfg
-
-
-def _map(spec) -> PiecewiseMap:
-    """map_from_dict, with a malformed spec reported as ValueError."""
-    try:
-        return map_from_dict(spec)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed map {spec!r}: {exc!r}") from exc
-
-
-def _check_fields(cfg: dict, required=(), numbers=(), ints=None) -> None:
-    """ValueError unless every required key is present, every present key
-    of `numbers` is a number and every present key of `ints` an integer at
-    least the value `ints` maps it to."""
-    for key in required:
-        if key not in cfg:
-            raise ValueError(f"missing field {key!r}")
-    for key in numbers:
-        if key in cfg and not is_number(cfg[key]):
-            raise ValueError(f"{key} must be a number, got {cfg[key]!r}")
-    for key, least in (ints or {}).items():
-        if key in cfg and not (is_int(cfg[key]) and cfg[key] >= least):
-            raise ValueError(
-                f"{key} must be an integer >= {least}, got {cfg[key]!r}")
-
-
-def _config_error(command: str, exc: Exception) -> int:
-    print(f"{command} error: {exc}", file=sys.stderr)
-    return EXIT_CONFIG
-
-
-def _emit(payload: dict, out_dir, name: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, name), "w", encoding="ascii",
-                  newline="\n") as fh:
-            fh.write(text + "\n")
-    print(text)
 
 
 def _apply_grid_seed(cfg: dict, args) -> dict:
@@ -86,80 +38,58 @@ def _apply_grid_seed(cfg: dict, args) -> dict:
     return cfg
 
 
-def _cmd_analyze_map(args) -> int:
-    try:
-        cfg = _read_config(args.config)
-        m = _map(cfg["map"] if "map" in cfg else cfg)
-        an = analyze(m)
-    except (OSError, ValueError) as exc:
-        return _config_error("analyze-map", exc)
-    payload = {
+def _analyze_map(cfg: dict) -> dict:
+    m = map_from_dict(cfg["map"] if "map" in cfg else cfg)
+    an = analyze(m)
+    return {
         "lambda_min": an.lambda_min, "M0": an.M0, "A": an.A, "C1": an.C1,
         "omega": list(an.omega),
         "d_omega": an.d_omega if an.omega else None,
         "branches": len(m.branches),
         "continuous": m.is_continuous(),
     }
-    _emit(payload, args.out, "analysis.json")
-    return EXIT_OK
 
 
-def _cmd_verify_ly(args) -> int:
+def _covering(cfg: dict) -> dict:
+    cfg = read(cfg, {"map": MAP, "a_star": float, "eps": 0.0})
+    return positivity_horizon(map_from_dict(cfg["map"]), cfg["a_star"],
+                              cfg["eps"]).as_dict()
+
+
+# command -> (config -> report, report file, help); verify-ly runs without
+# a config, and a report that did not pass exits 1
+CALCULATORS = {
+    "analyze-map": (_analyze_map, "analysis.json",
+                    "analytic bounds of one map"),
+    "verify-ly": (run_variation_suite, "verify_ly.json",
+                  "empirical variation-inequality suite"),
+    "absorb": (run_absorption, "absorb.json",
+               "variation absorption schedule + check"),
+    "covering": (_covering, "covering.json",
+                 "positivity-horizon report for a map"),
+}
+
+
+def _cmd_calculator(args) -> int:
+    run, report_file, _ = CALCULATORS[args.command]
     try:
-        cfg = _apply_grid_seed(
-            _read_config(args.config) if args.config else {}, args)
-        _check_fields(cfg, numbers=("var_max", "slack"),
-                      ints={"grid": 2, "count": 1, "seed": 0})
-        specs = cfg.get("maps")
-        if specs is not None:
-            if not isinstance(specs, list):
-                raise ValueError(f"maps must be a list, got {specs!r}")
-            for spec in specs:
-                _map(spec)
-        report = run_variation_suite(cfg)
-    except (OSError, ValueError) as exc:
-        return _config_error("verify-ly", exc)
-    _emit(report, args.out, "verify_ly.json")
-    return EXIT_OK if report["passed"] else EXIT_CERTIFICATE
-
-
-def _cmd_absorb(args) -> int:
-    try:
-        cfg = _apply_grid_seed(_read_config(args.config), args)
-        _check_fields(cfg, required=("a", "a_star"),
-                      numbers=("a", "a_star", "headroom"),
-                      ints={"grid": 2, "seeds": 1, "seed": 0})
-        fam = cfg.get("family", {})
-        if not isinstance(fam, dict):
-            raise ValueError(f"family must be an object, got {fam!r}")
-        for key, top in (("slopes", math.inf), ("split", 1.0)):
-            if key not in fam:
-                continue
-            pair = fam[key]
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(is_number(v) for v in pair)
-                    and 0.0 < pair[0] <= pair[1] < top):
-                raise ValueError(f"family {key} must be two numbers "
-                                 f"0 < lo <= hi < {top:g}, got {pair!r}")
-        report = run_absorption(cfg)
-    except (OSError, ValueError) as exc:
-        return _config_error("absorb", exc)
-    _emit(report, args.out, "absorb.json")
-    return EXIT_OK if report["passed"] else EXIT_CERTIFICATE
-
-
-def _cmd_covering(args) -> int:
-    try:
-        cfg = _read_config(args.config)
-        _check_fields(cfg, required=("map", "a_star"),
-                      numbers=("a_star", "eps"))
-        rep = positivity_horizon(_map(cfg["map"]), cfg["a_star"],
-                                 cfg.get("eps", 0.0))
+        cfg = _load_json(args.config) if args.config else {}
+        if not isinstance(cfg, dict):
+            raise ValueError("config must be a JSON object")
+        report = run(_apply_grid_seed(cfg, args))
     except (CoveringError, TransferError, OSError, ValueError) as exc:
         # TransferError: a float escape witness left its branch image
-        return _config_error("covering", exc)
-    _emit(rep.as_dict(), args.out, "covering.json")
-    return EXIT_OK
+        print(f"{args.command} error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, report_file), "w", encoding="ascii",
+                  newline="\n") as fh:
+            fh.write(text + "\n")
+    print(text)
+    failed = "passed" in report and not report["passed"]
+    return EXIT_CERTIFICATE if failed else EXIT_OK
 
 
 def _cmd_envelope_check(args) -> int:
@@ -177,16 +107,8 @@ def _cmd_envelope_check(args) -> int:
         print(f"envelope-check: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     rep = certify(ledger)
-    _emit(rep.as_dict(), None, "")
+    print(json.dumps(rep.as_dict(), indent=2, sort_keys=True))
     return EXIT_OK if rep.passed else EXIT_CERTIFICATE
-
-
-def _apply_overrides(sc: Scenario, args) -> Scenario:
-    if args.grid:
-        sc.grid = args.grid
-    if args.seed is not None:
-        sc.seed = args.seed
-    return sc
 
 
 def _run_one(payload):
@@ -208,15 +130,14 @@ def _cmd_pipeline(args, required_kind: str | None = None) -> int:
     except (ScenarioError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    scenarios = [_apply_overrides(sc, args) for sc in scenarios]
     if required_kind:
         for sc in scenarios:
             if sc.kind != required_kind:
                 print(f"scenario {sc.name!r} is {sc.kind}, expected "
                       f"{required_kind}", file=sys.stderr)
                 return EXIT_CONFIG
-    jobs = [(sc.as_dict(), os.path.join(args.out, sc.name))
-            for sc in scenarios]
+    jobs = [(_apply_grid_seed(sc.as_dict(), args),
+             os.path.join(args.out, sc.name)) for sc in scenarios]
     worst = EXIT_OK
     if args.jobs > 1 and len(jobs) > 1:
         # one worker per scenario at most: the pool starts them all at once
@@ -239,44 +160,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "piecewise expanding circle maps")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out_required=True):
-        sp.add_argument("--config", required=True, help="JSON config path")
-        sp.add_argument("--out", required=out_required, help="output directory")
-        sp.add_argument("--grid", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=1)
+    grid_seed = argparse.ArgumentParser(add_help=False)
+    grid_seed.add_argument("--grid", type=int, default=None)
+    grid_seed.add_argument("--seed", type=int, default=None)
 
-    sp = sub.add_parser("analyze-map", help="analytic bounds of one map")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=_cmd_analyze_map)
-
-    sp = sub.add_parser("verify-ly", help="empirical variation-inequality suite")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.set_defaults(fn=_cmd_verify_ly)
-
-    sp = sub.add_parser("absorb", help="variation absorption schedule + check")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--grid", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.set_defaults(fn=_cmd_absorb)
-
-    sp = sub.add_parser("covering", help="positivity-horizon report for a map")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=_cmd_covering)
+    for name, (_, _, help_text) in CALCULATORS.items():
+        sp = sub.add_parser(name, help=help_text, parents=[grid_seed] if name
+                            in ("verify-ly", "absorb") else [])
+        sp.add_argument("--config", required=name != "verify-ly")
+        sp.add_argument("--out", default=None)
+        sp.set_defaults(fn=_cmd_calculator, grid=None, seed=None)
 
     sp = sub.add_parser("envelope-check", help="re-certify a finished run dir")
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_envelope_check)
 
     for name, kind in (("couple", None), ("drive-curve", "curve-driven")):
-        sp = sub.add_parser(name)
-        common(sp)
+        sp = sub.add_parser(name, parents=[grid_seed])
+        sp.add_argument("--config", required=True, help="JSON config path")
+        sp.add_argument("--out", required=True, help="output directory")
+        sp.add_argument("--jobs", type=int, default=1)
         sp.set_defaults(fn=lambda a, k=kind: _cmd_pipeline(a, k))
     return p
 

@@ -6,7 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .maps import PiecewiseMap, affine_map, sine_map
+from .config import Format, ScenarioError, read
+from .maps import MARKS, PiecewiseMap, affine_map, sine_map
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class MapCurve:
 
 
 def slope_curve(s0: float, s1: float, interval=(0.0, 1.0),
-                marks=(0.0, 0.5)) -> MapCurve:
+                marks=MARKS) -> MapCurve:
     """Affine family s(t)*x mod 1 with a fixed branch partition; the slope
     interpolates linearly from s0 to s1 across the interval.  Two maps
     differ by h = ds*x, so sup|h| + sup|h'| = 2|ds|."""
@@ -51,7 +52,7 @@ def slope_curve(s0: float, s1: float, interval=(0.0, 1.0),
 
 
 def sine_amplitude_curve(slope: float, a0: float, a1: float,
-                         interval=(0.0, 1.0), marks=(0.0, 0.5)) -> MapCurve:
+                         interval=(0.0, 1.0), marks=MARKS) -> MapCurve:
     """Sine-perturbed family with amplitude interpolating from a0 to a1.
     Two maps differ by h = da*sin(2 pi x), so the C2 norm of h is
     (1 + 2 pi + 4 pi^2)|da|."""
@@ -66,13 +67,21 @@ def sine_amplitude_curve(slope: float, a0: float, a1: float,
                     label=f"sineamp[{a0},{a1}]")
 
 
+_PATH = {"interval": (0.0, 1.0), "marks": MARKS}
+CURVE = Format("family", "slope", "curve family", {
+    "slope": {"s0": float, "s1": float, **_PATH},
+    "sine-amplitude": {"slope": float, "a0": float, "a1": float, **_PATH}})
+
+
 def curve_from_dict(spec: dict) -> MapCurve:
-    kind = spec.get("family", "slope")
-    interval = tuple(spec.get("interval", (0.0, 1.0)))
-    marks = tuple(spec.get("marks", (0.0, 0.5)))
-    if kind == "slope":
+    spec = read(spec, CURVE, "curve")
+    interval = tuple(spec["interval"])
+    if not (len(interval) == 2 and all(map(math.isfinite, interval))
+            and interval[0] < interval[1]):
+        raise ScenarioError("curve.interval must be two finite numbers "
+                            f"a < b, got {spec['interval']!r}")
+    marks = tuple(spec["marks"])
+    if spec["family"] == "slope":
         return slope_curve(spec["s0"], spec["s1"], interval, marks)
-    if kind == "sine-amplitude":
-        return sine_amplitude_curve(spec["slope"], spec["a0"], spec["a1"],
-                                    interval, marks)
-    raise ValueError(f"unknown curve family {kind!r}")
+    return sine_amplitude_curve(spec["slope"], spec["a0"], spec["a1"],
+                                interval, marks)

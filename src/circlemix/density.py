@@ -154,9 +154,6 @@ class Density:
     def G(self) -> int:
         return self.samples.shape[0]
 
-    def grid(self) -> np.ndarray:
-        return np.arange(self.G) / self.G
-
     def integral(self) -> float:
         """Trapezoidal integral over the circle (= sample mean on this grid)."""
         return float(self.samples.mean())
@@ -255,24 +252,3 @@ class Density:
             raise ValueError("subtracted amount must be < 1")
         out = self.samples - c
         return Density._own(np.divide(out, 1.0 - c, out=out))
-
-    # --- serialization ----------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        xs = self.grid()
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("x,value\n")
-            for x, v in zip(xs, self.samples):
-                fh.write("%.17g,%.17g\n" % (x, v))
-
-    @classmethod
-    def from_csv(cls, path) -> "Density":
-        vals = []
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline()
-            if not header.startswith("x,"):
-                raise ValueError("bad density CSV header")
-            for line in fh:
-                _, v = line.rstrip("\n").split(",")
-                vals.append(float(v))
-        return cls(np.array(vals))

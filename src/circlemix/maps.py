@@ -21,6 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import Field, Format, read
+
 TWO_PI = 2.0 * math.pi
 
 # Circle points closer than this are treated as equal when classifying
@@ -436,6 +438,8 @@ def neighborhood_distance(f: PiecewiseMap, g: PiecewiseMap,
 
 # --- Builders for the map families used throughout ---------------------------
 
+MARKS = (0.0, 0.5)  # default marks of sine maps, curves and map families
+
 
 def affine_map(slope: float, offset: float = 0.0,
                marks: tuple[float, ...] | None = None) -> PiecewiseMap:
@@ -461,7 +465,7 @@ def affine_map(slope: float, offset: float = 0.0,
 
 
 def sine_map(slope: float, amplitude: float, offset: float = 0.0,
-             marks: tuple[float, ...] = (0.0, 0.5)) -> PiecewiseMap:
+             marks: tuple[float, ...] = MARKS) -> PiecewiseMap:
     """x -> slope*x + offset + amplitude*sin(2 pi x) (mod 1)."""
     cuts = list(marks) + [1.0]
     return PiecewiseMap(tuple(
@@ -491,29 +495,35 @@ def two_slope_wrap_map() -> PiecewiseMap:
     ))
 
 
+_NAMED = {"doubling": doubling_map, "slope25": slope25_map,
+          "slope3-two-branch": slope3_two_branch,
+          "two-slope-wrap": two_slope_wrap_map}
+
+BRANCH = {"lo": float, "hi": float, "slope": float, "offset": 0.0,
+          "amplitude": 0.0}
+
+# A map config: explicit branches, or a form (affine when left out).
+MAP = Format(
+    "form", lambda spec: "branches" if "branches" in spec else "affine",
+    "map form", {
+        "branches": {"branches": [BRANCH]},
+        # natural breakpoints when marks is null
+        "affine": {"slope": float, "offset": 0.0, "marks": Field(tuple)},
+        "sine": {"slope": float, "amplitude": float, "offset": 0.0,
+                 "marks": MARKS},
+        **{form: {} for form in _NAMED}})
+
+
 def map_from_dict(spec: dict) -> PiecewiseMap:
     """Build a map from a config dict (named form or explicit branches)."""
-    if "branches" in spec:
-        return PiecewiseMap(tuple(
-            BranchSpec(b["lo"], b["hi"], b["slope"],
-                       b.get("offset", 0.0), b.get("amplitude", 0.0))
-            for b in spec["branches"]
-        ))
-    form = spec.get("form", "affine")
-    marks = spec.get("marks")
-    if marks is not None:
-        marks = tuple(float(x) for x in marks)
+    spec = read(spec, MAP, "map")
+    form = spec["form"]
+    if form == "branches":
+        return PiecewiseMap(tuple(BranchSpec(**{k: b[k] for k in BRANCH})
+                                  for b in spec["branches"]))
+    if form in _NAMED:
+        return _NAMED[form]()
+    marks = spec["marks"] and tuple(float(x) for x in spec["marks"])
     if form == "affine":
-        return affine_map(spec["slope"], spec.get("offset", 0.0), marks)
-    if form == "sine":
-        return sine_map(spec["slope"], spec["amplitude"], spec.get("offset", 0.0),
-                        marks if marks is not None else (0.0, 0.5))
-    if form == "doubling":
-        return doubling_map()
-    if form == "slope25":
-        return slope25_map()
-    if form == "slope3-two-branch":
-        return slope3_two_branch()
-    if form == "two-slope-wrap":
-        return two_slope_wrap_map()
-    raise MapFormError(f"unknown map form {form!r}")
+        return affine_map(spec["slope"], spec["offset"], marks)
+    return sine_map(spec["slope"], spec["amplitude"], spec["offset"], marks)

@@ -17,13 +17,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bounds as bnd
+from .config import Field, Format, ScenarioError, is_int, read
 from .coupling import (ENVELOPE_START, BlockPlan, CertificateViolation,
                        certify, fit_decay, run_coupled, write_decay_json)
 from .covering import CoveringError, CoveringReport, positivity_horizon
-from .curves import curve_from_dict
+from .curves import CURVE, curve_from_dict
 from .density import Density
-from .maps import (PiecewiseMap, TransferError, analyze, map_from_dict,
-                   neighborhood_distance, sine_map)
+from .maps import (MAP, MARKS, BranchSpec, PiecewiseMap, TransferError,
+                   analyze, map_from_dict, neighborhood_distance, sine_map)
 
 SCHEMA_VERSION = 1
 REDRAW_LIMIT = 1000
@@ -34,21 +35,13 @@ EXIT_CERTIFICATE = 1
 EXIT_CONFIG = 2
 
 
-class ScenarioError(ValueError):
-    """Configuration or assembly problem; maps to exit code 2."""
-
-
-KINDS = ("fixed-map", "neighborhood", "curve-driven", "smooth")
-
-
-def is_int(value) -> bool:
-    """An int from a config (a bool does not count)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_number(value) -> bool:
-    """A finite int or float from a config (a bool does not count)."""
-    return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
+DENSITY = Format("preset", "uniform", "density preset", {
+    "uniform": {}, "sine": {"k": 1, "amplitude": 0.5},
+    "cosine": {"k": 1, "amplitude": 0.4}, "step": {"levels": tuple},
+    "random-bv": {"a": float},
+    # sine wave plus zero-mean plateau noise drawn from the scenario rng
+    "sine-step": {"k": 1, "amplitude": 0.5,
+                  "pieces": Field(int, 8, least=1), "step_amp": 0.3}})
 
 
 @dataclass
@@ -74,31 +67,11 @@ class Scenario:
         if not isinstance(cfg, dict) or cfg.get("schema") != SCHEMA_VERSION:
             raise ScenarioError(f"config schema must be {SCHEMA_VERSION}")
         body = {k: v for k, v in cfg.items() if k != "schema"}
-        required = ("name", "kind", "grid", "n_max", "seed", "phi", "psi")
-        for key in required:
-            if key not in body:
-                raise ScenarioError(f"missing scenario field {key!r}")
+        read(body, SCENARIO)
         try:
             sc = cls(**body)
         except TypeError as exc:
             raise ScenarioError(str(exc)) from exc
-        if sc.kind not in KINDS:
-            raise ScenarioError(f"unknown scenario kind {sc.kind!r}")
-        for key in ("grid", "seed"):
-            value = getattr(sc, key)
-            if not is_int(value):
-                raise ScenarioError(f"{key} must be an integer, got {value!r}")
-        for key in ("eps", "eps_loc", "a_star"):
-            value = getattr(sc, key)
-            if not (is_number(value) or (value is None and key != "eps_loc")):
-                raise ScenarioError(f"{key} must be a number, got {value!r}")
-        if not isinstance(sc.family, dict):
-            raise ScenarioError(f"family must be an object, got {sc.family!r}")
-        for key in ("slope", "amp_max", "slope_jitter"):
-            value = sc.family.get(key, 0.0)
-            if not is_number(value):
-                raise ScenarioError(
-                    f"family.{key} must be a number, got {value!r}")
         if sc.grid < 2 or (sc.grid & (sc.grid - 1)) != 0:
             raise ScenarioError("grid must be a power of two")
         if sc.kind == "smooth" and sc.grid > 2 ** 16:
@@ -113,51 +86,66 @@ class Scenario:
         return sc
 
     def as_dict(self) -> dict:
-        out = {"schema": SCHEMA_VERSION}
-        out.update({
-            "name": self.name, "kind": self.kind, "grid": self.grid,
-            "n_max": self.n_max, "seed": self.seed, "phi": self.phi,
-            "psi": self.psi, "family": self.family, "curve": self.curve,
-            "eps": self.eps, "eps_loc": self.eps_loc, "a_star": self.a_star,
-            "mesh": self.mesh, "mesh_override": self.mesh_override,
-            "probes": self.probes,
-        })
-        return out
+        return {"schema": SCHEMA_VERSION, **vars(self)}
+
+
+# n_max (an integer or "auto") is checked by from_dict alone
+_COMMON = {"name": str, "grid": int, "seed": int, "phi": DENSITY,
+           "psi": DENSITY, "eps": Field(float), "a_star": Field(float),
+           "mesh": Field(float, also=("auto",)), "eps_loc": Scenario.eps_loc,
+           "mesh_override": Scenario.mesh_override, "probes": Scenario.probes}
+SCENARIO = Format("kind", None, "scenario kind", {
+    "fixed-map": {**_COMMON, "family": {"map": MAP}},
+    "neighborhood": {**_COMMON, "eps": float, "family": {
+        "base": MAP, "slope": 3.0, "amp_max": 0.003, "slope_jitter": 0.0,
+        "marks": MARKS}},
+    "curve-driven": {**_COMMON, "curve": CURVE},
+    "smooth": {**_COMMON, "family": {"slope": 2.0, "amp_max": 0.05,
+                                     "marks": MARKS}}})
 
 
 def build_density(spec: dict, G: int, rng: np.random.Generator) -> Density:
-    preset = spec.get("preset", "uniform")
+    spec = read(spec, DENSITY, "density")
+    preset = spec["preset"]
     if preset == "uniform":
         return Density.uniform(G)
-    if preset == "sine":
-        return Density.sine(G, spec.get("k", 1), spec.get("amplitude", 0.5))
     if preset == "cosine":
-        return Density.cosine(G, spec.get("k", 1), spec.get("amplitude", 0.4))
+        return Density.cosine(G, spec["k"], spec["amplitude"])
     if preset == "step":
         return Density.step(G, spec["levels"])
     if preset == "random-bv":
         return Density.random_bv(G, spec["a"], rng)
-    if preset == "sine-step":
-        # sine wave plus zero-mean plateau noise drawn from the scenario rng
-        base = Density.sine(G, spec.get("k", 1), spec.get("amplitude", 0.5))
-        pieces = spec.get("pieces", 8)
-        amp = spec.get("step_amp", 0.3)
-        levels = rng.uniform(-1.0, 1.0, pieces)
-        idx = (np.arange(G) * pieces) // G
-        noise = levels[idx] - levels.mean()
-        samples = np.maximum(base.samples + amp * noise, 0.0)
-        return Density.from_samples(samples)
-    raise ScenarioError(f"unknown density preset {preset!r}")
+    base = Density.sine(G, spec["k"], spec["amplitude"])
+    if preset == "sine":
+        return base
+    pieces = spec["pieces"]
+    levels = rng.uniform(-1.0, 1.0, pieces)
+    idx = (np.arange(G) * pieces) // G
+    noise = levels[idx] - levels.mean()
+    samples = np.maximum(base.samples + spec["step_amp"] * noise, 0.0)
+    return Density.from_samples(samples)
+
+
+WRAP_FAMILY = {"slopes": (2.5, 3.5), "split": (0.5, 0.8)}
+
+
+def _wrap_box(fam) -> tuple:
+    """The wrap family's (slopes, split) ranges, each two numbers
+    0 < lo <= hi below its top."""
+    fam = read({} if fam is None else fam, WRAP_FAMILY, "family")
+    for key, top in (("slopes", math.inf), ("split", 1.0)):
+        pair = fam[key]
+        if not (len(pair) == 2 and 0.0 < pair[0] <= pair[1] < top):
+            raise ScenarioError(f"family {key} must be two numbers "
+                                f"0 < lo <= hi < {top:g}, got {pair!r}")
+    return fam["slopes"], fam["split"]
 
 
 def draw_two_slope_wrap(fam: dict, rng: np.random.Generator) -> PiecewiseMap:
     """Random two-branch wrap map: split point in fam['split'], slopes in
     fam['slopes'], random second-branch offset.  With the default ranges
     the family has inf-expansion 2.5 and variation coefficient sup 4."""
-    from .maps import BranchSpec
-
-    s_lo, s_hi = fam.get("slopes", (2.5, 3.5))
-    p_lo, p_hi = fam.get("split", (0.5, 0.8))
+    (s_lo, s_hi), (p_lo, p_hi) = _wrap_box(fam)
     p = float(rng.uniform(p_lo, p_hi))
     s1 = float(rng.uniform(s_lo, s_hi))
     s2 = float(rng.uniform(s_lo, s_hi))
@@ -168,9 +156,7 @@ def draw_two_slope_wrap(fam: dict, rng: np.random.Generator) -> PiecewiseMap:
 
 def two_slope_wrap_family_bounds(fam: dict | None = None) -> bnd.FamilyBounds:
     """Closed-form uniform bounds over the wrap family's parameter box."""
-    fam = fam or {}
-    s_lo, s_hi = fam.get("slopes", (2.5, 3.5))
-    p_lo, p_hi = fam.get("split", (0.5, 0.8))
+    (s_lo, s_hi), (p_lo, p_hi) = _wrap_box(fam)
     shortest = min(1.0 - p_hi, p_lo)
     return bnd.FamilyBounds(lambda0=s_lo, A0=2.0 * (1.0 / s_lo) / shortest,
                             M0=s_hi, C1=0.0, sup_d2=0.0)
@@ -181,20 +167,22 @@ def build_sequence(scenario: Scenario,
     """Assemble the map sequence for the scenario (deterministic given the
     generator state)."""
     n = scenario.n_max
-    fam = scenario.family
     kind = scenario.kind
+    if kind == "curve-driven":
+        curve = curve_from_dict(scenario.curve)
+        delta = scenario.curve.get("resolved_mesh")
+        if delta is None:
+            raise ScenarioError("curve mesh not resolved; use run_scenario")
+        ts = [min(curve.a + (i + 1) * delta, curve.b) for i in range(n)]
+        return [curve(t) for t in ts]
+    fam = read(scenario.as_dict(), SCENARIO)["family"]
     if kind == "fixed-map":
-        g = map_from_dict(fam["map"])
-        return [g] * n
+        return [map_from_dict(fam["map"])] * n
+    slope, amp_max, marks = fam["slope"], fam["amp_max"], tuple(fam["marks"])
     if kind == "neighborhood":
         g = map_from_dict(fam["base"])
         eps = scenario.eps
-        if eps is None:
-            raise ScenarioError("neighborhood scenarios need eps")
-        amp_max = fam.get("amp_max", 0.003)
-        slope = fam.get("slope", 3.0)
-        slope_jitter = fam.get("slope_jitter", 0.0)
-        marks = tuple(fam.get("marks", (0.0, 0.5)))
+        slope_jitter = fam["slope_jitter"]
         maps = []
         for _ in range(n):
             for attempt in range(REDRAW_LIMIT + 1):
@@ -208,20 +196,8 @@ def build_sequence(scenario: Scenario,
                 raise ScenarioError(
                     f"no admissible draw within {REDRAW_LIMIT} attempts")
         return maps
-    if kind == "curve-driven":
-        curve = curve_from_dict(scenario.curve)
-        delta = scenario.curve.get("resolved_mesh")
-        if delta is None:
-            raise ScenarioError("curve mesh not resolved; use run_scenario")
-        ts = [min(curve.a + (i + 1) * delta, curve.b) for i in range(n)]
-        return [curve(t) for t in ts]
-    if kind == "smooth":
-        slope = fam.get("slope", 2.0)
-        amp_max = fam.get("amp_max", 0.05)
-        marks = tuple(fam.get("marks", (0.0, 0.5)))
-        draws = rng.uniform(-amp_max, amp_max, n)
-        return [sine_map(slope, float(a), 0.0, marks) for a in draws]
-    raise ScenarioError(f"unknown scenario kind {kind!r}")
+    draws = rng.uniform(-amp_max, amp_max, n)
+    return [sine_map(slope, float(a), 0.0, marks) for a in draws]
 
 
 def _piecewise_constants(scenario: Scenario, g: PiecewiseMap,
@@ -242,11 +218,10 @@ def _piecewise_constants(scenario: Scenario, g: PiecewiseMap,
 
 
 def _smooth_constants(scenario: Scenario) -> bnd.BoundsReport:
-    fam_cfg = scenario.family
-    slope = fam_cfg.get("slope", 2.0)
-    amp = fam_cfg.get("amp_max", 0.05)
-    marks = tuple(fam_cfg.get("marks", (0.0, 0.5)))
-    extremes = [sine_map(slope, a, 0.0, marks) for a in (-amp, 0.0, amp)]
+    fam_cfg = read(scenario.as_dict(), SCENARIO)["family"]
+    amp = fam_cfg["amp_max"]
+    extremes = [sine_map(fam_cfg["slope"], a, 0.0, tuple(fam_cfg["marks"]))
+                for a in (-amp, 0.0, amp)]
     fam = bnd.family_bounds(extremes)
     C0 = max(bnd.distortion_constant(fam.C1, fam.lambda0), bnd.C0_FLOOR)
     L_star = bnd.cone_parameter(C0)
@@ -297,9 +272,9 @@ def resolve_curve_plan(scenario: Scenario):
     if cover is None or not cover.covered:
         raise ScenarioError("curve half-windows failed to cover the interval")
     mesh = scenario.mesh
-    if mesh in (None, "auto"):
-        mesh = cover.delta0
-    mesh = float(mesh)
+    mesh = cover.delta0 if mesh in (None, "auto") else float(mesh)
+    if not mesh > 0.0:
+        raise ScenarioError(f"mesh must be positive, got {mesh}")
     if mesh > cover.delta0 and not scenario.mesh_override:
         raise ScenarioError(
             f"mesh {mesh} exceeds the certified delta0 {cover.delta0}; "
@@ -316,6 +291,7 @@ def run_scenario(scenario: Scenario, out_dir) -> RunResult:
     os.makedirs(out_dir, exist_ok=True)
     artifacts = {}
     try:
+        cfg = read(scenario.as_dict(), SCENARIO)
         rng = np.random.Generator(np.random.PCG64(scenario.seed))
         phi = build_density(scenario.phi, scenario.grid, rng)
         psi = build_density(scenario.psi, scenario.grid, rng)
@@ -354,13 +330,9 @@ def run_scenario(scenario: Scenario, out_dir) -> RunResult:
                 return BlockPlan(kappa=p.kappa, n0=p.covering.n0, tau=p.tau,
                                  anchor="t=%.6f" % p.t)
         else:
-            key = "map" if scenario.kind == "fixed-map" else "base"
-            if key not in scenario.family:
-                raise ScenarioError(f"{scenario.kind} scenario needs family.{key}")
-            g = map_from_dict(scenario.family[key])
-            pad = scenario.eps if scenario.kind == "neighborhood" else 0.0
-            if pad is None:
-                raise ScenarioError("neighborhood scenarios need eps")
+            fixed = scenario.kind == "fixed-map"
+            g = map_from_dict(cfg["family"]["map" if fixed else "base"])
+            pad = 0.0 if fixed else scenario.eps
             report, covering = _piecewise_constants(scenario, g, pad)
 
         slack = report.grid_slack(scenario.grid)
@@ -414,27 +386,28 @@ def run_scenario(scenario: Scenario, out_dir) -> RunResult:
         return RunResult(EXIT_CONFIG, str(exc), artifacts)
 
 
+ABSORB = {"a": float, "a_star": float, "grid": Field(int, 2 ** 13, least=2),
+          "seeds": Field(int, 20, least=1), "seed": Field(int, 0, least=0),
+          "headroom": 0.05, "family": WRAP_FAMILY}
+
+
 def run_absorption(cfg: dict) -> dict:
     """Absorption suite: the scheduled time tau from the family constants,
     then seeded random-sequence runs checking that the variation has
     entered the cone (with 5% headroom) after tau steps."""
     from .transfer import TransferOperator, push
 
-    fam_cfg = cfg.get("family", {})
-    fam = two_slope_wrap_family_bounds(fam_cfg)
-    a = cfg["a"]
-    a_star = cfg["a_star"]
+    cfg = read(cfg, ABSORB)
+    fam = two_slope_wrap_family_bounds(cfg["family"])
+    a, a_star = cfg["a"], cfg["a_star"]
     tau = bnd.tau_piecewise(a, a_star, fam.lambda0, fam.A0)
-    G = cfg.get("grid", 2 ** 13)
-    seeds = cfg.get("seeds", 20)
-    seed0 = cfg.get("seed", 0)
-    headroom = cfg.get("headroom", 0.05)
+    G, seeds, seed0 = cfg["grid"], cfg["seeds"], cfg["seed"]
     results = []
     worst = 0.0
     for s in range(seeds):
         rng = np.random.Generator(np.random.PCG64(seed0 + s))
         phi = Density.random_bv(G, a, rng)
-        maps = [draw_two_slope_wrap(fam_cfg, rng) for _ in range(tau)]
+        maps = [draw_two_slope_wrap(cfg["family"], rng) for _ in range(tau)]
         final = phi
         for m in maps:
             final = push(TransferOperator(m, G), final)
@@ -442,10 +415,18 @@ def run_absorption(cfg: dict) -> dict:
         worst = max(worst, v)
         results.append({"seed": seed0 + s, "initial_variation": phi.variation(),
                         "final_variation": v})
-    passed = worst <= a_star * (1.0 + headroom)
+    passed = worst <= a_star * (1.0 + cfg["headroom"])
     return {"tau": tau, "lambda0": fam.lambda0, "A0": fam.A0, "a": a,
             "a_star": a_star, "worst_final_variation": worst,
             "passed": passed, "runs": results}
+
+
+# verify-ly's maps when its config gives none
+LY_MAPS = ({"form": "doubling"}, {"form": "slope25"},
+           {"form": "slope3-two-branch"}, {"form": "two-slope-wrap"})
+VERIFY_LY = {"maps": Field([MAP]), "grid": Field(int, 2 ** 14, least=2),
+             "count": Field(int, 100, least=1), "var_max": 50.0,
+             "seed": Field(int, 0, least=0), "slack": 0.02}
 
 
 def run_variation_suite(cfg: dict) -> dict:
@@ -454,15 +435,10 @@ def run_variation_suite(cfg: dict) -> dict:
     2/lambda * V(phi) + A + 0.02*(1 + V(phi))."""
     from .transfer import TransferOperator, push
 
-    map_specs = cfg.get("maps") or [
-        {"form": "doubling"}, {"form": "slope25"},
-        {"form": "slope3-two-branch"}, {"form": "two-slope-wrap"}]
-    maps = [map_from_dict(ms) for ms in map_specs]
-    G = cfg.get("grid", 2 ** 14)
-    count = cfg.get("count", 100)
-    var_max = cfg.get("var_max", 50.0)
-    seed0 = cfg.get("seed", 0)
-    slack_lin = cfg.get("slack", 0.02)
+    cfg = read(cfg, VERIFY_LY)
+    maps = [map_from_dict(ms) for ms in cfg["maps"] or LY_MAPS]
+    G, count, seed0 = cfg["grid"], cfg["count"], cfg["seed"]
+    var_max, slack_lin = cfg["var_max"], cfg["slack"]
     per_map = [(analyze(m), TransferOperator(m, G)) for m in maps]
     violations = []
     max_margin = -math.inf
@@ -485,12 +461,8 @@ def run_variation_suite(cfg: dict) -> dict:
 def load_config(path) -> list[Scenario]:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    if "scenarios" in cfg:
-        schema = cfg.get("schema")
-        out = []
-        for body in cfg["scenarios"]:
-            body = dict(body)
-            body.setdefault("schema", schema)
-            out.append(Scenario.from_dict(body))
-        return out
-    return [Scenario.from_dict(cfg)]
+    if not (isinstance(cfg, dict) and "scenarios" in cfg):
+        return [Scenario.from_dict(cfg)]
+    batch = read(cfg, {"scenarios": [{}]})["scenarios"]
+    return [Scenario.from_dict({"schema": cfg.get("schema"), **body})
+            for body in batch]

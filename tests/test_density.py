@@ -327,15 +327,6 @@ def test_random_bv_respects_bound():
         assert d.min_value() >= 0.0
 
 
-def test_csv_roundtrip(tmp_path):
-    rng = np.random.Generator(np.random.PCG64(21))
-    d = Density.random_bv(512, 10.0, rng)
-    path = tmp_path / "d.csv"
-    d.to_csv(path)
-    back = Density.from_csv(path)
-    assert np.array_equal(back.samples, d.samples)
-
-
 def test_bin_masses_sum_to_integral():
     d = Density.sine(1024, 2, 0.3)
     for B in (4, 32, 256):
