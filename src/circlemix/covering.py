@@ -57,7 +57,7 @@ def _all_affine(maps) -> bool:
 def _inv_lift_pt(branch, t: float) -> float:
     if branch.is_affine:
         return (t - branch.offset) / branch.slope
-    return float(_solve_lift(branch, np.array([float(t)]))[0])
+    return float(_solve_lift(branch, np.array([float(t)]))[0][0])
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ of the lift's linear interpolant on a table and kept inside a proven bracket
 (sine), to a residual of at most 1e-14 * max(1, |t|) for target t; a solve
 left above 1e-12 raises.  Convergence is tested at each iterate before it
 steps, so from the table start a sine solve takes one Newton step and the
-residual that passes is the returned root's own.
+residual that passes is the returned root's own.  The solve returns f' at
+each root with it, and a sine solve evaluates one sin/cos pair per target:
+a short step carries the pair by angle addition.
 """
 
 from __future__ import annotations
@@ -29,15 +31,17 @@ TWO_PI = 2.0 * math.pi
 # branch junctions as continuous.
 CONTINUITY_TOL = 1e-12
 
-# Grid density per interval for the C2 norms in neighborhood_distance.
+# Grid density per interval for the C2 norms in neighborhood_distance, and
+# the stride of its coarse pass against a bound (65 of the 4097 samples).
 NEIGHBORHOOD_GRID = 4096
+COARSE_STRIDE = 64
 
 # Preimage solves on sine branches stop once every residual
-# |lift(x) - t| is at most SOLVE_TOL * max(1, |t|).  From the table warm
-# start Newton takes 1 step per full chunk on slope-2 and slope-3 sine maps
-# with amplitudes up to 0.15 at grids 2^12 to 2^16, and SOLVE_MAX_ITERS
-# bisections alone would shrink any bracket below 1e-17; a residual still
-# above SOLVE_GUARD at the cap raises.
+# |lift(x) - t| is at most SOLVE_TOL * max(1, |t|).  The warm-start table
+# of a chunk is sized so that one Newton step reaches SOLVE_TOL (see
+# _start_spacing), but has at most one node per target; SOLVE_MAX_ITERS
+# bisections alone would shrink any bracket below 1e-17, and a residual
+# still above SOLVE_GUARD at the cap raises.
 SOLVE_TOL = 1e-14
 SOLVE_GUARD = 1e-12
 SOLVE_MAX_ITERS = 60
@@ -45,6 +49,14 @@ SOLVE_MAX_ITERS = 60
 # temporaries stay small and in cache, and a slow point iterates only its
 # own chunk.
 SOLVE_CHUNK = 4096
+# A Newton step that moves the angle 2 pi x by |d| <= ROTATE_MAX carries
+# sin and cos to the new iterate by angle addition with cos d ~ 1 - d^2/2
+# and sin d ~ d - d^3/6.  The truncation errors, d^4/24 <= 4.2e-18 and
+# |d|^5/120 <= 8.4e-23 (relative d^4/120 <= 8.4e-19), are below half an
+# ulp of the results, so a carried value differs from np.sin/np.cos of the
+# same angle only by the roundoff of the rotation; a longer step calls
+# np.sin/np.cos.
+ROTATE_MAX = 1e-4
 
 
 class MapFormError(ValueError):
@@ -147,45 +159,99 @@ class BranchSpec:
         return dmin > 0
 
 
-def _solve_lift(branch: BranchSpec, targets: np.ndarray) -> np.ndarray:
-    """Solve lift(x) = t on [lo, hi] for each target (vectorized).
+def _solve_lift(branch: BranchSpec, targets: np.ndarray):
+    """Solve lift(x) = t on [lo, hi] for each target (vectorized); returns
+    the roots and f' at them.
 
-    Affine branches are exact.  On a sine branch the root lies within
-    |a|/|s| of the affine inverse x0 = (t - c)/s, because the lift differs
-    from s*x + c by at most |a|.  Newton keeps a bracket, that interval
-    intersected with [lo, hi] and shrunk by the sign of each residual; a
-    step that leaves the bracket is replaced by its midpoint.  It starts
-    from the inverse of the lift's linear interpolant on a uniform table of
-    the chunk's bracket with as many nodes as targets, plus two; its error
-    is of the order of the squared node spacing, so on a full chunk the
-    first step reaches the tolerance.  (A branch of slope 0 starts at the
-    midpoint of its arc.)
+    Affine branches are exact, and f' is the slope, a scalar.  On a sine
+    branch the root lies within |a|/|s| of the affine inverse
+    x0 = (t - c)/s, because the lift differs from s*x + c by at most |a|.
+    Newton keeps a bracket, that interval intersected with [lo, hi] and
+    shrunk by the sign of each residual; a step that leaves the bracket is
+    replaced by its midpoint.  It starts from the inverse of the lift's
+    linear interpolant on a uniform table of the chunk's bracket, whose
+    spacing _start_spacing chooses so that the first step reaches the
+    tolerance; the table has at most one node per target, plus two.  (A
+    branch of slope 0 starts at the midpoint of its arc.)  sin and cos of
+    2 pi x are evaluated at the start and carried along short steps by
+    angle addition (ROTATE_MAX), so a full chunk costs one sin/cos pair per
+    target besides its table, and f' at the root comes from the carried
+    cos.
     Iteration stops at the first iterate whose residuals are all at most
     SOLVE_TOL * max(1, |t|); if one is still above SOLVE_GUARD after
     SOLVE_MAX_ITERS steps, TransferError names the branch.
     """
     if branch.is_affine:
-        return (targets - branch.offset) / branch.slope
-    inc = branch.increasing
+        return (targets - branch.offset) / branch.slope, branch.slope
+    dmin, dmax = branch.deriv_range()
+    spacing = _start_spacing(branch, dmin, dmax)
     x = np.empty_like(targets)
+    d = np.empty_like(targets)
     for i in range(0, targets.size, SOLVE_CHUNK):
-        x[i:i + SOLVE_CHUNK] = _newton(branch, targets[i:i + SOLVE_CHUNK], inc)
-    return x
+        chunk = slice(i, i + SOLVE_CHUNK)
+        x[chunk], d[chunk] = _newton(branch, targets[chunk], dmin > 0, spacing)
+    return x, d
 
 
-def _newton(branch: BranchSpec, targets: np.ndarray, inc: bool) -> np.ndarray:
+def _start_spacing(branch: BranchSpec, dmin: float, dmax: float) -> float:
+    """A table spacing from which one Newton step reaches SOLVE_TOL (0 if
+    the branch has no bound on |f''|/|f'|).
+
+    With lam = inf|f'|, M = sup|f'| and K = 4 pi^2 |a| / lam >= |f''|/|f'|
+    on the arc, the inverse's linear interpolant on nodes h apart in x
+    starts within e0 = (M h / lam)^2 K / 8 of the root; one step leaves an
+    error of at most K e0^2 / 2 and a residual of at most M K e0^2 / 2.
+    The spacing keeps that residual below SOLVE_TOL / 4."""
+    lam, big = sorted((abs(dmin), abs(dmax)))
+    if not lam > 0.0:
+        return 0.0
+    k = TWO_PI ** 2 * abs(branch.amplitude) / lam
+    e0 = math.sqrt(SOLVE_TOL / (2.0 * big * k))
+    return math.sqrt(8.0 * e0 / k) * lam / big
+
+
+def _rotate(x, angle, sin2, cos2):
+    """(sin 2 pi x, cos 2 pi x, 2 pi x) from the tables sin2, cos2 at the
+    earlier angle: rotated by the Taylor polynomials of ROTATE_MAX where
+    the angle moved by at most ROTATE_MAX, from np.sin/np.cos elsewhere.
+    d is the difference of the two rounded angles, exact while they are
+    within a factor 2, so a carried value approximates the same
+    sin(2 pi x) that np.sin sees."""
+    new = TWO_PI * x
+    d = new - angle
+    d2 = d * d
+    cos_d = 1.0 - 0.5 * d2
+    sin_d = d - d * d2 / 6.0
+    s = sin2 * cos_d + cos2 * sin_d
+    c = cos2 * cos_d - sin2 * sin_d
+    far = np.abs(d) > ROTATE_MAX
+    if far.any():
+        s[far] = np.sin(new[far])
+        c[far] = np.cos(new[far])
+    return s, c, new
+
+
+def _newton(branch: BranchSpec, targets: np.ndarray, inc: bool,
+            spacing: float):
     """The bracketed Newton solve of _solve_lift on one sine branch, whose
-    lift increases if inc."""
-    if branch.slope == 0.0:  # no affine part to bracket by
+    lift increases if inc, from a table of the given node spacing; returns
+    the roots and f' at them."""
+    s, c, a = branch.slope, branch.offset, branch.amplitude
+    if s == 0.0:  # no affine part to bracket by
         lo = np.full_like(targets, branch.lo)
         hi = np.full_like(targets, branch.hi)
         x = 0.5 * (lo + hi)
     else:
-        x0 = (targets - branch.offset) / branch.slope
-        r = abs(branch.amplitude / branch.slope)
+        x0 = (targets - c) / s
+        r = abs(a / s)
         lo = np.maximum(x0 - r, branch.lo)
         hi = np.minimum(x0 + r, branch.hi)
-        xs = np.linspace(lo.min(), hi.max(), targets.size + 2)
+        start, stop = lo.min(), hi.max()
+        nodes = targets.size + 2
+        span = stop - start  # < 0 for a target outside the branch image
+        if 0.0 <= span < (nodes - 2) * spacing:
+            nodes = 2 + math.ceil(span / spacing)
+        xs = np.linspace(start, stop, nodes)
         ys = branch.lift(xs)
         if not inc:
             xs, ys = xs[::-1], ys[::-1]
@@ -195,26 +261,36 @@ def _newton(branch: BranchSpec, targets: np.ndarray, inc: bool) -> np.ndarray:
     # is above tolerance, a point within it still takes its Newton step
     # unless the step leaves the bracket.  A root at a bracket end (|sin| = 1
     # there) makes every step overshoot; such points fall back to bisection.
+    # lift and f' are the expressions of BranchSpec.lift and deriv on the
+    # carried tables.
     tol = SOLVE_TOL * np.maximum(1.0, np.abs(targets))
+    angle = TWO_PI * x
+    sin2, cos2 = np.sin(angle), np.cos(angle)
     for _ in range(SOLVE_MAX_ITERS):
-        res = branch.lift(x) - targets
+        res = s * x + c + a * sin2 - targets
         done = np.abs(res) <= tol
         if done.all():
             break
         below = (res < 0.0) if inc else (res > 0.0)
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
-        step = x - res / branch.deriv(x)
+        step = x - res / (s + TWO_PI * a * cos2)
         inside = (lo <= step) & (step <= hi)
-        x = np.where(inside, step, np.where(done, x, 0.5 * (lo + hi)))
-    else:  # the last step's point is not checked yet
-        res = branch.lift(x) - targets
+        if inside.all():
+            x = step
+        else:
+            x = np.where(inside, step, np.where(done, x, 0.5 * (lo + hi)))
+        sin2, cos2, angle = _rotate(x, angle, sin2, cos2)
+    else:  # the last step's point is not checked yet: check it afresh
+        angle = TWO_PI * x
+        sin2, cos2 = np.sin(angle), np.cos(angle)
+        res = s * x + c + a * sin2 - targets
     worst = float(np.abs(res).max())
     if not worst <= SOLVE_GUARD:  # also catches NaN
         raise TransferError(
             f"preimage solve on {branch} left residual {worst:.3g} > "
             f"{SOLVE_GUARD:g} after {SOLVE_MAX_ITERS} iterations")
-    return x
+    return x, s + TWO_PI * a * cos2
 
 
 @dataclass(frozen=True)
@@ -284,7 +360,7 @@ class PiecewiseMap:
                     ok = fhi < t <= flo
                 if not ok:
                     continue
-                x = float(_solve_lift(b, np.array([t]))[0])
+                x = float(_solve_lift(b, np.array([t]))[0][0])
                 if x >= 1.0:
                     x -= 1.0
                 out.append((i, x, abs(float(b.deriv(x)))))
@@ -405,7 +481,8 @@ def _base_samples(g: PiecewiseMap, f_arcs, grid: int):
 
 
 def neighborhood_distance(f: PiecewiseMap, g: PiecewiseMap,
-                          grid: int = NEIGHBORHOOD_GRID) -> float:
+                          grid: int = NEIGHBORHOOD_GRID,
+                          bound: float | None = None) -> float:
     """Smallest radius eps* with f eps*-near g; math.inf if incomparable.
 
     eps* is the max of (i) the arc distances between corresponding marked
@@ -413,6 +490,13 @@ def neighborhood_distance(f: PiecewiseMap, g: PiecewiseMap,
     of f o xi - g, where xi maps each arc of g affinely onto the matching
     arc of f.  Incomparable when branch counts differ or eps* reaches a
     quarter of the minimal gap between g's genuine discontinuities.
+
+    With a bound, the norms are first taken over every COARSE_STRIDE-th
+    sample (index 0 included), by the same expressions on the same floats;
+    a maximum over fewer of them is never larger, so when that coarse value
+    exceeds the bound, eps* does too, and math.inf is returned without the
+    full pass.  Otherwise the result is eps* itself: a call with a bound
+    returns either eps* or math.inf with eps* > bound.
     """
     if len(f.branches) != len(g.branches):
         return math.inf
@@ -422,8 +506,21 @@ def neighborhood_distance(f: PiecewiseMap, g: PiecewiseMap,
     cap, arcs = _base_samples(g, tuple((fb.lo, fb.hi) for fb in fbs), grid)
     if part1 >= cap:
         return math.inf
+    if bound is not None and math.isinf(_c2_norms(
+            fbs, arcs, part1, cap, slice(None, None, COARSE_STRIDE), bound)):
+        return math.inf
+    return _c2_norms(fbs, arcs, part1, cap, slice(None))
+
+
+def _c2_norms(fbs, arcs, part1: float, cap: float, samples: slice,
+              bound: float = math.inf) -> float:
+    """max(part1, the C2 norms of each arc) over the given samples of the
+    _base_samples tables arcs; math.inf as soon as that reaches cap or
+    exceeds bound."""
     worst = part1
-    for fb, (sigma, gv, gd, gd2, ys, sin_y, cos_y) in zip(fbs, arcs):
+    for fb, (sigma, *tables) in zip(fbs, arcs):
+        gv, gd, gd2, ys, sin_y, cos_y = (
+            t[samples] if isinstance(t, np.ndarray) else t for t in tables)
         fv, fd, fd2 = fb.jet(ys, sin_y, cos_y)
         h = fv - gv
         h = h - round(float(h[0]))
@@ -431,7 +528,7 @@ def neighborhood_distance(f: PiecewiseMap, g: PiecewiseMap,
         h1 = np.abs(sigma * fd - gd)
         h2 = np.abs(sigma ** 2 * fd2 - gd2)
         worst = max(worst, float(h.max() + h1.max() + h2.max()))
-        if worst >= cap:
+        if worst >= cap or worst > bound:
             return math.inf
     return worst
 

@@ -189,7 +189,7 @@ def build_sequence(scenario: Scenario,
                 a = float(rng.uniform(-amp_max, amp_max))
                 s = slope + float(rng.uniform(-slope_jitter, slope_jitter))
                 cand = sine_map(s, a, 0.0, marks)
-                if neighborhood_distance(cand, g) <= eps:
+                if neighborhood_distance(cand, g, bound=eps) <= eps:
                     maps.append(cand)
                     break
             else:

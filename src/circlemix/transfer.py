@@ -36,7 +36,8 @@ class TransferOperator:
     branch image form one contiguous run of j, stored as a slice.  Each
     preimage x of a target contributes the linear interpolant of phi at x
     divided by |f'(x)|: a left sample index i0 and the weights
-    (1 - frac)/|f'| and frac/|f'| on samples i0 and i0 + 1.
+    (1 - frac)/|f'| and frac/|f'| on samples i0 and i0 + 1.  f' comes with
+    the preimages from the solve (the slope, on an affine branch).
 
     The operator owns its scratch arrays, the periodic extension of the
     samples and two work buffers as long as its longest run, so an apply
@@ -59,7 +60,7 @@ class TransferOperator:
                     j0, j1 = np.searchsorted(t, (fhi, flo), side="right")
                 if j0 >= j1:
                     continue
-                xs = _solve_lift(b, t[j0:j1])
+                xs, deriv = _solve_lift(b, t[j0:j1])
                 xs[xs >= 1.0] -= 1.0
                 pos = xs * G
                 i0 = np.floor(pos)
@@ -69,7 +70,7 @@ class TransferOperator:
                     raise TransferError(
                         f"preimage sample index outside [0, {G - 1}] on {b}")
                 frac = pos - i0
-                inv = 1.0 / np.abs(b.deriv(xs))
+                inv = 1.0 / np.abs(deriv)  # a scalar on an affine branch
                 self._runs.append((slice(int(j0), int(j1)), i0.astype(np.intp),
                                    (1.0 - frac) * inv, frac * inv))
         self._ext = np.empty(G + 1)
@@ -174,12 +175,16 @@ def ulam_matrix(m: PiecewiseMap, B: int) -> UlamMatrix:
                 a_l = float(b.lift(seg_lo))
                 b_l = float(b.lift(seg_hi))
                 lo, hi = (a_l, b_l) if sgn > 0 else (b_l, a_l)
+                # the bin index is carried: floor(((i + 1) / B) * B) can
+                # round to i, which would never step past bin i
                 s = lo
+                i = math.floor(s * B)
                 while hi - s > 1e-15:
-                    i = math.floor(s * B)
                     e = min(hi, (i + 1) / B)
-                    M[i % B, j] += (e - s) / abs(b.slope) * B
-                    s = e
+                    if e > s:
+                        M[i % B, j] += (e - s) / abs(b.slope) * B
+                        s = e
+                    i += 1
             else:
                 n = ULAM_QUAD_POINTS
                 xs = seg_lo + (seg_hi - seg_lo) * (np.arange(n) + 0.5) / n

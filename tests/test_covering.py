@@ -312,7 +312,7 @@ def _oracle_inv_lift(branch, t, exact):
             return (t - Fraction(branch.offset)) / Fraction(branch.slope)
         return (t - branch.offset) / branch.slope
     from circlemix.maps import _solve_lift
-    return float(_solve_lift(branch, np.array([float(t)]))[0])
+    return float(_solve_lift(branch, np.array([float(t)]))[0][0])
 
 
 def _oracle_preimages(m, y, exact):

@@ -250,9 +250,11 @@ def test_neighborhood_distance_incomparable():
 # --- neighborhood_distance against the per-call evaluation it replaced --------
 
 
-def oracle_neighborhood_distance(f, g, grid=maps.NEIGHBORHOOD_GRID):
+def oracle_neighborhood_distance(f, g, grid=maps.NEIGHBORHOOD_GRID,
+                                 bound=None):
     """neighborhood_distance as it was before its samples were cached:
-    analyze(g) and every sin/cos evaluated again on each call."""
+    analyze(g) and every sin/cos evaluated again on each call.  bound is
+    ignored: the value is always computed in full."""
     if len(f.branches) != len(g.branches):
         return math.inf
     cap = 0.25 * analyze(g).d_omega
@@ -358,6 +360,41 @@ def test_neighborhood_distance_oracle_cases_are_mixed():
     assert [math.isinf(d) for d in got] == [False, False, True, True, True, False]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(jitter=st.floats(-0.002, 0.002), amp=st.floats(-0.0006, 0.0006),
+       bound=st.floats(0.005, 0.02))
+def test_neighborhood_distance_bound_rejects_only_above_it(jitter, amp, bound):
+    # AC5-family candidates around eps = 0.01: a bound either changes
+    # nothing or stands in for a value above it
+    g = slope3_two_branch()
+    f = sine_map(3.0 + jitter, amp)
+    full = neighborhood_distance(f, g)
+    got = neighborhood_distance(f, g, bound=bound)
+    assert got == full or (got == math.inf and full > bound)
+
+
+def test_neighborhood_distance_bound_skips_the_full_pass(monkeypatch):
+    # a candidate far above the bound is rejected on the coarse samples of
+    # its first arc alone, one near it is computed in full
+    g = slope3_two_branch()
+    far, near = sine_map(3.0, 0.003), sine_map(3.0, 0.0002)
+    sizes = []
+    jet = BranchSpec.jet
+
+    def counted(self, x, sin2, cos2):
+        sizes.append(x.size)
+        return jet(self, x, sin2, cos2)
+
+    monkeypatch.setattr(BranchSpec, "jet", counted)
+    assert neighborhood_distance(far, g, bound=0.01) == math.inf
+    assert sizes == [65]
+    assert 0.01 < neighborhood_distance(far, g) < 0.2
+    sizes.clear()
+    assert neighborhood_distance(near, g, bound=0.01) == \
+        oracle_neighborhood_distance(near, g) < 0.01
+    assert sizes == [65, 65, 4097, 4097]
+
+
 def test_neighborhood_samples_are_read_only():
     g = sine_map(2.0, 0.05)
     _, arcs = maps._base_samples(g, ((0.0, 0.5), (0.5, 1.0)), 64)
@@ -399,7 +436,7 @@ def test_solve_lift_matches_bisection_oracle():
         b = random_sine_branch(rng, margin)
         ends = np.array([float(b.lift(b.lo)), float(b.lift(b.hi))])
         t = np.concatenate([ends, rng.uniform(ends.min(), ends.max(), 200)])
-        x = _solve_lift(b, t)
+        x, _ = _solve_lift(b, t)
         scale = np.maximum(1.0, np.abs(t))
         assert np.all(np.abs(b.lift(x) - t) <= SOLVE_TOL * scale)
         assert np.all(np.abs(x - bisection_oracle(b, t)) <= 1e-13 * scale)
@@ -416,7 +453,7 @@ def test_solve_lift_without_affine_part():
     # slope 0: no warm start, the bracket is the whole arc
     b = BranchSpec(0.0, 0.1, 0.0, 0.0, 1.0)
     t = np.linspace(0.0, float(b.lift(b.hi)), 101)
-    x = _solve_lift(b, t)
+    x, _ = _solve_lift(b, t)
     assert np.abs(b.lift(x) - t).max() <= SOLVE_TOL
     assert np.abs(x - bisection_oracle(b, t)).max() <= 1e-13
 
@@ -424,7 +461,7 @@ def test_solve_lift_without_affine_part():
 def test_solve_lift_residual_guard(monkeypatch):
     b = BranchSpec(0.0, 0.5, 2.0, 0.0, 0.05)
     t = np.linspace(float(b.lift(b.lo)), float(b.lift(b.hi)), 64)
-    assert np.abs(b.lift(_solve_lift(b, t)) - t).max() <= SOLVE_TOL
+    assert np.abs(b.lift(_solve_lift(b, t)[0]) - t).max() <= SOLVE_TOL
     monkeypatch.setattr(maps, "SOLVE_MAX_ITERS", 1)
     with pytest.raises(TransferError, match="amplitude=0.05"):
         _solve_lift(b, t)
@@ -436,7 +473,7 @@ def test_solve_lift_warm_start_converges_in_three_steps(monkeypatch):
     G = 2 ** 14
     t = float(b.lift(b.lo)) + np.arange(G) / G
     monkeypatch.setattr(maps, "SOLVE_MAX_ITERS", 3)
-    x = _solve_lift(b, t)
+    x, _ = _solve_lift(b, t)
     assert np.all(np.abs(b.lift(x) - t) <= SOLVE_TOL * np.maximum(1.0, np.abs(t)))
 
 
@@ -447,39 +484,49 @@ def test_solve_lift_guard_checks_the_last_step(monkeypatch):
     G = 2 ** 14
     t = float(b.lift(b.lo)) + np.arange(G) / G
     monkeypatch.setattr(maps, "SOLVE_MAX_ITERS", 1)
-    x = _solve_lift(b, t)
+    x, _ = _solve_lift(b, t)
     assert np.all(np.abs(b.lift(x) - t) <= SOLVE_TOL * np.maximum(1.0, np.abs(t)))
 
 
-def count_lifts(monkeypatch):
-    """A one-element list counting BranchSpec.lift evaluations."""
-    calls = [0]
-    lift = BranchSpec.lift
+def count_trig(monkeypatch):
+    """{"sin": [calls, elements], "cos": [calls, elements]}, counting the
+    np.sin and np.cos evaluations from here on."""
+    counts = {}
+    for name in ("sin", "cos"):
+        row = counts[name] = [0, 0]
 
-    def counted(self, x):
-        calls[0] += 1
-        return lift(self, x)
+        def counted(x, *args, _f=getattr(np, name), _row=row, **kwargs):
+            _row[0] += 1
+            _row[1] += np.size(x)
+            return _f(x, *args, **kwargs)
 
-    monkeypatch.setattr(BranchSpec, "lift", counted)
-    return calls
+        monkeypatch.setattr(np, name, counted)
+    return counts
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(slope=st.sampled_from([-3.0, -2.0, 2.0, 3.0]),
-       amplitude=st.floats(-0.15, 0.15), offset=st.floats(-1.0, 1.0),
-       lo=st.floats(0.0, 0.9), width=st.floats(0.05, 1.0),
-       log2_grid=st.integers(12, 16))
-def test_solve_lift_roots_lie_in_their_brackets(slope, amplitude, offset, lo,
-                                                width, log2_grid):
-    # every grid target of the branch image, plus the targets whose roots
-    # sit at x = 1/4 or 3/4, where |sin| = 1 puts them at a bracket end
-    b = BranchSpec(lo, min(1.0, lo + width), slope, offset, amplitude)
-    G = 2 ** log2_grid
+SOLVE_RANGES = dict(
+    slope=st.sampled_from([-3.0, -2.0, 2.0, 3.0]),
+    amplitude=st.floats(-0.15, 0.15), offset=st.floats(-1.0, 1.0),
+    lo=st.floats(0.0, 0.9), width=st.floats(0.05, 1.0),
+    log2_grid=st.integers(12, 16))
+
+
+def bracket_targets(b, G):
+    """Every grid target of the branch image, plus the targets whose roots
+    sit at x = 1/4 or 3/4, where |sin| = 1 puts them at a bracket end."""
     flo, fhi, _ = b.image()
     js = np.arange(math.ceil(min(flo, fhi) * G), math.floor(max(flo, fhi) * G) + 1)
     ends = np.array([x for x in (0.25, 0.75) if b.lo <= x <= b.hi])
-    t = np.concatenate([js / G, b.lift(ends)])
-    x = _solve_lift(b, t)
+    return np.concatenate([js / G, b.lift(ends)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**SOLVE_RANGES)
+def test_solve_lift_roots_lie_in_their_brackets(slope, amplitude, offset, lo,
+                                                width, log2_grid):
+    b = BranchSpec(lo, min(1.0, lo + width), slope, offset, amplitude)
+    t = bracket_targets(b, 2 ** log2_grid)
+    x, _ = _solve_lift(b, t)
     x0 = (t - offset) / slope
     r = abs(amplitude / slope)
     assert np.all(np.maximum(x0 - r, b.lo) <= x)
@@ -487,27 +534,113 @@ def test_solve_lift_roots_lie_in_their_brackets(slope, amplitude, offset, lo,
     assert np.all(np.abs(b.lift(x) - t) <= SOLVE_TOL * np.maximum(1.0, np.abs(t)))
 
 
-@pytest.mark.parametrize("slope,jitter,amp_max,G", [
-    (2.0, 0.0, 0.05, 2 ** 14), (3.0, 0.002, 0.003, 2 ** 13)],
+# --- the sine solve against the per-iterate evaluation it replaced ------------
+
+
+def oracle_newton(b, targets):
+    """The bracketed Newton solve as it was before sin and cos were carried
+    along its steps: a table of one node per target, and lift and deriv
+    evaluated afresh at every iterate.  Returns the roots and f' there."""
+    inc = b.increasing
+    x0 = (targets - b.offset) / b.slope
+    r = abs(b.amplitude / b.slope)
+    lo = np.maximum(x0 - r, b.lo)
+    hi = np.minimum(x0 + r, b.hi)
+    xs = np.linspace(lo.min(), hi.max(), targets.size + 2)
+    ys = b.lift(xs)
+    if not inc:
+        xs, ys = xs[::-1], ys[::-1]
+    x = np.clip(np.interp(targets, ys, xs), lo, hi)
+    tol = SOLVE_TOL * np.maximum(1.0, np.abs(targets))
+    for _ in range(maps.SOLVE_MAX_ITERS):
+        res = b.lift(x) - targets
+        done = np.abs(res) <= tol
+        if done.all():
+            break
+        below = (res < 0.0) if inc else (res > 0.0)
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        step = x - res / b.deriv(x)
+        inside = (lo <= step) & (step <= hi)
+        x = np.where(inside, step, np.where(done, x, 0.5 * (lo + hi)))
+    else:
+        res = b.lift(x) - targets
+    assert float(np.abs(res).max()) <= maps.SOLVE_GUARD
+    return x, b.deriv(x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**SOLVE_RANGES)
+def test_solve_lift_matches_per_iterate_oracle(slope, amplitude, offset, lo,
+                                               width, log2_grid):
+    b = BranchSpec(lo, min(1.0, lo + width), slope, offset, amplitude)
+    if b.is_affine:
+        return
+    t = bracket_targets(b, 2 ** log2_grid)
+    x, d = _solve_lift(b, t)
+    want_x = np.empty_like(t)
+    want_d = np.empty_like(t)
+    for i in range(0, t.size, maps.SOLVE_CHUNK):
+        chunk = slice(i, i + maps.SOLVE_CHUNK)
+        want_x[chunk], want_d[chunk] = oracle_newton(b, t[chunk])
+    scale = 1e-13 * np.maximum(1.0, np.abs(t))
+    assert np.all(np.abs(x - want_x) <= scale)
+    assert np.all(np.abs(d - want_d) <= scale)
+
+
+def test_solve_lift_affine_slope_is_a_scalar():
+    b = BranchSpec(0.0, 0.5, -2.5, 0.3)
+    t = np.array([0.1, -0.2])
+    x, d = _solve_lift(b, t)
+    assert d == -2.5 and isinstance(d, float)
+    assert np.array_equal(x, (t - 0.3) / -2.5)
+
+
+def test_carried_sin_cos_match_numpy():
+    # angles over a few turns, moved by up to the rotation guard
+    rng = np.random.Generator(np.random.PCG64(3))
+    x0 = rng.uniform(-1.0, 2.0, 200_000)
+    x1 = x0 + rng.uniform(-1.0, 1.0, x0.size) * maps.ROTATE_MAX / maps.TWO_PI
+    a0 = maps.TWO_PI * x0
+    sin1, cos1, a1 = maps._rotate(x1, a0, np.sin(a0), np.cos(a0))
+    assert np.array_equal(a1, maps.TWO_PI * x1)
+    assert np.abs(a1 - a0).max() > 0.99 * maps.ROTATE_MAX
+    assert np.abs(sin1 - np.sin(a1)).max() <= 2.0 ** -52
+    assert np.abs(cos1 - np.cos(a1)).max() <= 2.0 ** -52
+    # a longer step is evaluated afresh
+    far = x0 + 2.0 * maps.ROTATE_MAX / maps.TWO_PI
+    sin2, cos2, a2 = maps._rotate(far, a0, np.sin(a0), np.cos(a0))
+    assert np.array_equal(sin2, np.sin(a2)) and np.array_equal(cos2, np.cos(a2))
+
+
+@pytest.mark.parametrize("slope,jitter,amp_max,G,table_max", [
+    (2.0, 0.0, 0.05, 2 ** 14, 0.11), (3.0, 0.002, 0.003, 2 ** 13, 0.008)],
     ids=["smooth-sine", "neighborhood-sine"])
-def test_operator_build_lifts_three_times_per_chunk(monkeypatch, slope,
-                                                   jitter, amp_max, G):
-    # each branch's image ends are lifted once, and each chunk its table,
-    # x0 and x1: one Newton step reaches the tolerance.  Only a nearly
-    # affine branch may start within it and take no step.
-    calls = count_lifts(monkeypatch)
+def test_operator_build_evaluates_one_sin_cos_pair_per_preimage(
+        monkeypatch, slope, jitter, amp_max, G, table_max):
+    # each branch lifts its image ends (2 sines) and reads its direction
+    # (2 cosines, from deriv_range), and each run reads it again (2
+    # cosines); a chunk evaluates its table (1 sine call) and one pair at
+    # its start, and its one Newton step is carried, also on a nearly
+    # affine branch.  The tables add at most table_max sines per preimage
+    # (measured: up to 0.101 and 0.0072).
+    trig = count_trig(monkeypatch)
     rng = np.random.Generator(np.random.PCG64(5))
     for _ in range(12):
-        a = rng.uniform(-amp_max, amp_max)
-        m = sine_map(slope + rng.uniform(-jitter, jitter), a)
-        calls[0] = 0
+        m = sine_map(slope + rng.uniform(-jitter, jitter),
+                     rng.uniform(-amp_max, amp_max))
+        for row in trig.values():
+            row[:] = 0, 0
         op = transfer.TransferOperator(m, G)
+        ends = 2 * len(m.branches)
+        runs = len(op._runs)
         chunks = sum(-(-i0.size // maps.SOLVE_CHUNK) for _, i0, _, _ in op._runs)
-        per_chunk = (calls[0] - 2 * len(m.branches)) / chunks
-        if abs(a) >= amp_max / 4:
-            assert per_chunk == 3
-        else:
-            assert 2 <= per_chunk <= 3
+        targets = sum(i0.size for _, i0, _, _ in op._runs)
+        assert trig["sin"][0] == ends + 2 * chunks
+        assert trig["cos"] == [ends + 2 * runs + chunks,
+                               ends + 2 * runs + targets]
+        table = trig["sin"][1] - ends - targets
+        assert 2 * chunks <= table <= table_max * targets
 
 
 @pytest.mark.parametrize("slope,amplitude", [
@@ -515,15 +648,18 @@ def test_operator_build_lifts_three_times_per_chunk(monkeypatch, slope,
 def test_root_at_bracket_end_converges_by_bisection(monkeypatch, slope,
                                                     amplitude):
     # lift(1/4) has its root at an end of the bracket |x - x0| <= |a|/|s|;
-    # on a coarse table every Newton step toward it overshoots
+    # on a coarse table every Newton step toward it overshoots, and the
+    # bisection's long steps evaluate sin and cos afresh, where one step
+    # from the table start takes 2 sine calls (the table and the start)
     b = BranchSpec(0.0, 0.5, slope, 0.1, amplitude)
     t = np.concatenate([b.lift(np.array([0.25])),
                         np.linspace(float(b.lift(0.1)), float(b.lift(0.4)), 16)])
-    calls = count_lifts(monkeypatch)
-    x = _solve_lift(b, t)
-    assert calls[0] > 3
+    trig = count_trig(monkeypatch)
+    x, d = _solve_lift(b, t)
+    assert trig["sin"][0] > 2
     assert abs(x[0] - 0.25) <= 1e-15
     assert np.all(np.abs(b.lift(x) - t) <= SOLVE_TOL * np.maximum(1.0, np.abs(t)))
+    assert np.abs(d - b.deriv(x)).max() <= 1e-14
 
 
 def test_transfer_error_shared_with_transfer():

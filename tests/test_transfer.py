@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -86,6 +88,44 @@ def test_ulam_column_stochastic_all_builtins(B):
         assert float(np.abs(U.entries.sum(axis=0) - 1.0).max()) < 1e-10
         masses = np.full(B, 1.0 / B)
         assert abs(ulam_push(U, masses).sum() - 1.0) < 1e-12
+
+
+@contextlib.contextmanager
+def time_limit(seconds=10.0):
+    """Raises TimeoutError in a body that runs too long, which would
+    otherwise hang the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"exceeded {seconds:g} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_ulam_affine_walk_steps_past_a_rounded_edge():
+    # floor((15 / 22) * 22) is 14: a walk that took the bin from the edge
+    # it just reached stayed in bin 14 forever
+    assert math.floor((15 / 22) * 22) == 14
+    with time_limit():
+        U = ulam_matrix(doubling_map(), 22)
+    assert float(np.abs(U.entries.sum(axis=0) - 1.0).max()) <= 1e-8
+    # the doubling map sends bin j onto bins 2j and 2j + 1 (mod 22)
+    want = np.zeros((22, 22))
+    for j in range(22):
+        want[2 * j % 22, j] = want[(2 * j + 1) % 22, j] = 0.5
+    assert np.allclose(U.entries, want, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(B=st.integers(2, 200), m=st.sampled_from(BUILTINS))
+def test_ulam_affine_walk_ends_for_every_bin_count(B, m):
+    with time_limit():
+        U = ulam_matrix(m, B)
+    assert float(np.abs(U.entries.sum(axis=0) - 1.0).max()) <= 1e-8
 
 
 def test_backend_consistency_uniform_doubling():
@@ -413,6 +453,6 @@ def test_out_of_range_preimage_index_refused(monkeypatch, xs):
     from circlemix import transfer
 
     monkeypatch.setattr(transfer, "_solve_lift",
-                        lambda b, t: np.full_like(t, xs))
+                        lambda b, t: (np.full_like(t, xs), b.slope))
     with pytest.raises(TransferError, match="outside"):
         TransferOperator(doubling_map(), 64)
