@@ -170,13 +170,15 @@ def _solve_lift(branch: BranchSpec, targets: np.ndarray):
     shrunk by the sign of each residual; a step that leaves the bracket is
     replaced by its midpoint.  It starts from the inverse of the lift's
     linear interpolant on a uniform table of the chunk's bracket, whose
-    spacing _start_spacing chooses so that the first step reaches the
-    tolerance; the table has at most one node per target, plus two.  (A
-    branch of slope 0 starts at the midpoint of its arc.)  sin and cos of
-    2 pi x are evaluated at the start and carried along short steps by
-    angle addition (ROTATE_MAX), so a full chunk costs one sin/cos pair per
-    target besides its table, and f' at the root comes from the carried
-    cos.
+    spacing _start_spacing chooses from the branch's bound on |f''|/|f'|
+    so that the first step leaves a residual of at most SOLVE_TOL/4; the
+    table has at most one node per target, plus two.  (A branch of slope 0
+    starts at the midpoint of its arc.)  sin and cos of 2 pi x are
+    evaluated at the start and carried along steps of at most ROTATE_MAX
+    in angle by a second-order rotation, whose truncation is below half an
+    ulp (a carried value is within 2^-52 of np.sin/np.cos), so a full
+    chunk costs one sin/cos pair per target besides its table, and f' at
+    the root comes from the carried cos.
     Iteration stops at the first iterate whose residuals are all at most
     SOLVE_TOL * max(1, |t|); if one is still above SOLVE_GUARD after
     SOLVE_MAX_ITERS steps, TransferError names the branch.
