@@ -15,13 +15,14 @@ import numpy as np
 
 from circlemix import (Density, certify, fit_decay, run_coupled,
                        slope3_two_branch)
-from circlemix.scenarios import Scenario, _piecewise_constants
+from circlemix.scenarios import Scenario, plan_piecewise, read_scenario
 
 G = 2 ** 12
 sc = Scenario(name="demo", kind="fixed-map", grid=G, n_max=40, seed=2,
               phi={"preset": "sine"}, psi={"preset": "uniform"},
               family={"map": {"form": "slope3-two-branch"}})
-bounds, covering = _piecewise_constants(sc, slope3_two_branch(), 0.0)
+plan = plan_piecewise(read_scenario(sc))
+bounds, covering = plan.report, plan.covering
 
 print(f"constants: a*={bounds.a_star:.3f} kappa={bounds.kappa:.5f} "
       f"n0={covering.n0} tau={bounds.tau} block={bounds.block} "
@@ -30,8 +31,7 @@ print(f"constants: a*={bounds.a_star:.3f} kappa={bounds.kappa:.5f} "
 rng = np.random.Generator(np.random.PCG64(9))
 phi = Density.random_bv(G, 4.0, rng)
 psi = Density.uniform(G)
-led = run_coupled([slope3_two_branch()] * 40, phi, psi, "piecewise",
-                  bounds=bounds)
+led = run_coupled([slope3_two_branch()] * 40, phi, psi, bounds=bounds)
 
 print(f"\ncone entry at step {led.n_wait}; "
       f"{len(led.blocks)} matching blocks completed")

@@ -4,12 +4,12 @@ mesh for driving a curve of maps."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import write_json
 from .covering import CoveringReport, positivity_horizon
 from .maps import PiecewiseMap, analyze, neighborhood_distance
 
@@ -171,9 +171,7 @@ class BoundsReport:
         return 20.0 * a_ref / G
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.as_dict())
 
 
 @dataclass(frozen=True)

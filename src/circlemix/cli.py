@@ -3,8 +3,8 @@
 Subcommands: analyze-map, verify-ly, absorb, envelope-check, covering,
 drive-curve, couple.  envelope-check reruns `certify` on a finished run
 directory (ledger.csv, bounds.json and scenario.json) and prints the run's
-certificate.  Exit codes: 0 success, 1 certificate violation, 2
-configuration error.
+certificate.  Exit codes: 0 success, 1 certificate violation, 2 a refused
+config or hypothesis.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from .bounds import BoundsReport
-from .config import read
+from .config import read, write_json
 from .coupling import CouplingLedger, certify
 from .covering import CoveringError, positivity_horizon
 from .maps import MAP, TransferError, analyze, map_from_dict
@@ -81,13 +82,10 @@ def _cmd_calculator(args) -> int:
         # TransferError: a float escape witness left its branch image
         print(f"{args.command} error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, report_file), "w", encoding="ascii",
-                  newline="\n") as fh:
-            fh.write(text + "\n")
-    print(text)
+        write_json(os.path.join(args.out, report_file), report)
+    print(json.dumps(report, indent=2, sort_keys=True))
     failed = "passed" in report and not report["passed"]
     return EXIT_CERTIFICATE if failed else EXIT_OK
 
@@ -112,13 +110,8 @@ def _cmd_envelope_check(args) -> int:
 
 
 def _run_one(payload):
-    sc_dict, out_dir = payload
-    try:
-        sc = Scenario.from_dict(sc_dict)
-    except ScenarioError as exc:
-        return EXIT_CONFIG, str(exc), sc_dict.get("name", "?")
-    res = run_scenario(sc, out_dir)
-    return res.exit_code, res.message, sc.name
+    res = run_scenario(*payload)
+    return res.exit_code, res.message, payload[0].name
 
 
 def _cmd_pipeline(args, required_kind: str | None = None) -> int:
@@ -136,7 +129,8 @@ def _cmd_pipeline(args, required_kind: str | None = None) -> int:
                 print(f"scenario {sc.name!r} is {sc.kind}, expected "
                       f"{required_kind}", file=sys.stderr)
                 return EXIT_CONFIG
-    jobs = [(_apply_grid_seed(sc.as_dict(), args),
+    # run_scenario refuses an override its read stage does not pass
+    jobs = [(replace(sc, **_apply_grid_seed({}, args)),
              os.path.join(args.out, sc.name)) for sc in scenarios]
     worst = EXIT_OK
     if args.jobs > 1 and len(jobs) > 1:

@@ -7,12 +7,20 @@ for a list, or a `Field`.  Keys a table does not list are ignored."""
 
 from __future__ import annotations
 
+import json
 import math
 from collections import namedtuple
 
 
 class ScenarioError(ValueError):
     """Configuration or assembly problem; maps to exit code 2."""
+
+
+def write_json(path, payload) -> None:
+    """`payload` as sorted, indented ASCII JSON with a final newline."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def is_int(value) -> bool:

@@ -9,12 +9,12 @@ mass, so the raw distance can be certified against the envelope
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import write_json
 from .density import Density
 from .transfer import TransferOperator, push
 
@@ -148,10 +148,9 @@ def _smooth_wait(phi: Density, psi: Density, eps_loc: float,
     return tau_smooth(L_init, lambda0, C0)
 
 
-def run_coupled(maps, phi: Density, psi: Density, mode: str, *,
-                bounds, plan=None,
+def run_coupled(maps, phi: Density, psi: Density, *, bounds, plan=None,
                 record_snapshots: bool = False) -> CouplingLedger:
-    """Run the matching scheme along the map sequence.
+    """Run the matching scheme along the map sequence, in `bounds.mode`.
 
     mode "smooth": blocks of tau(2 L*) steps, fraction 1/2 subtracted,
     kappa = the ratio-cone positivity floor; the wait is the absorption
@@ -160,9 +159,7 @@ def run_coupled(maps, phi: Density, psi: Density, mode: str, *,
     kappa subtracted.  `plan` may supply per-block constants (curve
     driving); default is the constant plan from `bounds`.
     """
-    if mode not in ("smooth", "piecewise"):
-        raise ValueError("mode must be 'smooth' or 'piecewise'")
-    smooth = mode == "smooth"
+    smooth = bounds.mode == "smooth"
     fraction = 0.5 if smooth else 1.0
     G = phi.G
     if psi.G != G:
@@ -182,8 +179,8 @@ def run_coupled(maps, phi: Density, psi: Density, mode: str, *,
         wait_target = _smooth_wait(phi, psi, bounds.eps_loc,
                                    bounds.lambda0, bounds.C0)
 
-    ledger = CouplingLedger(mode=mode, G=G, fraction=fraction, slack=slack,
-                            n_wait=-1)
+    ledger = CouplingLedger(mode=bounds.mode, G=G, fraction=fraction,
+                            slack=slack, n_wait=-1)
     cols = {c: [] for c in CouplingLedger.COLUMNS}
 
     raw_phi, raw_psi = phi, psi
@@ -353,7 +350,4 @@ def certify(ledger: CouplingLedger) -> CertifyReport:
 
 
 def write_decay_json(fit: DecayFit | None, path) -> None:
-    payload = fit.as_dict() if fit is not None else {"available": False}
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"available": False} if fit is None else fit.as_dict())

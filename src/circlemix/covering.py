@@ -22,7 +22,6 @@ checks then require a FLOAT_MARGIN margin.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import write_json
 from .maps import MapFormError, PiecewiseMap, analyze, _solve_lift
 
 PARTITION_CAP = 10 ** 6
@@ -466,9 +466,7 @@ class CoveringReport:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.as_dict())
 
 
 def positivity_horizon(g: PiecewiseMap, a_star: float, eps: float,

@@ -1,10 +1,14 @@
-"""Scenario configs, map-sequence assembly, and the batch pipeline.
+"""Scenario configs, map-sequence assembly, and the run pipeline.
 
 A scenario names the composition style (fixed map, random draws inside a
 neighborhood, curve driving, or smooth sine perturbations), the initial
-densities, grid, horizon, and seed.  Runs are deterministic given the
-config: all randomness flows through one seeded PCG64 generator consumed
-in a fixed order (phi, psi, then map draws).
+densities, grid, horizon, and seed.  `run_scenario` runs every kind through
+the same stages: read (the config, once), densities (phi, then psi), plan
+(the kind's constants in `PLANS`, refusing inputs outside the theorem),
+slack check, draw (the maps, after every refusal), evolve, fit, certify,
+write.  All randomness flows through one seeded PCG64 generator consumed
+in that order: phi, psi, then the map draws.  Up to the draws a ValueError
+is a refused input (exit 2); after them it is a defect and propagates.
 """
 
 from __future__ import annotations
@@ -12,15 +16,17 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import bounds as bnd
-from .config import Field, Format, ScenarioError, is_int, read
+from .config import (Field, Format, ScenarioError, is_int, read,
+                     write_json as _write_json)
 from .coupling import (ENVELOPE_START, BlockPlan, CertificateViolation,
                        certify, fit_decay, run_coupled, write_decay_json)
-from .covering import CoveringError, CoveringReport, positivity_horizon
+from .covering import CoveringError, positivity_horizon
 from .curves import CURVE, curve_from_dict
 from .density import Density
 from .maps import (MAP, MARKS, BranchSpec, PiecewiseMap, TransferError,
@@ -67,29 +73,19 @@ class Scenario:
         if not isinstance(cfg, dict) or cfg.get("schema") != SCHEMA_VERSION:
             raise ScenarioError(f"config schema must be {SCHEMA_VERSION}")
         body = {k: v for k, v in cfg.items() if k != "schema"}
-        read(body, SCENARIO)
+        filled = read(body, SCENARIO)
         try:
             sc = cls(**body)
         except TypeError as exc:
             raise ScenarioError(str(exc)) from exc
-        if sc.grid < 2 or (sc.grid & (sc.grid - 1)) != 0:
-            raise ScenarioError("grid must be a power of two")
-        if sc.kind == "smooth" and sc.grid > 2 ** 16:
-            raise ScenarioError("smooth scenarios cap the grid at 2^16 (the "
-                                "exact cone-level scan, run when its O(G) "
-                                "bracket does not decide tau, is quadratic)")
-        if sc.n_max == "auto":
-            if sc.kind != "curve-driven":
-                raise ScenarioError("n_max 'auto' is only for curve scenarios")
-        elif not (is_int(sc.n_max) and 1 <= sc.n_max <= N_MAX_CAP):
-            raise ScenarioError(f"n_max must lie in [1, {N_MAX_CAP}]")
+        check_scenario(filled)
         return sc
 
     def as_dict(self) -> dict:
         return {"schema": SCHEMA_VERSION, **vars(self)}
 
 
-# n_max (an integer or "auto") is checked by from_dict alone
+# n_max (an integer or "auto") is checked by check_scenario alone
 _COMMON = {"name": str, "grid": int, "seed": int, "phi": DENSITY,
            "psi": DENSITY, "eps": Field(float), "a_star": Field(float),
            "mesh": Field(float, also=("auto",)), "eps_loc": Scenario.eps_loc,
@@ -104,8 +100,31 @@ SCENARIO = Format("kind", None, "scenario kind", {
                                      "marks": MARKS}}})
 
 
+def check_scenario(cfg: dict) -> dict:
+    """`cfg`, a scenario read against SCENARIO, after the checks its table
+    cannot state: the grid, the smooth grid cap and n_max."""
+    grid, kind, n_max = cfg["grid"], cfg["kind"], cfg["n_max"]
+    if grid < 2 or (grid & (grid - 1)) != 0:
+        raise ScenarioError("grid must be a power of two")
+    if kind == "smooth" and grid > 2 ** 16:
+        raise ScenarioError("smooth scenarios cap the grid at 2^16 (the "
+                            "exact cone-level scan, run when its O(G) "
+                            "bracket does not decide tau, is quadratic)")
+    if n_max == "auto":
+        if kind != "curve-driven":
+            raise ScenarioError("n_max 'auto' is only for curve scenarios")
+    elif not (is_int(n_max) and 1 <= n_max <= N_MAX_CAP):
+        raise ScenarioError(f"n_max must lie in [1, {N_MAX_CAP}]")
+    return cfg
+
+
+def read_scenario(scenario: Scenario) -> dict:
+    """The read stage: the scenario checked, with every default filled."""
+    return check_scenario(read(scenario.as_dict(), SCENARIO))
+
+
 def build_density(spec: dict, G: int, rng: np.random.Generator) -> Density:
-    spec = read(spec, DENSITY, "density")
+    """The density of a spec as `read` fills it against DENSITY."""
     preset = spec["preset"]
     if preset == "uniform":
         return Density.uniform(G)
@@ -162,27 +181,125 @@ def two_slope_wrap_family_bounds(fam: dict | None = None) -> bnd.FamilyBounds:
                             M0=s_hi, C1=0.0, sup_d2=0.0)
 
 
-def build_sequence(scenario: Scenario,
+class RunPlan(namedtuple("RunPlan", "cfg report covering curve_cover "
+                         "block_plan curve ts mesh", defaults=(None,) * 6)):
+    """The read config and what the plan stage fixes from it: the
+    BoundsReport, its CoveringReport, the per-block constants (None: the
+    report's) and, for a curve, its CurveCover, MapCurve, step parameters
+    ts and mesh."""
+
+    @property
+    def kind(self) -> str:
+        return self.cfg["kind"]
+
+
+def _piecewise_report(fam, a_star, cov, tau, eps, delta0=None):
+    """The report of blocks of n0 + tau steps subtracting the full kappa."""
+    kappa, block = cov.kappa_eps, cov.n0 + tau
+    return bnd.BoundsReport(
+        mode="piecewise", lambda0=fam.lambda0, A0=fam.A0, M0_family=fam.M0,
+        C1=fam.C1, C0=None, L_star=None, a_star=a_star, tau=tau, kappa=kappa,
+        block=block, Lambda=bnd.lambda_local(kappa, block), delta0=delta0,
+        eps=eps, fraction=1.0)
+
+
+def plan_piecewise(cfg: dict) -> RunPlan:
+    """Fixed-map and neighborhood runs: the constants of one map, the
+    fixed map or the neighborhood's base padded by eps."""
+    fixed = cfg["kind"] == "fixed-map"
+    g = map_from_dict(cfg["family"]["map" if fixed else "base"])
+    fam = bnd.family_bounds([g], eps_pad=0.0 if fixed else cfg["eps"])
+    a_star = cfg["a_star"] or bnd.default_a_star(fam)
+    eps = cfg["eps"] if cfg["eps"] is not None else 0.0
+    cov = positivity_horizon(g, a_star, eps)
+    tau = bnd.tau_piecewise(a_star / (1.0 - cov.kappa_eps), a_star,
+                            fam.lambda0, fam.A0)
+    return RunPlan(cfg, _piecewise_report(fam, a_star, cov, tau, eps), cov)
+
+
+def plan_smooth(cfg: dict) -> RunPlan:
+    """Smooth runs: the ratio-cone constants of the family's extreme maps,
+    which must be continuous circle maps."""
+    fam_cfg = cfg["family"]
+    slope, amp = fam_cfg["slope"], fam_cfg["amp_max"]
+    extremes = [sine_map(slope, a, 0.0, tuple(fam_cfg["marks"]))
+                for a in (-amp, 0.0, amp)]
+    if not all(m.is_continuous() for m in extremes):
+        raise ScenarioError(
+            f"family.slope must be an integer in a smooth scenario, got "
+            f"{slope!r}: the smooth constants assume continuous circle "
+            "maps, and this slope makes every map of the family jump")
+    fam = bnd.family_bounds(extremes)
+    C0 = max(bnd.distortion_constant(fam.C1, fam.lambda0), bnd.C0_FLOOR)
+    L_star = bnd.cone_parameter(C0)
+    kappa = bnd.smooth_positivity_floor(L_star, cfg["eps_loc"])
+    block = max(bnd.tau_smooth(2.0 * L_star, fam.lambda0, C0), 1)
+    return RunPlan(cfg, bnd.BoundsReport(
+        mode="smooth", lambda0=fam.lambda0, A0=None, M0_family=fam.M0,
+        C1=fam.C1, C0=C0, L_star=L_star, a_star=None, tau=block, kappa=kappa,
+        block=block, Lambda=bnd.lambda_local(0.5 * kappa, block),
+        eps_loc=cfg["eps_loc"], fraction=0.5))
+
+
+def plan_curve(cfg: dict) -> RunPlan:
+    """Curve-driven runs: probes refined until their half-windows cover
+    the curve, steps at the mesh (the certified delta0 unless given), and
+    each block on the constants of the probe anchoring its start."""
+    curve = curve_from_dict(cfg["curve"])
+    probes = list(np.linspace(curve.a, curve.b, max(2, cfg["probes"])))
+    eps = cfg["eps"]
+    eps_rule = None if eps is None else (lambda t: eps)
+    for _ in range(64):
+        cover = bnd.delta0_of_curve(curve, probes, cfg["a_star"], eps_rule)
+        if cover.covered:
+            break
+        probes = sorted({*probes, cover.uncovered_at})
+    else:
+        raise ScenarioError("curve half-windows failed to cover the interval")
+    mesh = cfg["mesh"]
+    mesh = cover.delta0 if mesh in (None, "auto") else float(mesh)
+    if not mesh > 0.0:
+        raise ScenarioError(f"mesh must be positive, got {mesh}")
+    if mesh > cover.delta0 and not cfg["mesh_override"]:
+        raise ScenarioError(
+            f"mesh {mesh} exceeds the certified delta0 {cover.delta0}; "
+            "set mesh_override to acknowledge the guarantee is void")
+    n_max = cfg["n_max"]
+    if n_max == "auto":
+        n_max = min(math.ceil((curve.b - curve.a) / mesh), N_MAX_CAP)
+    ts = [min(curve.a + (i + 1) * mesh, curve.b) for i in range(n_max)]
+
+    binding = min((cover.probes[j] for j in cover.selected),
+                  key=lambda p: p.alpha / (2.0 * p.n_block))
+    report = _piecewise_report(cover.family, cover.a_star, binding.covering,
+                               binding.tau, binding.eps, cover.delta0)
+
+    def block_plan(step_index: int) -> BlockPlan:
+        p = cover.anchor_for(ts[min(step_index, len(ts) - 1)])
+        return BlockPlan(kappa=p.kappa, n0=p.covering.n0, tau=p.tau,
+                         anchor="t=%.6f" % p.t)
+
+    return RunPlan(cfg, report, binding.covering, cover, block_plan, curve,
+                   ts, mesh)
+
+
+PLANS = {"fixed-map": plan_piecewise, "neighborhood": plan_piecewise,
+         "curve-driven": plan_curve, "smooth": plan_smooth}
+
+
+def build_sequence(plan: RunPlan,
                    rng: np.random.Generator) -> list[PiecewiseMap]:
-    """Assemble the map sequence for the scenario (deterministic given the
+    """The draw stage: the planned run's maps (deterministic given the
     generator state)."""
-    n = scenario.n_max
-    kind = scenario.kind
-    if kind == "curve-driven":
-        curve = curve_from_dict(scenario.curve)
-        delta = scenario.curve.get("resolved_mesh")
-        if delta is None:
-            raise ScenarioError("curve mesh not resolved; use run_scenario")
-        ts = [min(curve.a + (i + 1) * delta, curve.b) for i in range(n)]
-        return [curve(t) for t in ts]
-    fam = read(scenario.as_dict(), SCENARIO)["family"]
-    if kind == "fixed-map":
+    fam, n = plan.cfg["family"], plan.cfg["n_max"]
+    if plan.kind == "curve-driven":
+        return [plan.curve(t) for t in plan.ts]
+    if plan.kind == "fixed-map":
         return [map_from_dict(fam["map"])] * n
     slope, amp_max, marks = fam["slope"], fam["amp_max"], tuple(fam["marks"])
-    if kind == "neighborhood":
+    if plan.kind == "neighborhood":
         g = map_from_dict(fam["base"])
-        eps = scenario.eps
-        slope_jitter = fam["slope_jitter"]
+        eps, slope_jitter = plan.cfg["eps"], fam["slope_jitter"]
         maps = []
         for _ in range(n):
             for attempt in range(REDRAW_LIMIT + 1):
@@ -200,41 +317,6 @@ def build_sequence(scenario: Scenario,
     return [sine_map(slope, float(a), 0.0, marks) for a in draws]
 
 
-def _piecewise_constants(scenario: Scenario, g: PiecewiseMap,
-                         eps_pad: float) -> tuple[bnd.BoundsReport, CoveringReport]:
-    fam = bnd.family_bounds([g], eps_pad=eps_pad)
-    a_star = scenario.a_star or bnd.default_a_star(fam)
-    eps = scenario.eps if scenario.eps is not None else 0.0
-    cov = positivity_horizon(g, a_star, eps)
-    kappa = cov.kappa_eps
-    tau = bnd.tau_piecewise(a_star / (1.0 - kappa), a_star, fam.lambda0, fam.A0)
-    block = cov.n0 + tau
-    report = bnd.BoundsReport(
-        mode="piecewise", lambda0=fam.lambda0, A0=fam.A0, M0_family=fam.M0,
-        C1=fam.C1, C0=None, L_star=None, a_star=a_star, tau=tau, kappa=kappa,
-        block=block, Lambda=bnd.lambda_local(kappa, block), eps=eps,
-        fraction=1.0)
-    return report, cov
-
-
-def _smooth_constants(scenario: Scenario) -> bnd.BoundsReport:
-    fam_cfg = read(scenario.as_dict(), SCENARIO)["family"]
-    amp = fam_cfg["amp_max"]
-    extremes = [sine_map(fam_cfg["slope"], a, 0.0, tuple(fam_cfg["marks"]))
-                for a in (-amp, 0.0, amp)]
-    fam = bnd.family_bounds(extremes)
-    C0 = max(bnd.distortion_constant(fam.C1, fam.lambda0), bnd.C0_FLOOR)
-    L_star = bnd.cone_parameter(C0)
-    kappa = bnd.smooth_positivity_floor(L_star, scenario.eps_loc)
-    block = bnd.tau_smooth(2.0 * L_star, fam.lambda0, C0)
-    block = max(block, 1)
-    return bnd.BoundsReport(
-        mode="smooth", lambda0=fam.lambda0, A0=None, M0_family=fam.M0,
-        C1=fam.C1, C0=C0, L_star=L_star, a_star=None, tau=block, kappa=kappa,
-        block=block, Lambda=bnd.lambda_local(0.5 * kappa, block),
-        eps_loc=scenario.eps_loc, fraction=0.5)
-
-
 @dataclass
 class RunResult:
     exit_code: int
@@ -248,142 +330,64 @@ class RunResult:
     curve_cover: object = None
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def resolve_curve_plan(scenario: Scenario):
-    """Compute the curve cover (refining probes until the half-windows
-    cover) and the resolved mesh; raises ScenarioError on violations."""
-    curve = curve_from_dict(scenario.curve)
-    grid = list(np.linspace(curve.a, curve.b, max(2, scenario.probes)))
-    eps_rule = None
-    if scenario.eps is not None:
-        eps_rule = lambda t: scenario.eps  # noqa: E731
-    cover = None
-    for _ in range(64):
-        cover = bnd.delta0_of_curve(curve, grid, scenario.a_star, eps_rule)
-        if cover.covered:
-            break
-        grid.append(cover.uncovered_at)
-        grid = sorted(set(grid))
-    if cover is None or not cover.covered:
-        raise ScenarioError("curve half-windows failed to cover the interval")
-    mesh = scenario.mesh
-    mesh = cover.delta0 if mesh in (None, "auto") else float(mesh)
-    if not mesh > 0.0:
-        raise ScenarioError(f"mesh must be positive, got {mesh}")
-    if mesh > cover.delta0 and not scenario.mesh_override:
-        raise ScenarioError(
-            f"mesh {mesh} exceeds the certified delta0 {cover.delta0}; "
-            "set mesh_override to acknowledge the guarantee is void")
-    return curve, cover, mesh
-
-
 def run_scenario(scenario: Scenario, out_dir) -> RunResult:
-    """Full pipeline: constants, covering, map sequence, coupled run,
-    decay fit, and certification, all written to out_dir.
-
-    Exit codes: 0 success, 1 certificate violation, 2 configuration error.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    artifacts = {}
+    """The pipeline of the module docstring, writing its artifacts to
+    out_dir.  Exit codes: 0 success, 1 certificate violation, 2 a refused
+    config or hypothesis (or a TransferError).  A refused run writes
+    nothing."""
     try:
-        cfg = read(scenario.as_dict(), SCENARIO)
-        rng = np.random.Generator(np.random.PCG64(scenario.seed))
-        phi = build_density(scenario.phi, scenario.grid, rng)
-        psi = build_density(scenario.psi, scenario.grid, rng)
-        covering = None
-        curve_cover = None
-        plan = None
-        if scenario.kind == "smooth":
-            report = _smooth_constants(scenario)
-        elif scenario.kind == "curve-driven":
-            curve, curve_cover, mesh = resolve_curve_plan(scenario)
-            n_max = scenario.n_max
-            if n_max == "auto":
-                n_max = min(math.ceil((curve.b - curve.a) / mesh), N_MAX_CAP)
-            # resolve on a copy: the caller's Scenario stays as given
-            scenario = replace(scenario, n_max=n_max,
-                               curve={**scenario.curve, "resolved_mesh": mesh})
-            binding = min(
-                (curve_cover.probes[j] for j in curve_cover.selected),
-                key=lambda p: p.alpha / (2.0 * p.n_block))
-            covering = binding.covering
-            fam = curve_cover.family
-            block = binding.n_block
-            report = bnd.BoundsReport(
-                mode="piecewise", lambda0=fam.lambda0, A0=fam.A0,
-                M0_family=fam.M0, C1=fam.C1, C0=None, L_star=None,
-                a_star=curve_cover.a_star, tau=binding.tau,
-                kappa=binding.kappa, block=block,
-                Lambda=bnd.lambda_local(binding.kappa, block),
-                delta0=curve_cover.delta0, eps=binding.eps, fraction=1.0)
-            ts = [min(curve.a + (i + 1) * mesh, curve.b)
-                  for i in range(scenario.n_max)]
-
-            def plan(step_index: int) -> BlockPlan:
-                t = ts[min(step_index, len(ts) - 1)]
-                p = curve_cover.anchor_for(t)
-                return BlockPlan(kappa=p.kappa, n0=p.covering.n0, tau=p.tau,
-                                 anchor="t=%.6f" % p.t)
-        else:
-            fixed = scenario.kind == "fixed-map"
-            g = map_from_dict(cfg["family"]["map" if fixed else "base"])
-            pad = 0.0 if fixed else scenario.eps
-            report, covering = _piecewise_constants(scenario, g, pad)
-
-        slack = report.grid_slack(scenario.grid)
+        cfg = read_scenario(scenario)
+        grid = cfg["grid"]
+        rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
+        phi = build_density(cfg["phi"], grid, rng)
+        psi = build_density(cfg["psi"], grid, rng)
+        plan = PLANS[cfg["kind"]](cfg)
+        slack = plan.report.grid_slack(grid)
         if slack >= ENVELOPE_START:
             raise ScenarioError(
-                f"grid {scenario.grid} is too coarse: the grid slack "
-                f"20*a_ref/{scenario.grid} = {slack:g} is not below the "
-                f"initial envelope {ENVELOPE_START:g}, so the certificate "
-                "would be vacuous")
-
-        maps = build_sequence(scenario, rng)
-        ledger = run_coupled(maps, phi, psi, report.mode, bounds=report,
-                             plan=plan)
-        fit = fit_decay(ledger.distances())
-        cert = certify(ledger)
-
-        led_path = os.path.join(out_dir, "ledger.csv")
-        ledger.to_csv(led_path)
-        artifacts["ledger"] = led_path
-        bpath = os.path.join(out_dir, "bounds.json")
-        report.to_json(bpath)
-        artifacts["bounds"] = bpath
-        if covering is not None:
-            cpath = os.path.join(out_dir, "covering.json")
-            covering.to_json(cpath)
-            artifacts["covering"] = cpath
-        if curve_cover is not None:
-            qpath = os.path.join(out_dir, "curve_plan.json")
-            _write_json(qpath, curve_cover.as_dict())
-            artifacts["curve_plan"] = qpath
-        dpath = os.path.join(out_dir, "decay.json")
-        write_decay_json(fit, dpath)
-        artifacts["decay"] = dpath
-        xpath = os.path.join(out_dir, "certificate.json")
-        _write_json(xpath, cert.as_dict())
-        artifacts["certificate"] = xpath
-        spath = os.path.join(out_dir, "scenario.json")
-        _write_json(spath, scenario.as_dict())
-        artifacts["scenario"] = spath
-
-        if not cert.passed:
-            return RunResult(EXIT_CERTIFICATE, "envelope violated", artifacts,
-                             ledger, fit, cert, report, covering, curve_cover)
-        return RunResult(EXIT_OK, "ok", artifacts, ledger, fit, cert, report,
-                         covering, curve_cover)
+                f"grid {grid} is too coarse: the grid slack "
+                f"20*a_ref/{grid} = {slack:g} is not below the initial "
+                f"envelope {ENVELOPE_START:g}, so the certificate would be "
+                "vacuous")
+        maps = build_sequence(plan, rng)
+    except (ValueError, TransferError, CoveringError) as exc:
+        return RunResult(EXIT_CONFIG, str(exc), {})
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        ledger = run_coupled(maps, phi, psi, bounds=plan.report,
+                             plan=plan.block_plan)
     except CertificateViolation as exc:
         _write_json(os.path.join(out_dir, "certificate.json"),
                     {"passed": False, "error": str(exc), "block": exc.block})
-        return RunResult(EXIT_CERTIFICATE, str(exc), artifacts)
-    except (ScenarioError, ValueError, TransferError, CoveringError) as exc:
-        return RunResult(EXIT_CONFIG, str(exc), artifacts)
+        return RunResult(EXIT_CERTIFICATE, str(exc), {})
+    except TransferError as exc:
+        return RunResult(EXIT_CONFIG, str(exc), {})
+    fit = fit_decay(ledger.distances())
+    cert = certify(ledger)
+
+    artifacts = {}
+
+    def path(name: str, filename: str) -> str:
+        artifacts[name] = os.path.join(out_dir, filename)
+        return artifacts[name]
+
+    if plan.ts is not None:  # scenario.json records the resolved steps
+        scenario = replace(scenario, n_max=len(plan.ts),
+                           curve={**scenario.curve, "resolved_mesh": plan.mesh})
+    ledger.to_csv(path("ledger", "ledger.csv"))
+    plan.report.to_json(path("bounds", "bounds.json"))
+    if plan.covering is not None:
+        plan.covering.to_json(path("covering", "covering.json"))
+    if plan.curve_cover is not None:
+        _write_json(path("curve_plan", "curve_plan.json"),
+                    plan.curve_cover.as_dict())
+    write_decay_json(fit, path("decay", "decay.json"))
+    _write_json(path("certificate", "certificate.json"), cert.as_dict())
+    _write_json(path("scenario", "scenario.json"), scenario.as_dict())
+    code, message = ((EXIT_OK, "ok") if cert.passed
+                     else (EXIT_CERTIFICATE, "envelope violated"))
+    return RunResult(code, message, artifacts, ledger, fit, cert, plan.report,
+                     plan.covering, plan.curve_cover)
 
 
 ABSORB = {"a": float, "a_star": float, "grid": Field(int, 2 ** 13, least=2),

@@ -164,12 +164,12 @@ def test_ac6_curve_drive(tmp_path):
 
 
 def test_ac7_smooth_matching(tmp_path):
-    from circlemix.scenarios import _smooth_constants
+    from circlemix.scenarios import plan_smooth, read_scenario
 
-    sc = Scenario(name="thA", kind="smooth", grid=2 ** 12, n_max=0, seed=33,
+    sc = Scenario(name="thA", kind="smooth", grid=2 ** 12, n_max=1, seed=33,
                   phi={"preset": "sine"}, psi={"preset": "uniform"},
                   family={"slope": 2.0, "amp_max": 0.05}, eps_loc=0.1)
-    rep = _smooth_constants(sc)
+    rep = plan_smooth(read_scenario(sc)).report
     lam0 = 2.0 - 0.1 * math.pi
     C1 = 4 * math.pi ** 2 * 0.05 / lam0
     ok_consts = (rep.lambda0 == pytest.approx(lam0, abs=1e-12)
@@ -180,8 +180,7 @@ def test_ac7_smooth_matching(tmp_path):
     psi = Density.uniform(sc.grid)
     maps = [sine_map(2.0, float(a))
             for a in rng.uniform(-0.05, 0.05, n_max)]
-    led = run_coupled(maps, phi, psi, "smooth", bounds=rep,
-                      record_snapshots=True)
+    led = run_coupled(maps, phi, psi, bounds=rep, record_snapshots=True)
     blocks_done = sum(1 for b in led.blocks if b.end <= n_max)
     ok_blocks = blocks_done >= 30
     ok_ratio = True

@@ -200,13 +200,16 @@ def test_default_a_star_satisfies_precondition():
 def test_bounds_report_round_trips_and_grid_slack(tmp_path):
     import json
 
-    from circlemix.scenarios import (Scenario, _piecewise_constants,
-                                     _smooth_constants)
+    from circlemix.scenarios import (Scenario, plan_piecewise, plan_smooth,
+                                     read_scenario)
 
     sc = Scenario(name="t", kind="smooth", grid=1024, n_max=5, seed=1,
                   phi={}, psi={}, family={"slope": 2.0, "amp_max": 0.05})
-    piecewise, _ = _piecewise_constants(sc, slope3_two_branch(), 0.0)
-    smooth = _smooth_constants(sc)
+    fixed = Scenario(name="t", kind="fixed-map", grid=1024, n_max=5, seed=1,
+                     phi={}, psi={},
+                     family={"map": {"form": "slope3-two-branch"}})
+    piecewise = plan_piecewise(read_scenario(fixed)).report
+    smooth = plan_smooth(read_scenario(sc)).report
     keys = {"mode", "lambda0", "A0", "M0_family", "C1", "C0", "L_star",
             "a_star", "tau", "kappa", "block", "Lambda", "delta0", "eps",
             "eps_loc", "fraction"}

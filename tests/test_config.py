@@ -248,7 +248,8 @@ def _count_reads(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("over", [
+# one valid scenario per kind
+KINDS = pytest.mark.parametrize("over", [
     {"family": {"map": {"form": "two-slope-wrap"}}},
     {"kind": "neighborhood", "eps": 0.01,
      "family": {"base": {"form": "slope3-two-branch"}, "slope": 3.0,
@@ -257,6 +258,9 @@ def _count_reads(monkeypatch):
     {"kind": "curve-driven", "mesh": "auto",
      "curve": {"family": "slope", "s0": 2.5, "s1": 3.5}},
 ], ids=["fixed-map", "neighborhood", "smooth", "curve-driven"])
+
+
+@KINDS
 def test_reads_per_run_do_not_grow_with_steps(tmp_path, monkeypatch, over):
     calls = _count_reads(monkeypatch)
     counts = []
@@ -267,6 +271,23 @@ def test_reads_per_run_do_not_grow_with_steps(tmp_path, monkeypatch, over):
         assert res.exit_code == EXIT_OK, res.message
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 8
+
+
+@KINDS
+def test_run_reads_the_scenario_table_once(tmp_path, monkeypatch, over):
+    # the density specs are read within it; later stages take the filled
+    # config
+    tables = []
+    real = config.read
+
+    def counting(spec, table, path=""):
+        tables.append(table)
+        return real(spec, table, path)
+
+    monkeypatch.setattr(scenarios, "read", counting)
+    res = run_scenario(_direct(grid=1024, **over), tmp_path / "run")
+    assert res.exit_code == EXIT_OK, res.message
+    assert tables == [scenarios.SCENARIO]
 
 
 # --- fuzzing the four benchmark workload configs -------------------------------

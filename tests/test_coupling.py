@@ -8,30 +8,29 @@ from circlemix import (CertificateViolation, Density, certify, doubling_map,
                        slope3_two_branch)
 from circlemix.coupling import (ENVELOPE_START, BlockPlan, CertifyReport,
                                 CouplingLedger)
-from circlemix.scenarios import (Scenario, _piecewise_constants,
-                                 _smooth_constants, run_scenario)
+from circlemix.scenarios import (Scenario, plan_piecewise, plan_smooth,
+                                 read_scenario, run_scenario)
 
 
 def slope3_setup(G=4096, n=30):
     sc = Scenario(name="t", kind="fixed-map", grid=G, n_max=n, seed=1,
                   phi={"preset": "sine"}, psi={"preset": "uniform"},
                   family={"map": {"form": "slope3-two-branch"}})
-    rep, cov = _piecewise_constants(sc, slope3_two_branch(), 0.0)
-    return rep, cov
+    plan = plan_piecewise(read_scenario(sc))
+    return plan.report, plan.covering
 
 
 def smooth_setup(eps_loc=0.1):
     sc = Scenario(name="t", kind="smooth", grid=4096, n_max=40, seed=1,
                   phi={"preset": "sine"}, psi={"preset": "uniform"},
                   family={"slope": 2.0, "amp_max": 0.05}, eps_loc=eps_loc)
-    return _smooth_constants(sc)
+    return plan_smooth(read_scenario(sc)).report
 
 
 def test_identical_densities_trivial_ledger():
     rep, _ = slope3_setup()
     phi = Density.sine(4096, 1, 0.5)
-    led = run_coupled([slope3_two_branch()] * 12, phi, phi, "piecewise",
-                      bounds=rep)
+    led = run_coupled([slope3_two_branch()] * 12, phi, phi, bounds=rep)
     assert float(np.max(led.distances())) == 0.0
     assert len(led.blocks) >= 1  # matching proceeds vacuously
     rep_cert = certify(led)
@@ -43,7 +42,7 @@ def test_smooth_doubling_fourier_annihilation():
     G = 4096
     phi = Density.sine(G, 1, 0.5)
     psi = Density.uniform(G)
-    led = run_coupled([doubling_map()] * 10, phi, psi, "smooth", bounds=rep)
+    led = run_coupled([doubling_map()] * 10, phi, psi, bounds=rep)
     d = led.distances()
     assert d[0] == pytest.approx(1 / math.pi, abs=1e-4)
     assert np.all(d[1:] <= 1e-4)
@@ -53,8 +52,7 @@ def test_piecewise_residual_telescopes():
     rep, _ = slope3_setup()
     phi = Density.sine(4096, 1, 0.5)
     psi = Density.uniform(4096)
-    led = run_coupled([slope3_two_branch()] * 30, phi, psi, "piecewise",
-                      bounds=rep)
+    led = run_coupled([slope3_two_branch()] * 30, phi, psi, bounds=rep)
     residual = 1.0
     for rec in led.blocks:
         residual *= 1.0 - rec.fraction * rec.kappa_used
@@ -72,7 +70,7 @@ def test_raw_distances_independent_of_matching():
     phi = Density.sine(G, 1, 0.5)
     psi = Density.step(G, [1.3, 0.7])
     maps = [slope3_two_branch()] * 15
-    led = run_coupled(maps, phi, psi, "piecewise", bounds=rep)
+    led = run_coupled(maps, phi, psi, bounds=rep)
     seq_phi = [phi] + push_sequence(maps, phi)
     seq_psi = [psi] + push_sequence(maps, psi)
     raw = [a.l1_distance(b) for a, b in zip(seq_phi, seq_psi)]
@@ -99,7 +97,7 @@ def test_shared_densities_pushed_once(monkeypatch):
             before.append(len(pushes))
             yield f
 
-    led = run_coupled(stepping(), phi, psi, "piecewise", bounds=rep)
+    led = run_coupled(stepping(), phi, psi, bounds=rep)
     first = led.blocks[0].sub_step
     assert 1 <= first < len(maps)
     per_step = np.diff(before + [len(pushes)]).tolist()
@@ -116,8 +114,7 @@ def test_ledger_envelope_and_distance_bound():
     rng = np.random.Generator(np.random.PCG64(3))
     phi = Density.random_bv(G, 4.0, rng)
     psi = Density.uniform(G)
-    led = run_coupled([slope3_two_branch()] * 40, phi, psi, "piecewise",
-                      bounds=rep)
+    led = run_coupled([slope3_two_branch()] * 40, phi, psi, bounds=rep)
     l1 = led.steps["l1_distance"]
     res = led.steps["residual_mass"]
     for rec in led.blocks:
@@ -132,7 +129,7 @@ def test_positivity_failure_aborts_with_block():
     psi = Density.step(4096, [1.5, 0.5])
     bad_plan = lambda n: BlockPlan(kappa=0.9, n0=1, tau=2)  # noqa: E731
     with pytest.raises(CertificateViolation) as err:
-        run_coupled([slope3_two_branch()] * 10, phi, psi, "piecewise",
+        run_coupled([slope3_two_branch()] * 10, phi, psi,
                     bounds=rep, plan=bad_plan)
     assert err.value.block == 1
 
@@ -144,8 +141,7 @@ def test_smooth_cone_and_subtraction_levels():
     psi = Density.uniform(G)
     rng = np.random.Generator(np.random.PCG64(10))
     maps = [sine_map(2.0, float(a)) for a in rng.uniform(-0.05, 0.05, 40)]
-    led = run_coupled(maps, phi, psi, "smooth", bounds=rep,
-                      record_snapshots=True)
+    led = run_coupled(maps, phi, psi, bounds=rep, record_snapshots=True)
     assert led.n_wait >= 0
     for snap in led.snapshots[:4]:
         pre_phi, pre_psi = snap["pre"]
@@ -165,7 +161,7 @@ def test_piecewise_variation_levels_in_blocks():
     rng = np.random.Generator(np.random.PCG64(12))
     phi = Density.random_bv(G, 40.0, rng)
     psi = Density.uniform(G)
-    led = run_coupled([slope3_two_branch()] * 40, phi, psi, "piecewise",
+    led = run_coupled([slope3_two_branch()] * 40, phi, psi,
                       bounds=rep, record_snapshots=True)
     vphi = led.steps["variation_phi"]
     assert vphi[led.n_wait] <= rep.a_star
@@ -216,12 +212,12 @@ def test_affine_smooth_family_floors_distortion():
     sc = Scenario(name="aff", kind="smooth", grid=1024, n_max=30, seed=4,
                   phi={"preset": "sine"}, psi={"preset": "uniform"},
                   family={"slope": 2.0, "amp_max": 0.0}, eps_loc=0.1)
-    rep = _smooth_constants(sc)
+    rep = plan_smooth(read_scenario(sc)).report
     assert rep.C0 == 1e-6
     assert rep.L_star == 4e-6
     phi = Density.sine(1024, 1, 0.5)
     psi = Density.uniform(1024)
-    led = run_coupled([doubling_map()] * 30, phi, psi, "smooth", bounds=rep)
+    led = run_coupled([doubling_map()] * 30, phi, psi, bounds=rep)
     assert led.n_wait > 0  # a genuine waiting period before the tiny cone
     assert len(led.blocks) >= 1
     assert certify(led).passed
@@ -231,8 +227,7 @@ def test_certify_fails_on_synthetic_violation():
     rep, _ = slope3_setup()
     phi = Density.sine(4096, 1, 0.5)
     psi = Density.uniform(4096)
-    led = run_coupled([slope3_two_branch()] * 20, phi, psi, "piecewise",
-                      bounds=rep)
+    led = run_coupled([slope3_two_branch()] * 20, phi, psi, bounds=rep)
     led.steps["l1_distance"][led.blocks[0].end] = 3.0  # impossible distance
     assert not certify(led).passed
 
@@ -267,11 +262,11 @@ def oracle_ledgers(tmp_path):
     phi = Density.random_bv(G, 4.0, rng)
     psi = Density.uniform(G)
     yield "piecewise", run_coupled([slope3_two_branch()] * 40, phi, psi,
-                                   "piecewise", bounds=rep), rep
+                                   bounds=rep), rep
     smooth = smooth_setup()
     rng = np.random.Generator(np.random.PCG64(10))
     maps = [sine_map(2.0, float(a)) for a in rng.uniform(-0.05, 0.05, 40)]
-    yield "smooth", run_coupled(maps, Density.sine(G, 1, 0.5), psi, "smooth",
+    yield "smooth", run_coupled(maps, Density.sine(G, 1, 0.5), psi,
                                 bounds=smooth), smooth
     sc = Scenario(name="curve", kind="curve-driven", grid=1024, n_max="auto",
                   seed=5, phi={"preset": "sine"}, psi={"preset": "uniform"},

@@ -6,8 +6,9 @@ import pytest
 
 from circlemix import neighborhood_distance, slope3_two_branch
 from circlemix.cli import main
-from circlemix.scenarios import (EXIT_CONFIG, EXIT_OK, Scenario, ScenarioError,
-                                 build_sequence, load_config, run_scenario)
+from circlemix.scenarios import (EXIT_CONFIG, EXIT_OK, PLANS, RunPlan,
+                                 Scenario, ScenarioError, build_sequence,
+                                 load_config, read_scenario, run_scenario)
 
 
 def rng_for(seed):
@@ -22,9 +23,16 @@ def base_scenario(**over):
     return Scenario(**body)
 
 
+def plan_for(sc):
+    cfg = read_scenario(sc)
+    return PLANS[cfg["kind"]](cfg)
+
+
 def test_fixed_sequence():
     sc = base_scenario(n_max=3, family={"map": {"form": "doubling"}})
-    maps = build_sequence(sc, rng_for(sc.seed))
+    # the doubling map has no piecewise constants (lambda0 = 2), and a
+    # fixed-map draw reads only the config
+    maps = build_sequence(RunPlan(read_scenario(sc), None), rng_for(sc.seed))
     assert len(maps) == 3
     assert all(m is maps[0] for m in maps)
     assert maps[0].eval(0.3) == 0.6
@@ -33,8 +41,9 @@ def test_fixed_sequence():
 def test_curve_sequence_grid():
     sc = base_scenario(kind="curve-driven", n_max=5,
                        curve={"family": "slope", "s0": 2.5, "s1": 3.5,
-                              "interval": [0, 1], "resolved_mesh": 0.25})
-    maps = build_sequence(sc, rng_for(0))
+                              "interval": [0, 1]},
+                       mesh=0.25, mesh_override=True)
+    maps = build_sequence(plan_for(sc), rng_for(0))
     slopes = [m.branches[0].slope for m in maps]
     assert slopes == pytest.approx([2.75, 3.0, 3.25, 3.5, 3.5])
 
@@ -45,7 +54,7 @@ def test_neighborhood_draws_verified():
                        family={"base": {"form": "slope3-two-branch"},
                                "slope": 3.0, "amp_max": 0.003,
                                "slope_jitter": 0.002})
-    maps = build_sequence(sc, rng_for(101))
+    maps = build_sequence(plan_for(sc), rng_for(101))
     assert len(maps) == 15
     for m in maps:
         assert neighborhood_distance(m, g) <= 0.01
@@ -54,8 +63,8 @@ def test_neighborhood_draws_verified():
 def test_sequence_deterministic():
     sc = base_scenario(kind="smooth", n_max=8,
                        family={"slope": 2.0, "amp_max": 0.05})
-    a = build_sequence(sc, rng_for(42))
-    b = build_sequence(sc, rng_for(42))
+    a = build_sequence(plan_for(sc), rng_for(42))
+    b = build_sequence(plan_for(sc), rng_for(42))
     assert [m.branches[0].amplitude for m in a] == \
            [m.branches[0].amplitude for m in b]
 
@@ -558,10 +567,11 @@ def test_neighborhood_draws_unchanged_by_sample_cache(monkeypatch):
                        family={"base": {"form": "slope3-two-branch"},
                                "slope": 3.0, "amp_max": 0.003,
                                "slope_jitter": 0.002})
-    got = build_sequence(sc, rng_for(101))
+    plan = plan_for(sc)
+    got = build_sequence(plan, rng_for(101))
     monkeypatch.setattr(scenarios, "neighborhood_distance",
                         oracle_neighborhood_distance)
-    assert build_sequence(sc, rng_for(101)) == got
+    assert build_sequence(plan, rng_for(101)) == got
 
 
 # --- typed covering failures and vacuous certificates -------------------------
@@ -806,3 +816,62 @@ def test_nan_step_level_exits_2(tmp_path):
     sc = base_scenario(phi={"preset": "step", "levels": [float("nan"), 1.0]})
     res = run_scenario(sc, tmp_path / "nan")
     assert res.exit_code == EXIT_CONFIG and "nonnegative" in res.message
+
+
+# --- refusals at the door ------------------------------------------------------
+
+
+def jump_scenario(slope, amp_max):
+    """The smooth config of a valid-range sweep that exited 1 when its
+    slope was not an integer."""
+    return Scenario(name="jump", kind="smooth", grid=1024, n_max=10, seed=345,
+                    phi={"preset": "random-bv", "a": 6.0},
+                    psi={"preset": "uniform"},
+                    family={"slope": slope, "amp_max": amp_max}, eps_loc=0.1)
+
+
+@pytest.mark.parametrize("slope,amp_max", [
+    (2.652515666426549, 0.0102797180259978), (2.5, 0.01)])
+def test_smooth_family_that_jumps_exits_2(tmp_path, slope, amp_max):
+    # a non-integer slope makes every sine map jump at 0, so the smooth
+    # constants' hypothesis (a continuous circle map) fails
+    res = run_scenario(jump_scenario(slope, amp_max), tmp_path / "jump")
+    assert res.exit_code == EXIT_CONFIG
+    assert "family.slope" in res.message and f"got {slope!r}" in res.message
+    assert not (tmp_path / "jump").exists()  # a refused run writes nothing
+
+
+@pytest.mark.parametrize("slope", [2.0, 3.0])
+def test_smooth_family_with_integer_slope_certifies(tmp_path, slope):
+    res = run_scenario(jump_scenario(slope, 0.0102797180259978),
+                       tmp_path / "ok")
+    assert res.exit_code == EXIT_OK and res.certificate.passed
+
+
+@pytest.mark.parametrize("over,message", [
+    ({"n_max": "auto"}, "n_max 'auto' is only for curve scenarios"),
+    ({"n_max": 0}, "n_max must lie in [1, 10000]"),
+    ({"n_max": -3}, "n_max must lie in [1, 10000]"),
+    ({"kind": "smooth", "grid": 2 ** 17, "n_max": 2,
+      "family": {"slope": 2.0, "amp_max": 0.05}}, "cap the grid at 2^16"),
+], ids=["auto-fixed", "zero", "negative", "smooth-2^17"])
+def test_direct_scenario_gets_the_from_dict_checks(tmp_path, over, message):
+    sc = base_scenario(**over)
+    with pytest.raises(ScenarioError) as err:
+        Scenario.from_dict(sc.as_dict())
+    assert message in str(err.value)
+    res = run_scenario(sc, tmp_path / "run")
+    assert res.exit_code == EXIT_CONFIG and res.message == str(err.value)
+
+
+def test_value_error_after_the_draws_propagates(tmp_path, monkeypatch):
+    # up to the draws a ValueError is a refused input (exit 2); after them
+    # it is a defect of the program, not of the config
+    from circlemix import scenarios
+
+    def broken_fit(distances):
+        raise ValueError("fit defect")
+
+    monkeypatch.setattr(scenarios, "fit_decay", broken_fit)
+    with pytest.raises(ValueError, match="fit defect"):
+        run_scenario(base_scenario(), tmp_path / "run")

@@ -307,7 +307,7 @@ def test_equal_maps_give_byte_identical_pushes(monkeypatch):
         init(self, m, G)
 
     monkeypatch.setattr(TransferOperator, "__init__", counting_init)
-    led = run_coupled(maps, phi, psi, "piecewise", bounds=rep)
+    led = run_coupled(maps, phi, psi, bounds=rep)
     assert built == [a, doubling_map(), b]
     want = [phi.l1_distance(psi)]
     for f in maps:
