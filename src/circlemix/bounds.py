@@ -17,6 +17,7 @@ from .maps import PiecewiseMap, analyze, neighborhood_distance
 # then demand an infinite absorption time, so the distortion constant is
 # floored (affine maps contract the ratio cone every step regardless).
 C0_FLOOR = 1e-6
+DENSE_SAMPLES = 65  # evenly spaced parameters bounding a curve's family
 
 
 def tau_piecewise(a: float, a_star: float, lambda0: float, A0: float) -> int:
@@ -299,38 +300,37 @@ def _greedy_cover(windows, a: float, b: float):
 
 
 def delta0_of_curve(curve, probe_grid, a_star: float | None = None,
-                    eps_rule=None, dense_samples: int = 65) -> CurveCover:
+                    eps: float | None = None) -> CurveCover:
     """Safe parameter mesh along a curve of maps (a `MapCurve`).
 
-    For each probe: the admissible radius eps, the parameter radius alpha
-    within which the curve stays eps-near the probe map (from the curve's
-    Lipschitz constant), the positivity horizon, and the block length
-    n0 + tau.  Half-radius windows must cover the parameter interval
-    (greedy selection).  The mesh is
-    delta0 = min over all probes of alpha/(2 * block) -- taking every
-    probe, not just the chosen cover, keeps the certified mesh monotone
-    under probe refinement (a superset of probes never certifies a larger
-    mesh) at the cost of a slightly conservative value.
+    For each probe: the admissible radius (`eps`, or `default_eps_rule`
+    of the probe map when None), the parameter radius alpha within which
+    the curve stays that near the probe map (from the curve's Lipschitz
+    constant), the positivity horizon, and the block length n0 + tau.
+    Half-radius windows must cover the parameter interval (greedy
+    selection).  The mesh is delta0 = min over all probes of
+    alpha/(2 * block) -- taking every probe, not just the chosen cover,
+    keeps the certified mesh monotone under probe refinement (a superset
+    of probes never certifies a larger mesh) at the cost of a slightly
+    conservative value.
     """
     probe_grid = sorted(float(t) for t in probe_grid)
     if not probe_grid:
         raise ValueError("need at least one probe")
     a, b = curve.a, curve.b
-    dense = sorted(set(probe_grid) | set(np.linspace(a, b, dense_samples).tolist()))
+    dense = sorted(set(probe_grid) | set(np.linspace(a, b, DENSE_SAMPLES).tolist()))
     fam = family_bounds([curve(t) for t in dense])
     if a_star is None:
         a_star = default_a_star(fam)
-    if eps_rule is None:
-        eps_rule = lambda t: default_eps_rule(curve(t))  # noqa: E731
     probes = []
     for t in probe_grid:
         g = curve(t)
-        eps = float(eps_rule(t))
-        cov = positivity_horizon(g, a_star, eps)
+        radius = default_eps_rule(g) if eps is None else float(eps)
+        cov = positivity_horizon(g, a_star, radius)
         tau = tau_piecewise(a_star / (1.0 - cov.kappa_eps), a_star,
                             fam.lambda0, fam.A0)
-        alpha = _alpha_radius(curve, t, g, eps)
-        probes.append(ProbeInfo(t=t, eps=eps, alpha=alpha, covering=cov, tau=tau))
+        alpha = _alpha_radius(curve, t, g, radius)
+        probes.append(ProbeInfo(t=t, eps=radius, alpha=alpha, covering=cov, tau=tau))
     windows = [(p.t - p.alpha / 2, p.t + p.alpha / 2) for p in probes]
     chosen, uncovered = _greedy_cover(windows, a, b)
     if chosen is None:

@@ -100,7 +100,7 @@ def _cmd_envelope_check(args) -> int:
         grid = Scenario.from_dict(
             _load_json(os.path.join(run, "scenario.json"))).grid
         ledger = CouplingLedger.from_csv(os.path.join(run, "ledger.csv"),
-                                         bounds, grid)
+                                         bounds.grid_slack(grid))
     except (OSError, ValueError, TypeError) as exc:
         print(f"envelope-check: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,6 +9,7 @@ mass, so the raw distance can be certified against the envelope
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -67,11 +68,7 @@ class BlockRecord:
 class CouplingLedger:
     """Per-step and per-block record of one coupled run."""
 
-    mode: str
-    G: int
-    fraction: float
     slack: float
-    n_wait: int
     steps: dict = field(default_factory=dict)   # column name -> list
     blocks: list = field(default_factory=list)  # BlockRecord
     snapshots: list = field(default_factory=list)
@@ -79,6 +76,12 @@ class CouplingLedger:
     COLUMNS = ("n", "l1_distance", "variation_phi", "variation_psi",
                "min_phi", "min_psi", "block_index", "kappa_used",
                "residual_mass", "envelope_value")
+
+    @property
+    def n_wait(self) -> int:
+        """The step the first block starts at (the step count if none)."""
+        blocks = self.steps["block_index"]
+        return next((n for n, b in enumerate(blocks) if b >= 1), len(blocks))
 
     def distances(self) -> np.ndarray:
         return np.asarray(self.steps["l1_distance"], dtype=float)
@@ -98,11 +101,11 @@ class CouplingLedger:
                 fh.write(",".join(out) + "\n")
 
     @classmethod
-    def from_csv(cls, path, bounds, G: int) -> "CouplingLedger":
+    def from_csv(cls, path, slack: float) -> "CouplingLedger":
         """Read back a ledger written by `to_csv` (%.17g round-trips every
-        float).  `bounds` and the grid size G restore the mode, fraction and
-        grid slack; the per-block records and snapshots are not in the CSV
-        and stay empty.  Raises ValueError on a malformed file."""
+        float), with the run's grid slack; the per-block records and
+        snapshots are not in the CSV and stay empty.  Raises ValueError on
+        a malformed file."""
         with open(path, "r", encoding="ascii") as fh:
             header = tuple(fh.readline().rstrip("\n").split(","))
             if header != cls.COLUMNS:
@@ -120,10 +123,7 @@ class CouplingLedger:
                             c == "envelope_value" and value <= 0.0):
                         raise ValueError(f"{path}:{lineno}: bad {c} {v!r}")
                     steps[c].append(value)
-        blocks = steps["block_index"]
-        n_wait = next((n for n, b in enumerate(blocks) if b >= 1), len(blocks))
-        return cls(mode=bounds.mode, G=G, fraction=bounds.fraction,
-                   slack=bounds.grid_slack(G), n_wait=n_wait, steps=steps)
+        return cls(slack=slack, steps=steps)
 
 
 def _smooth_wait(phi: Density, psi: Density, eps_loc: float,
@@ -150,130 +150,87 @@ def _smooth_wait(phi: Density, psi: Density, eps_loc: float,
 
 def run_coupled(maps, phi: Density, psi: Density, *, bounds, plan=None,
                 record_snapshots: bool = False) -> CouplingLedger:
-    """Run the matching scheme along the map sequence, in `bounds.mode`.
+    """Run the matching scheme along the map sequence, on the constants of
+    the plan stage's `bounds`.
 
-    mode "smooth": blocks of tau(2 L*) steps, fraction 1/2 subtracted,
-    kappa = the ratio-cone positivity floor; the wait is the absorption
-    time of the rougher initial density.  mode "piecewise": wait until
-    both variations are <= a*, then blocks of n0 + tau steps with the full
-    kappa subtracted.  `plan` may supply per-block constants (curve
-    driving); default is the constant plan from `bounds`.
+    The schedule: step n = 0 is the initial pair, step n >= 1 the pair
+    after the n-th map.  Until the wait ends no block runs.  The wait ends
+    at the first step where, in mode "smooth", n reaches the absorption
+    time of the rougher initial density, and otherwise both variations are
+    <= a*.  That step starts block 1; block k starting at step s runs on
+    the constants p = plan(s), subtracts the fraction `bounds.fraction` of
+    p.kappa at step s + p.n0, and ends at step s + p.n0 + p.tau, which
+    starts block k + 1 and sets the envelope to 2 * residual.  `plan` may
+    supply per-block constants (curve driving); the default is the
+    report's BlockPlan(kappa, block - tau, tau), so n0 = 0 when smooth.
     """
-    smooth = bounds.mode == "smooth"
-    fraction = 0.5 if smooth else 1.0
     G = phi.G
     if psi.G != G:
         raise ValueError("phi and psi must share a grid")
-    slack = bounds.grid_slack(G)
-
-    if plan is None:
-        if smooth:
-            base = BlockPlan(kappa=bounds.kappa, n0=0, tau=bounds.block)
-        else:
-            base = BlockPlan(kappa=bounds.kappa, n0=bounds.block - bounds.tau,
-                             tau=bounds.tau)
-        plan = lambda step: base  # noqa: E731
-
-    wait_target = None
+    fraction, slack = bounds.fraction, bounds.grid_slack(G)
+    base = BlockPlan(bounds.kappa, bounds.block - bounds.tau, bounds.tau)
+    smooth = bounds.mode == "smooth"
     if smooth:
-        wait_target = _smooth_wait(phi, psi, bounds.eps_loc,
-                                   bounds.lambda0, bounds.C0)
+        wait = _smooth_wait(phi, psi, bounds.eps_loc, bounds.lambda0,
+                            bounds.C0)
 
-    ledger = CouplingLedger(mode=bounds.mode, G=G, fraction=fraction,
-                            slack=slack, n_wait=-1)
-    cols = {c: [] for c in CouplingLedger.COLUMNS}
-
+    ledger = CouplingLedger(slack, {c: [] for c in CouplingLedger.COLUMNS})
+    cols = ledger.steps
     raw_phi, raw_psi = phi, psi
     u_phi, u_psi = phi, psi
-    residual = 1.0
-    env = ENVELOPE_START
-    state = "wait"
-    block_idx = 0
-    cur: BlockPlan | None = None
-    sub_step = end_step = -1
-    kappa_now = 0.0
-
-    def in_cone() -> bool:
-        return (u_phi.variation() <= bounds.a_star
-                and u_psi.variation() <= bounds.a_star)
-
-    def start_block(n: int):
-        nonlocal cur, sub_step, end_step, block_idx, kappa_now, state
-        cur = plan(n)
-        block_idx += 1
-        sub_step = n + cur.n0
-        end_step = n + cur.length
-        kappa_now = cur.kappa
-        state = "block"
-
-    def do_subtract(n: int):
-        nonlocal u_phi, u_psi, residual
-        mins = (u_phi.min_value(), u_psi.min_value())
-        floor = cur.kappa - slack
-        if mins[0] < floor or mins[1] < floor:
-            raise CertificateViolation(
-                f"positivity floor {cur.kappa} violated at step {n} "
-                f"(mins {mins}); inadmissible maps or grid too coarse",
-                block=block_idx)
-        if record_snapshots:
-            pre = (u_phi, u_psi)
-        u_phi = u_phi.match_subtract(cur.kappa, fraction)
-        u_psi = u_psi.match_subtract(cur.kappa, fraction)
-        residual *= 1.0 - fraction * cur.kappa
-        if record_snapshots:
-            ledger.snapshots.append(
-                {"n": n, "block": block_idx, "pre": pre, "post": (u_phi, u_psi)})
-        ledger.blocks.append(BlockRecord(
-            index=block_idx, start=end_step - cur.length, sub_step=n,
-            end=end_step, kappa_used=cur.kappa, fraction=fraction,
-            min_phi=mins[0], min_psi=mins[1],
-            residual_after=residual, anchor=cur.anchor))
-
-    def record(n: int):
+    residual, env = 1.0, ENVELOPE_START
+    index, start, cur = 0, -1, None  # the running block; start -1: waiting
+    op = None
+    for n, f in enumerate(itertools.chain((None,), maps)):
+        if f is not None:
+            if op is None or op.m != f:
+                op = None  # drop the old operator before building the next
+                op = TransferOperator(f, G)
+            # until the first subtraction u_phi is raw_phi: push it once
+            shared = (u_phi is raw_phi, u_psi is raw_psi)
+            raw_phi, raw_psi = push(op, raw_phi), push(op, raw_psi)
+            u_phi = raw_phi if shared[0] else push(op, u_phi)
+            u_psi = raw_psi if shared[1] else push(op, u_psi)
+        if start >= 0:
+            begins = n == start + cur.length
+        else:  # the wait rule
+            begins = (n >= wait if smooth else
+                      u_phi.variation() <= bounds.a_star
+                      and u_psi.variation() <= bounds.a_star)
+        if begins:
+            index, start = index + 1, n
+            cur = base if plan is None else plan(n)
+            env = ENVELOPE_START * residual
+        if start >= 0 and n == start + cur.n0:
+            mins = (u_phi.min_value(), u_psi.min_value())
+            floor = cur.kappa - slack
+            if mins[0] < floor or mins[1] < floor:
+                raise CertificateViolation(
+                    f"positivity floor {cur.kappa} violated at step {n} "
+                    f"(mins {mins}); inadmissible maps or grid too coarse",
+                    block=index)
+            if record_snapshots:
+                pre = (u_phi, u_psi)
+            u_phi = u_phi.match_subtract(cur.kappa, fraction)
+            u_psi = u_psi.match_subtract(cur.kappa, fraction)
+            residual *= 1.0 - fraction * cur.kappa
+            if record_snapshots:
+                ledger.snapshots.append({"n": n, "block": index, "pre": pre,
+                                         "post": (u_phi, u_psi)})
+            ledger.blocks.append(BlockRecord(
+                index=index, start=start, sub_step=n, end=start + cur.length,
+                kappa_used=cur.kappa, fraction=fraction, min_phi=mins[0],
+                min_psi=mins[1], residual_after=residual, anchor=cur.anchor))
         cols["n"].append(n)
         cols["l1_distance"].append(raw_phi.l1_distance(raw_psi))
         cols["variation_phi"].append(u_phi.variation())
         cols["variation_psi"].append(u_psi.variation())
         cols["min_phi"].append(u_phi.min_value())
         cols["min_psi"].append(u_psi.min_value())
-        cols["block_index"].append(block_idx if state == "block" else -1)
-        cols["kappa_used"].append(kappa_now if state == "block" else 0.0)
+        cols["block_index"].append(index if start >= 0 else -1)
+        cols["kappa_used"].append(cur.kappa if start >= 0 else 0.0)
         cols["residual_mass"].append(residual)
         cols["envelope_value"].append(env)
-
-    def maybe_transitions(n: int):
-        nonlocal env, state
-        if state == "wait":
-            entered = (n >= wait_target) if smooth else in_cone()
-            if entered:
-                ledger.n_wait = n
-                start_block(n)
-        if state == "block" and n == sub_step:
-            do_subtract(n)
-        if state == "block" and n == end_step:
-            env = ENVELOPE_START * residual
-            start_block(n)
-            if n == sub_step:  # smooth blocks subtract at their start
-                do_subtract(n)
-
-    # step 0: transitions may already fire (densities can start in the cone)
-    maybe_transitions(0)
-    record(0)
-    op = None
-    for n, f in enumerate(maps, start=1):
-        if op is None or op.m != f:
-            op = None  # drop the old operator before building the next
-            op = TransferOperator(f, G)
-        # until the first subtraction u_phi is raw_phi: push it once
-        shared = (u_phi is raw_phi, u_psi is raw_psi)
-        raw_phi, raw_psi = push(op, raw_phi), push(op, raw_psi)
-        u_phi = raw_phi if shared[0] else push(op, u_phi)
-        u_psi = raw_psi if shared[1] else push(op, u_psi)
-        maybe_transitions(n)
-        record(n)
-    if ledger.n_wait < 0:
-        ledger.n_wait = len(cols["n"])  # never entered the cone
-    ledger.steps = cols
     return ledger
 
 
@@ -291,12 +248,12 @@ class DecayFit:
                 "n_range": list(self.n_range), "n_points": self.n_points}
 
 
-def fit_decay(distances, floor: float = DISTANCE_FLOOR) -> DecayFit | None:
+def fit_decay(distances) -> DecayFit | None:
     """Least-squares line through (n, log d_n) over usable points; None when
     fewer than 5 distances sit above the floor."""
     d = np.asarray(distances, dtype=float)
     ns = np.arange(len(d))
-    usable = d > floor
+    usable = d > DISTANCE_FLOOR
     if int(usable.sum()) < MIN_FIT_POINTS:
         return None
     x = ns[usable].astype(float)

@@ -383,7 +383,7 @@ class MapAnalysis:
     branch_data: tuple[tuple[float, float], ...]  # (min |f'|, length) per branch
 
 
-def discontinuities(m: PiecewiseMap, tol: float = CONTINUITY_TOL) -> tuple[float, ...]:
+def discontinuities(m: PiecewiseMap) -> tuple[float, ...]:
     """Branch junctions where the one-sided limits genuinely differ."""
     pts = []
     bs = m.branches
@@ -394,7 +394,7 @@ def discontinuities(m: PiecewiseMap, tol: float = CONTINUITY_TOL) -> tuple[float
         right = bs[i]
         lv = wrap(float(left.lift(p if i > 0 else 1.0)))
         rv = wrap(float(right.lift(p)))
-        if circle_dist(lv, rv) > tol:
+        if circle_dist(lv, rv) > CONTINUITY_TOL:
             pts.append(p)
     return tuple(pts)
 

@@ -209,7 +209,9 @@ def plan_piecewise(cfg: dict) -> RunPlan:
     fixed = cfg["kind"] == "fixed-map"
     g = map_from_dict(cfg["family"]["map" if fixed else "base"])
     fam = bnd.family_bounds([g], eps_pad=0.0 if fixed else cfg["eps"])
-    a_star = cfg["a_star"] or bnd.default_a_star(fam)
+    a_star = cfg["a_star"]
+    if a_star is None:
+        a_star = bnd.default_a_star(fam)
     eps = cfg["eps"] if cfg["eps"] is not None else 0.0
     cov = positivity_horizon(g, a_star, eps)
     tau = bnd.tau_piecewise(a_star / (1.0 - cov.kappa_eps), a_star,
@@ -247,10 +249,8 @@ def plan_curve(cfg: dict) -> RunPlan:
     each block on the constants of the probe anchoring its start."""
     curve = curve_from_dict(cfg["curve"])
     probes = list(np.linspace(curve.a, curve.b, max(2, cfg["probes"])))
-    eps = cfg["eps"]
-    eps_rule = None if eps is None else (lambda t: eps)
     for _ in range(64):
-        cover = bnd.delta0_of_curve(curve, probes, cfg["a_star"], eps_rule)
+        cover = bnd.delta0_of_curve(curve, probes, cfg["a_star"], cfg["eps"])
         if cover.covered:
             break
         probes = sorted({*probes, cover.uncovered_at})
@@ -326,8 +326,6 @@ class RunResult:
     fit: object = None
     certificate: object = None
     bounds: object = None
-    covering: object = None
-    curve_cover: object = None
 
 
 def run_scenario(scenario: Scenario, out_dir) -> RunResult:
@@ -386,8 +384,7 @@ def run_scenario(scenario: Scenario, out_dir) -> RunResult:
     _write_json(path("scenario", "scenario.json"), scenario.as_dict())
     code, message = ((EXIT_OK, "ok") if cert.passed
                      else (EXIT_CERTIFICATE, "envelope violated"))
-    return RunResult(code, message, artifacts, ledger, fit, cert, plan.report,
-                     plan.covering, plan.curve_cover)
+    return RunResult(code, message, artifacts, ledger, fit, cert, plan.report)
 
 
 ABSORB = {"a": float, "a_star": float, "grid": Field(int, 2 ** 13, least=2),

@@ -1,7 +1,11 @@
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlemix import (CertificateViolation, Density, certify, doubling_map,
                        fit_decay, push, push_sequence, run_coupled, sine_map,
@@ -292,13 +296,12 @@ def test_certify_matches_block_record_oracle(tmp_path):
 
 
 def test_ledger_csv_round_trip(tmp_path):
-    for label, led, bounds in oracle_ledgers(tmp_path):
+    for label, led, _ in oracle_ledgers(tmp_path):
         path = tmp_path / f"{label}.csv"
         led.to_csv(path)
-        back = CouplingLedger.from_csv(path, bounds, led.G)
+        back = CouplingLedger.from_csv(path, led.slack)
         assert back.steps == led.steps, label
-        assert (back.mode, back.fraction, back.slack, back.n_wait) == (
-            led.mode, led.fraction, led.slack, led.n_wait), label
+        assert (back.slack, back.n_wait) == (led.slack, led.n_wait), label
         assert certify(back) == certify(led), label
     text = path.read_text().splitlines()
 
@@ -314,4 +317,66 @@ def test_ledger_csv_round_trip(tmp_path):
                        (with_last("block_index", "1.5"), "invalid literal")):
         path.write_text("\n".join(bad) + "\n")
         with pytest.raises(ValueError, match=match):
-            CouplingLedger.from_csv(path, bounds, led.G)
+            CouplingLedger.from_csv(path, led.slack)
+
+
+@functools.cache
+def schedule_reports():
+    """A piecewise and a smooth report whose constants the schedule test
+    replaces, with the maps each runs on."""
+    return {"piecewise": (slope3_setup(G=1024)[0], slope3_two_branch()),
+            "smooth": (smooth_setup(), doubling_map())}
+
+
+block_plans = st.builds(BlockPlan, kappa=st.floats(1e-6, 0.01),
+                        n0=st.integers(0, 4), tau=st.integers(1, 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mode=st.sampled_from(["piecewise", "smooth"]),
+       plans=st.lists(block_plans, min_size=1, max_size=4),
+       constant=st.booleans(), n_maps=st.integers(0, 40))
+def test_block_schedule(mode, plans, constant, n_maps):
+    # block k starting at step s runs on plan(s): it subtracts at s + n0
+    # and ends at s + n0 + tau, the start of block k + 1
+    rep, f = schedule_reports()[mode]
+    if constant:
+        p = plans[0] if mode == "piecewise" else replace(plans[0], n0=0)
+        rep = replace(rep, kappa=p.kappa, tau=p.tau, block=p.length)
+        plan, expect = None, (lambda s: p)
+    else:
+        plan = expect = (lambda s: plans[s % len(plans)])
+    G = 1024
+    led = run_coupled([f] * n_maps, Density.sine(G, 1, 0.5),
+                      Density.step(G, [1.3, 0.7]), bounds=rep, plan=plan)
+    steps = led.steps
+    assert steps["n"] == list(range(n_maps + 1))
+
+    schedule = []  # (index, start, plan) of every block the run reaches
+    s = led.n_wait
+    while s <= n_maps:
+        schedule.append((len(schedule) + 1, s, expect(s)))
+        s += schedule[-1][2].length
+    for n in range(led.n_wait):
+        assert (steps["block_index"][n], steps["kappa_used"][n]) == (-1, 0.0)
+    for k, start, p in schedule:
+        for n in range(start, min(start + p.length, n_maps + 1)):
+            assert steps["block_index"][n] == k
+            assert steps["kappa_used"][n] == p.kappa
+    assert [(r.index, r.start, r.sub_step, r.end, r.kappa_used)
+            for r in led.blocks] == [
+        (k, s, s + p.n0, s + p.length, p.kappa) for k, s, p in schedule
+        if s + p.n0 <= n_maps]
+    for prev, rec in zip(led.blocks, led.blocks[1:]):
+        assert rec.start == prev.end
+
+    residual = 1.0
+    for rec in led.blocks:
+        assert rec.fraction == rep.fraction
+        residual *= 1.0 - rec.fraction * rec.kappa_used
+        assert rec.residual_after == residual
+        assert steps["residual_mass"][rec.sub_step] == residual
+    ended = [rec for rec in led.blocks if rec.end <= n_maps]
+    for rec in ended:
+        assert steps["envelope_value"][rec.end] == 2.0 * rec.residual_after
+    assert certify(led).checks == len(ended)

@@ -875,3 +875,17 @@ def test_value_error_after_the_draws_propagates(tmp_path, monkeypatch):
     monkeypatch.setattr(scenarios, "fit_decay", broken_fit)
     with pytest.raises(ValueError, match="fit defect"):
         run_scenario(base_scenario(), tmp_path / "run")
+
+
+@pytest.mark.parametrize("over", [
+    {},
+    {"kind": "neighborhood", "eps": 0.01,
+     "family": {"base": {"form": "slope3-two-branch"}}},
+], ids=["fixed-map", "neighborhood"])
+@pytest.mark.parametrize("a_star", [0, 0.0])
+def test_zero_a_star_exits_2(tmp_path, over, a_star):
+    # a_star 0 is a given cone level, refused, not a request for the default
+    res = run_scenario(base_scenario(a_star=a_star, **over), tmp_path / "run")
+    assert res.exit_code == EXIT_CONFIG
+    assert "a_star" in res.message
+    assert not (tmp_path / "run").exists()
