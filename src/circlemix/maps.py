@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -32,7 +32,7 @@ TWO_PI = 2.0 * math.pi
 CONTINUITY_TOL = 1e-12
 
 # Grid density per interval for the C2 norms in neighborhood_distance, and
-# the stride of its coarse pass against a bound (65 of the 4097 samples).
+# the stride of sine_screen's coarse pass (65 of the 4097 samples).
 NEIGHBORHOOD_GRID = 4096
 COARSE_STRIDE = 64
 
@@ -76,6 +76,15 @@ def circle_dist(x: float, y: float) -> float:
     """Shortest arc distance between two circle points."""
     d = abs(x - y) % 1.0
     return min(d, 1.0 - d)
+
+
+def _sine_jet(slope, offset, amplitude, x, sin2, cos2):
+    """(lift, f', f'') of the sine branch x -> slope*x + offset +
+    amplitude*sin(2 pi x) at x, from the tables sin2 and cos2 of 2 pi x.
+    The parameters may be (B, 1) columns, giving B rows of values."""
+    return (slope * x + offset + amplitude * sin2,
+            slope + TWO_PI * amplitude * cos2,
+            -(TWO_PI ** 2) * amplitude * sin2)
 
 
 @dataclass(frozen=True)
@@ -123,9 +132,8 @@ class BranchSpec:
         branch are returned as scalars."""
         if self.amplitude == 0.0:
             return self.slope * x + self.offset, self.slope, 0.0
-        return (self.slope * x + self.offset + self.amplitude * sin2,
-                self.slope + TWO_PI * self.amplitude * cos2,
-                -(TWO_PI ** 2) * self.amplitude * sin2)
+        return _sine_jet(self.slope, self.offset, self.amplitude, x, sin2,
+                         cos2)
 
     def deriv_range(self) -> tuple[float, float]:
         """(min, max) of f' over the closed arc, by extremal calculus on cos."""
@@ -482,57 +490,86 @@ def _base_samples(g: PiecewiseMap, f_arcs, grid: int):
     return 0.25 * analyze(g).d_omega, tuple(arcs)
 
 
+def _aligned(marks_f, arcs_f, g: PiecewiseMap, grid: int):
+    """f's arcs paired with g's by _aligned_shift: (the index of f's arc
+    paired with each arc of g, the marked-point distance part1, g's cap,
+    the _base_samples arcs)."""
+    shift, part1 = _aligned_shift(marks_f, g.marked_points)
+    k = len(g.branches)
+    order = [(i + shift) % k for i in range(k)]
+    cap, arcs = _base_samples(g, tuple(arcs_f[j] for j in order), grid)
+    return order, part1, cap, arcs
+
+
 def neighborhood_distance(f: PiecewiseMap, g: PiecewiseMap,
-                          grid: int = NEIGHBORHOOD_GRID,
-                          bound: float | None = None) -> float:
+                          grid: int = NEIGHBORHOOD_GRID) -> float:
     """Smallest radius eps* with f eps*-near g; math.inf if incomparable.
 
     eps* is the max of (i) the arc distances between corresponding marked
     points and (ii) the per-interval C2 norms (sup|h| + sup|h'| + sup|h''|)
     of f o xi - g, where xi maps each arc of g affinely onto the matching
-    arc of f.  Incomparable when branch counts differ or eps* reaches a
-    quarter of the minimal gap between g's genuine discontinuities.
-
-    With a bound, the norms are first taken over every COARSE_STRIDE-th
-    sample (index 0 included), by the same expressions on the same floats;
-    a maximum over fewer of them is never larger, so when that coarse value
-    exceeds the bound, eps* does too, and math.inf is returned without the
-    full pass.  Otherwise the result is eps* itself: a call with a bound
-    returns either eps* or math.inf with eps* > bound.
+    arc of f, taken over grid + 1 samples per arc.  Incomparable when
+    branch counts differ or eps* reaches a quarter of the minimal gap
+    between g's genuine discontinuities.  sine_screen rejects many sine
+    candidates at once on every COARSE_STRIDE-th of these samples.
     """
     if len(f.branches) != len(g.branches):
         return math.inf
-    shift, part1 = _aligned_shift(f.marked_points, g.marked_points)
-    k = len(g.branches)
-    fbs = [f.branches[(i + shift) % k] for i in range(k)]
-    cap, arcs = _base_samples(g, tuple((fb.lo, fb.hi) for fb in fbs), grid)
+    order, part1, cap, arcs = _aligned(
+        f.marked_points, [(b.lo, b.hi) for b in f.branches], g, grid)
     if part1 >= cap:
         return math.inf
-    if bound is not None and math.isinf(_c2_norms(
-            fbs, arcs, part1, cap, slice(None, None, COARSE_STRIDE), bound)):
-        return math.inf
-    return _c2_norms(fbs, arcs, part1, cap, slice(None))
+    worst = float(_c2_norms([f.branches[j].jet for j in order], arcs, part1,
+                            slice(None)))
+    return math.inf if worst >= cap else worst
 
 
-def _c2_norms(fbs, arcs, part1: float, cap: float, samples: slice,
-              bound: float = math.inf) -> float:
+def sine_screen(slopes, amplitudes, marks, g: PiecewiseMap, bound: float):
+    """For each i, whether sine_map(slopes[i], amplitudes[i], 0.0, marks)
+    may lie within bound of g, as a boolean array.
+
+    Every row is scored at once on every COARSE_STRIDE-th sample (index 0
+    included) of neighborhood_distance's default grid, by the same
+    expressions on the same floats, and is False when that coarse value
+    exceeds bound or reaches g's cap.  A maximum over fewer samples is
+    never larger, so a False row has neighborhood_distance > bound; a True
+    row may still be rejected by the full pass.
+    """
+    slopes = np.asarray(slopes, dtype=float)[:, None]
+    amplitudes = np.asarray(amplitudes, dtype=float)[:, None]
+    if len(marks) != len(g.branches):
+        return np.zeros(len(slopes), dtype=bool)
+    cuts = (*marks, 1.0)
+    _, part1, cap, arcs = _aligned(marks, list(zip(cuts, cuts[1:])), g,
+                                   NEIGHBORHOOD_GRID)
+    jet = partial(_sine_jet, slopes, 0.0, amplitudes)
+    worst = _c2_norms([jet] * len(arcs), arcs, part1,
+                      slice(None, None, COARSE_STRIDE))
+    return (worst < cap) & (worst <= bound)
+
+
+def _c2_norms(jets, arcs, part1: float, samples: slice):
     """max(part1, the C2 norms of each arc) over the given samples of the
-    _base_samples tables arcs; math.inf as soon as that reaches cap or
-    exceeds bound."""
+    _base_samples tables arcs, with f's values on arc i from jets[i].
+    Maxima are taken along the last axis, so rows of values give a row of
+    norms."""
     worst = part1
-    for fb, (sigma, *tables) in zip(fbs, arcs):
+    for jet, (sigma, *tables) in zip(jets, arcs):
         gv, gd, gd2, ys, sin_y, cos_y = (
             t[samples] if isinstance(t, np.ndarray) else t for t in tables)
-        fv, fd, fd2 = fb.jet(ys, sin_y, cos_y)
+        fv, fd, fd2 = jet(ys, sin_y, cos_y)
         h = fv - gv
-        h = h - round(float(h[0]))
-        h = np.abs(h)
+        h = np.abs(h - np.round(h[..., :1]))
         h1 = np.abs(sigma * fd - gd)
         h2 = np.abs(sigma ** 2 * fd2 - gd2)
-        worst = max(worst, float(h.max() + h1.max() + h2.max()))
-        if worst >= cap or worst > bound:
-            return math.inf
+        worst = np.maximum(worst, _sup(h) + _sup(h1) + _sup(h2))
     return worst
+
+
+def _sup(values):
+    """The maximum along the last axis; a scalar (a constant derivative
+    difference of two affine branches) is its own."""
+    return values.max(axis=-1) if np.ndim(values) else values
 
 
 # --- Builders for the map families used throughout ---------------------------

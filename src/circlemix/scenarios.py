@@ -7,8 +7,13 @@ the same stages: read (the config, once), densities (phi, then psi), plan
 (the kind's constants in `PLANS`, refusing inputs outside the theorem),
 slack check, draw (the maps, after every refusal), evolve, fit, certify,
 write.  All randomness flows through one seeded PCG64 generator consumed
-in that order: phi, psi, then the map draws.  Up to the draws a ValueError
-is a refused input (exit 2); after them it is a defect and propagates.
+in that order: phi, psi, then the map draws.  Neighborhood attempts are
+drawn in blocks of DRAW_BLOCK, one call per block giving the values of
+that many scalar draws in the same order, and each step continues the
+block where the last one stopped; the unused tail of the last block is
+drawn but never read, and nothing draws after the maps.  Up to the draws a
+ValueError is a refused input (exit 2); after them it is a defect and
+propagates.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import json
 import math
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -29,11 +35,14 @@ from .coupling import (ENVELOPE_START, BlockPlan, CertificateViolation,
 from .covering import CoveringError, positivity_horizon
 from .curves import CURVE, curve_from_dict
 from .density import Density
-from .maps import (MAP, MARKS, BranchSpec, PiecewiseMap, TransferError,
-                   analyze, map_from_dict, neighborhood_distance, sine_map)
+from .maps import (MAP, MARKS, BranchSpec, MapFormError, PiecewiseMap,
+                   TransferError, analyze, map_from_dict,
+                   neighborhood_distance, sine_map, sine_screen)
 
 SCHEMA_VERSION = 1
 REDRAW_LIMIT = 1000
+# Neighborhood attempts drawn and screened at once (see _screened_draws).
+DRAW_BLOCK = 32
 N_MAX_CAP = 10 ** 4
 
 EXIT_OK = 0
@@ -73,6 +82,10 @@ class Scenario:
         if not isinstance(cfg, dict) or cfg.get("schema") != SCHEMA_VERSION:
             raise ScenarioError(f"config schema must be {SCHEMA_VERSION}")
         body = {k: v for k, v in cfg.items() if k != "schema"}
+        names = {f.name for f in fields(cls)}
+        for key in body:
+            if key not in names:
+                raise ScenarioError(f"{key} is not a scenario field")
         filled = read(body, SCENARIO)
         try:
             sc = cls(**body)
@@ -87,23 +100,44 @@ class Scenario:
 
 # n_max (an integer or "auto") is checked by check_scenario alone
 _COMMON = {"name": str, "grid": int, "seed": int, "phi": DENSITY,
-           "psi": DENSITY, "eps": Field(float), "a_star": Field(float),
-           "mesh": Field(float, also=("auto",)), "eps_loc": Scenario.eps_loc,
-           "mesh_override": Scenario.mesh_override, "probes": Scenario.probes}
+           "psi": DENSITY}
+# The optional fields that only some kinds read.  A kind's table lists the
+# ones its stages read; check_scenario refuses the others unless they keep
+# their Scenario defaults.
+_OPTIONAL = {"eps": Field(float), "a_star": Field(float),
+             "mesh": Field(float, also=("auto",)), "eps_loc": Scenario.eps_loc,
+             "mesh_override": Scenario.mesh_override,
+             "probes": Scenario.probes}
+
+
+def _reads(*keys) -> dict:
+    return {key: _OPTIONAL[key] for key in keys}
+
+
 SCENARIO = Format("kind", None, "scenario kind", {
-    "fixed-map": {**_COMMON, "family": {"map": MAP}},
-    "neighborhood": {**_COMMON, "eps": float, "family": {
+    "fixed-map": {**_COMMON, **_reads("eps", "a_star"),
+                  "family": {"map": MAP}},
+    "neighborhood": {**_COMMON, **_reads("a_star"), "eps": float, "family": {
         "base": MAP, "slope": 3.0, "amp_max": 0.003, "slope_jitter": 0.0,
         "marks": MARKS}},
-    "curve-driven": {**_COMMON, "curve": CURVE},
-    "smooth": {**_COMMON, "family": {"slope": 2.0, "amp_max": 0.05,
-                                     "marks": MARKS}}})
+    "curve-driven": {**_COMMON, **_reads("eps", "a_star", "mesh",
+                                         "mesh_override", "probes"),
+                     "curve": CURVE},
+    "smooth": {**_COMMON, **_reads("eps_loc"),
+               "family": {"slope": 2.0, "amp_max": 0.05, "marks": MARKS}}})
 
 
 def check_scenario(cfg: dict) -> dict:
     """`cfg`, a scenario read against SCENARIO, after the checks its table
-    cannot state: the grid, the smooth grid cap and n_max."""
+    cannot state: no optional field the kind does not read, the grid, the
+    smooth grid cap and n_max."""
     grid, kind, n_max = cfg["grid"], cfg["kind"], cfg["n_max"]
+    for key, entry in _OPTIONAL.items():
+        default = entry.default if isinstance(entry, Field) else entry
+        if (key not in SCENARIO.tables[kind]
+                and cfg.get(key, default) != default):
+            raise ScenarioError(f"{key} is not read by a {kind} scenario, "
+                                f"got {cfg[key]!r}")
     if grid < 2 or (grid & (grid - 1)) != 0:
         raise ScenarioError("grid must be a power of two")
     if kind == "smooth" and grid > 2 ** 16:
@@ -203,11 +237,32 @@ def _piecewise_report(fam, a_star, cov, tau, eps, delta0=None):
         eps=eps, fraction=1.0)
 
 
+def _check_draw_box(fam: dict) -> None:
+    """Refuse a neighborhood family whose draw box, slope +- slope_jitter
+    by amplitude +- amp_max, holds a sine map that is not expanding, so
+    that no draw the screen rejects could have failed to build.  The
+    (slope, amplitude) of the maps whose branch i expands in a given
+    direction form a convex set, so the four corners decide the box."""
+    slope, amp, jitter = fam["slope"], fam["amp_max"], fam["slope_jitter"]
+    try:
+        corners = [sine_map(slope + ds, a, 0.0, tuple(fam["marks"]))
+                   for ds in (-jitter, jitter) for a in (-amp, amp)]
+    except MapFormError as exc:
+        raise ScenarioError(f"family: a corner of the draw box is not an "
+                            f"expanding map: {exc}") from None
+    if len({tuple(b.increasing for b in m.branches) for m in corners}) > 1:
+        raise ScenarioError("family: the draw box holds maps that are not "
+                            "expanding (its corners' branches turn opposite "
+                            "ways)")
+
+
 def plan_piecewise(cfg: dict) -> RunPlan:
     """Fixed-map and neighborhood runs: the constants of one map, the
     fixed map or the neighborhood's base padded by eps."""
     fixed = cfg["kind"] == "fixed-map"
     g = map_from_dict(cfg["family"]["map" if fixed else "base"])
+    if not fixed:
+        _check_draw_box(cfg["family"])
     fam = bnd.family_bounds([g], eps_pad=0.0 if fixed else cfg["eps"])
     a_star = cfg["a_star"]
     if a_star is None:
@@ -287,6 +342,21 @@ PLANS = {"fixed-map": plan_piecewise, "neighborhood": plan_piecewise,
          "curve-driven": plan_curve, "smooth": plan_smooth}
 
 
+def _screened_draws(slope, amp_max, slope_jitter, marks, g, eps, rng):
+    """The neighborhood family's attempts in draw order, as (slope,
+    amplitude, whether sine_screen passes it), drawn and screened
+    DRAW_BLOCK at a time.  One block's draw alternates amplitude and
+    jitter bounds, so it gives the values of that many pairs of scalar
+    draws in the same order."""
+    bounds = np.tile([[-amp_max, -slope_jitter], [amp_max, slope_jitter]],
+                     DRAW_BLOCK)
+    while True:
+        amps, jitters = rng.uniform(*bounds).reshape(DRAW_BLOCK, 2).T
+        slopes = slope + jitters
+        passed = sine_screen(slopes, amps, marks, g, eps)
+        yield from zip(slopes.tolist(), amps.tolist(), passed.tolist())
+
+
 def build_sequence(plan: RunPlan,
                    rng: np.random.Generator) -> list[PiecewiseMap]:
     """The draw stage: the planned run's maps (deterministic given the
@@ -299,16 +369,17 @@ def build_sequence(plan: RunPlan,
     slope, amp_max, marks = fam["slope"], fam["amp_max"], tuple(fam["marks"])
     if plan.kind == "neighborhood":
         g = map_from_dict(fam["base"])
-        eps, slope_jitter = plan.cfg["eps"], fam["slope_jitter"]
+        eps = plan.cfg["eps"]
+        attempts = _screened_draws(slope, amp_max, fam["slope_jitter"], marks,
+                                   g, eps, rng)
         maps = []
         for _ in range(n):
-            for attempt in range(REDRAW_LIMIT + 1):
-                a = float(rng.uniform(-amp_max, amp_max))
-                s = slope + float(rng.uniform(-slope_jitter, slope_jitter))
-                cand = sine_map(s, a, 0.0, marks)
-                if neighborhood_distance(cand, g, bound=eps) <= eps:
-                    maps.append(cand)
-                    break
+            for s, a, passed in islice(attempts, REDRAW_LIMIT + 1):
+                if passed:
+                    cand = sine_map(s, a, 0.0, marks)
+                    if neighborhood_distance(cand, g) <= eps:
+                        maps.append(cand)
+                        break
             else:
                 raise ScenarioError(
                     f"no admissible draw within {REDRAW_LIMIT} attempts")

@@ -165,6 +165,37 @@ def test_malformed_field_exits_2_naming_it(tmp_path, cfg, field):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("body,key,value", [
+    (SMOOTH, "a_star", -1), (SMOOTH, "eps", -3), (SMOOTH, "mesh", -1),
+    (SMOOTH, "probes", -4), (FIXED, "eps_loc", 0.2),
+    (NBHD, "mesh_override", True), (CURVE, "eps_loc", 0.5)])
+def test_field_the_kind_does_not_read_exits_2(tmp_path, body, key, value):
+    cfg = dict(body, **{key: value})
+    message = f"{key} is not read by a {body['kind']} scenario, got {value!r}"
+    with pytest.raises(ScenarioError) as exc:
+        Scenario.from_dict(cfg)
+    assert str(exc.value) == message
+    code, out, err = _couple(tmp_path, cfg)
+    assert code == EXIT_CONFIG and out == ""
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unread_fields_at_their_defaults_are_accepted():
+    defaults = {"eps": None, "a_star": None, "mesh": None, "probes": 9,
+                "mesh_override": False}
+    assert Scenario.from_dict(dict(SMOOTH, **defaults)).probes == 9
+    assert Scenario.from_dict(dict(CURVE, eps_loc=0.1)).eps_loc == 0.1
+
+
+def test_unknown_top_level_key_exits_2_naming_it(tmp_path):
+    with pytest.raises(ScenarioError, match="^foo is not a scenario field$"):
+        Scenario.from_dict(dict(FIXED, foo=2))
+    code, out, err = _couple(tmp_path, dict(FIXED, foo=2))
+    assert code == EXIT_CONFIG and out == ""
+    assert err == "config error: foo is not a scenario field\n"
+
+
 @pytest.mark.parametrize("curve,message", [
     ({"family": "slope", "s0": 2.5, "s1": 3.5, "interval": [0, 0]},
      "curve.interval must be two finite numbers"),
@@ -219,6 +250,7 @@ def _direct(**over):
     ({"kind": "neighborhood", "family": {"base": {"form": "doubling"}}},
      "eps"),
     ({"mesh_override": "yes"}, "mesh_override"),
+    ({"kind": "smooth", "family": {}, "a_star": -1.0}, "a_star"),
 ])
 def test_direct_scenario_is_read_by_run_scenario(tmp_path, over, field):
     res = run_scenario(_direct(**over), tmp_path / "run")

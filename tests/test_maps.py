@@ -250,11 +250,9 @@ def test_neighborhood_distance_incomparable():
 # --- neighborhood_distance against the per-call evaluation it replaced --------
 
 
-def oracle_neighborhood_distance(f, g, grid=maps.NEIGHBORHOOD_GRID,
-                                 bound=None):
+def oracle_neighborhood_distance(f, g, grid=maps.NEIGHBORHOOD_GRID):
     """neighborhood_distance as it was before its samples were cached:
-    analyze(g) and every sin/cos evaluated again on each call.  bound is
-    ignored: the value is always computed in full."""
+    analyze(g) and every sin/cos evaluated again on each call."""
     if len(f.branches) != len(g.branches):
         return math.inf
     cap = 0.25 * analyze(g).d_omega
@@ -360,39 +358,62 @@ def test_neighborhood_distance_oracle_cases_are_mixed():
     assert [math.isinf(d) for d in got] == [False, False, True, True, True, False]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(jitter=st.floats(-0.002, 0.002), amp=st.floats(-0.0006, 0.0006),
-       bound=st.floats(0.005, 0.02))
-def test_neighborhood_distance_bound_rejects_only_above_it(jitter, amp, bound):
-    # AC5-family candidates around eps = 0.01: a bound either changes
-    # nothing or stands in for a value above it
+# an affine base, a sine base, one whose jump at 1/2 caps the distance at
+# 0.125, and one that x -> 3x reparametrized from the marks (0, 0.52)
+# matches exactly, so that only the marks' distance 0.02 separates them
+SCREEN_BASES = [slope3_two_branch(), sine_map(3.0, 0.001),
+                PiecewiseMap((BranchSpec(0.0, 0.5, 3.0),
+                              BranchSpec(0.5, 1.0, 3.0, 0.1))),
+                PiecewiseMap((BranchSpec(0.0, 0.5, 3.12),
+                              BranchSpec(0.5, 1.0, 2.88, 0.12)))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(st.floats(-0.004, 0.004),
+                               st.one_of(st.just(0.0),
+                                         st.floats(-0.004, 0.004))),
+                     min_size=1, max_size=40),
+       bound=st.one_of(st.floats(0.002, 0.03), st.just(1.0)),
+       base=st.sampled_from(SCREEN_BASES),
+       mark=st.sampled_from([0.5, 0.52, 0.6]))
+def test_sine_screen_rejects_only_above_the_bound(rows, bound, base, mark):
+    # AC5-family candidates: each row is decided as the coarse pass of the
+    # one-at-a-time draw decided it, by the distance over every
+    # COARSE_STRIDE-th sample, which are the samples of the coarser grid
+    # (inf at the cap); so a rejected row is above the bound or the cap
+    marks = (0.0, mark)
+    slopes = [3.0 + jitter for jitter, _ in rows]
+    amps = [amp for _, amp in rows]
+    passed = maps.sine_screen(slopes, amps, marks, base, bound)
+    coarse = maps.NEIGHBORHOOD_GRID // maps.COARSE_STRIDE
+    for s, a, ok in zip(slopes, amps, passed.tolist()):
+        f = sine_map(s, a, 0.0, marks)
+        assert ok == (oracle_neighborhood_distance(f, base, coarse) <= bound)
+        assert ok or neighborhood_distance(f, base) > bound
+
+
+def test_sine_screen_rejects_a_far_row_on_65_samples(monkeypatch):
+    # both rows are scored on the 65 coarse samples of each arc; only the
+    # near one reaches the full pass
     g = slope3_two_branch()
-    f = sine_map(3.0 + jitter, amp)
-    full = neighborhood_distance(f, g)
-    got = neighborhood_distance(f, g, bound=bound)
-    assert got == full or (got == math.inf and full > bound)
+    shapes = []
+    jet = maps._sine_jet
 
+    def counted(*args):
+        values = jet(*args)
+        shapes.append(values[0].shape)
+        return values
 
-def test_neighborhood_distance_bound_skips_the_full_pass(monkeypatch):
-    # a candidate far above the bound is rejected on the coarse samples of
-    # its first arc alone, one near it is computed in full
-    g = slope3_two_branch()
-    far, near = sine_map(3.0, 0.003), sine_map(3.0, 0.0002)
-    sizes = []
-    jet = BranchSpec.jet
-
-    def counted(self, x, sin2, cos2):
-        sizes.append(x.size)
-        return jet(self, x, sin2, cos2)
-
-    monkeypatch.setattr(BranchSpec, "jet", counted)
-    assert neighborhood_distance(far, g, bound=0.01) == math.inf
-    assert sizes == [65]
-    assert 0.01 < neighborhood_distance(far, g) < 0.2
-    sizes.clear()
-    assert neighborhood_distance(near, g, bound=0.01) == \
+    monkeypatch.setattr(maps, "_sine_jet", counted)
+    passed = maps.sine_screen([3.0, 3.0], [0.003, 0.0002], (0.0, 0.5), g, 0.01)
+    assert passed.tolist() == [False, True]
+    assert shapes == [(2, 65), (2, 65)]
+    assert 0.01 < neighborhood_distance(sine_map(3.0, 0.003), g) < 0.2
+    shapes.clear()
+    near = sine_map(3.0, 0.0002)
+    assert neighborhood_distance(near, g) == \
         oracle_neighborhood_distance(near, g) < 0.01
-    assert sizes == [65, 65, 4097, 4097]
+    assert shapes == [(4097,), (4097,)]
 
 
 def test_neighborhood_samples_are_read_only():

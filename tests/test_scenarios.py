@@ -3,12 +3,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circlemix import neighborhood_distance, slope3_two_branch
+from circlemix import (map_from_dict, neighborhood_distance, sine_map,
+                       slope3_two_branch)
 from circlemix.cli import main
-from circlemix.scenarios import (EXIT_CONFIG, EXIT_OK, PLANS, RunPlan,
-                                 Scenario, ScenarioError, build_sequence,
-                                 load_config, read_scenario, run_scenario)
+from circlemix.scenarios import (EXIT_CONFIG, EXIT_OK, PLANS, REDRAW_LIMIT,
+                                 RunPlan, Scenario, ScenarioError,
+                                 build_sequence, load_config, read_scenario,
+                                 run_scenario)
 
 
 def rng_for(seed):
@@ -143,8 +147,10 @@ def test_sine_family_numbers_accepted():
 
 
 def test_scenario_numbers_accepted():
-    sc = Scenario.from_dict(dict(CONFIG_BODY, eps=1, eps_loc=0.2, a_star=12))
+    sc = Scenario.from_dict(dict(CONFIG_BODY, eps=1, a_star=12))
     assert (sc.grid, sc.n_max, sc.seed, sc.eps, sc.a_star) == (512, 4, 1, 1, 12)
+    sc = Scenario.from_dict(dict(SINE_BODIES["smooth"], eps_loc=1))
+    assert sc.eps_loc == 1
 
 
 def test_run_scenario_writes_artifacts(tmp_path):
@@ -554,13 +560,35 @@ def test_density_presets_deterministic():
     assert abs(c.integral() - 1.0) < 1e-9
 
 
-# --- neighborhood draws with the cached distance -------------------------------
+# --- neighborhood draws against the one-at-a-time loop -----------------------
 
 
-def test_neighborhood_draws_unchanged_by_sample_cache(monkeypatch):
-    # the AC5 draw scores about 600 candidates; the distance of the
-    # per-call evaluation accepts and rejects exactly the same ones
-    from circlemix import scenarios
+def oracle_neighborhood_draws(plan, rng, distance=neighborhood_distance):
+    """build_sequence's neighborhood draw as it was before attempts were
+    drawn and screened in blocks: two scalar draws per attempt, each
+    candidate built and decided by its full distance."""
+    fam, n, eps = plan.cfg["family"], plan.cfg["n_max"], plan.cfg["eps"]
+    g = map_from_dict(fam["base"])
+    slope, amp_max, jitter = fam["slope"], fam["amp_max"], fam["slope_jitter"]
+    maps = []
+    for _ in range(n):
+        for _attempt in range(REDRAW_LIMIT + 1):
+            a = float(rng.uniform(-amp_max, amp_max))
+            s = slope + float(rng.uniform(-jitter, jitter))
+            cand = sine_map(s, a, 0.0, tuple(fam["marks"]))
+            if distance(cand, g) <= eps:
+                maps.append(cand)
+                break
+        else:
+            raise ScenarioError(
+                f"no admissible draw within {REDRAW_LIMIT} attempts")
+    return maps
+
+
+def test_neighborhood_draws_unchanged_by_sample_cache():
+    # the AC5 draw attempts about 600 candidates; blocks of screened draws
+    # accept the maps that the loop deciding each one by the per-call
+    # distance accepts
     from test_maps import oracle_neighborhood_distance
 
     sc = base_scenario(kind="neighborhood", n_max=40, eps=0.01, grid=8192,
@@ -568,10 +596,54 @@ def test_neighborhood_draws_unchanged_by_sample_cache(monkeypatch):
                                "slope": 3.0, "amp_max": 0.003,
                                "slope_jitter": 0.002})
     plan = plan_for(sc)
-    got = build_sequence(plan, rng_for(101))
-    monkeypatch.setattr(scenarios, "neighborhood_distance",
-                        oracle_neighborhood_distance)
-    assert build_sequence(plan, rng_for(101)) == got
+    assert build_sequence(plan, rng_for(101)) == oracle_neighborhood_draws(
+        plan, rng_for(101), oracle_neighborhood_distance)
+
+
+NBHD_BASES = [{"form": "slope3-two-branch"},
+              {"form": "sine", "slope": 3.0, "amplitude": 0.001}]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), amp_max=st.floats(0.0, 0.005),
+       jitter=st.one_of(st.just(0.0), st.floats(0.0, 0.005)),
+       eps=st.floats(0.002, 0.03), base=st.sampled_from(NBHD_BASES),
+       marks=st.sampled_from([(0.0, 0.5), (0.0, 0.5), (0.0, 0.501),
+                              (0.0, 0.4, 0.8)]),
+       n_max=st.integers(1, 10))
+def test_neighborhood_draws_match_the_one_at_a_time_loop(
+        seed, amp_max, jitter, eps, base, marks, n_max):
+    # the same maps, or the same refusal where nothing is admissible (a
+    # third mark leaves every candidate incomparable with the base); the
+    # base's own marks are listed twice so that most examples draw maps
+    cfg = {"kind": "neighborhood", "n_max": n_max, "eps": eps,
+           "family": {"base": base, "slope": 3.0, "amp_max": amp_max,
+                      "slope_jitter": jitter, "marks": marks}}
+    plan = RunPlan(cfg, None)
+    try:
+        want = oracle_neighborhood_draws(plan, rng_for(seed))
+    except ScenarioError as exc:
+        with pytest.raises(ScenarioError) as got:
+            build_sequence(plan, rng_for(seed))
+        assert str(got.value) == str(exc)
+    else:
+        assert build_sequence(plan, rng_for(seed)) == want
+
+
+@pytest.mark.parametrize("family,message", [
+    ({"amp_max": 0.5}, "a corner of the draw box is not an expanding map"),
+    ({"slope": 0.0, "slope_jitter": 3.0}, "branches turn opposite ways"),
+    ({"marks": [0.1, 0.5]}, "branch domains must tile"),
+])
+def test_neighborhood_box_with_maps_that_do_not_expand_exits_2(
+        tmp_path, family, message):
+    # the screen never builds the maps it rejects, so such a box is
+    # refused before the draws
+    sc = base_scenario(kind="neighborhood", eps=0.01, family={
+        "base": {"form": "slope3-two-branch"}, **family})
+    res = run_scenario(sc, tmp_path / "run")
+    assert res.exit_code == EXIT_CONFIG and message in res.message
+    assert not (tmp_path / "run").exists()
 
 
 # --- typed covering failures and vacuous certificates -------------------------
