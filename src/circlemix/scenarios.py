@@ -103,7 +103,7 @@ _COMMON = {"name": str, "grid": int, "seed": int, "phi": DENSITY,
            "psi": DENSITY}
 # The optional fields that only some kinds read.  A kind's table lists the
 # ones its stages read; check_scenario refuses the others unless they keep
-# their Scenario defaults.
+# their Scenario defaults, and treats family and curve (default {}) alike.
 _OPTIONAL = {"eps": Field(float), "a_star": Field(float),
              "mesh": Field(float, also=("auto",)), "eps_loc": Scenario.eps_loc,
              "mesh_override": Scenario.mesh_override,
@@ -129,11 +129,12 @@ SCENARIO = Format("kind", None, "scenario kind", {
 
 def check_scenario(cfg: dict) -> dict:
     """`cfg`, a scenario read against SCENARIO, after the checks its table
-    cannot state: no optional field the kind does not read, the grid, the
-    smooth grid cap and n_max."""
+    cannot state: no optional field, family or curve the kind does not read,
+    the grid, the smooth grid cap and n_max."""
     grid, kind, n_max = cfg["grid"], cfg["kind"], cfg["n_max"]
-    for key, entry in _OPTIONAL.items():
-        default = entry.default if isinstance(entry, Field) else entry
+    defaults = {key: entry.default if isinstance(entry, Field) else entry
+                for key, entry in _OPTIONAL.items()}
+    for key, default in {**defaults, "family": {}, "curve": {}}.items():
         if (key not in SCENARIO.tables[kind]
                 and cfg.get(key, default) != default):
             raise ScenarioError(f"{key} is not read by a {kind} scenario, "

@@ -3,24 +3,29 @@
 Two interchangeable backends.  The primary pullback backend evaluates
 sum_{y in f^-1 x} phi(y)/|f'(y)| at every grid point.  The preimages and
 the weights 1/|f'| depend only on the map and the grid, so a
-TransferOperator solves them once per (map, G) and every push is then two
-gathers and a weighted sum.  The caller builds the operator and pushes
-through it, so it decides how long an operator lives: a run that pushes
-several densities through one map, or reuses a map, builds it once.  The
-Ulam backend discretizes the same operator as a column-stochastic
-bin-to-bin mass-transport matrix and serves as an independent consistency
-oracle.
+TransferOperator solves them once per (map, G) and every push is then a
+weighted sum of samples read at them.  Most runs of targets read their
+samples by two gathers.  On an affine branch whose slope is a small
+rational p/q the preimages of a long run are p arithmetic progressions
+with exact, constant fractions, so such a run reads strided views with two
+scalar weights per progression instead (PHASE_MIN_LEN gives the rule and
+its measurements).  The caller builds the operator and pushes through it,
+so it decides how long an operator lives: a run that pushes several
+densities through one map, or reuses a map, builds it once.  The Ulam
+backend discretizes the same operator as a column-stochastic bin-to-bin
+mass-transport matrix and serves as an independent consistency oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .density import Density
-from .maps import PiecewiseMap, TransferError, _solve_lift
+from .maps import BranchSpec, PiecewiseMap, TransferError, _solve_lift
 
 # Hard sanity window for the per-step mass renormalization factor; values
 # outside it indicate a broken map/density pairing rather than grid error.
@@ -28,19 +33,45 @@ FACTOR_WINDOW = (0.5, 2.0)
 
 ULAM_QUAD_POINTS = 64
 
+# A run of n targets on an affine branch of slope +-p/q is applied as p
+# phases when each phase is at least PHASE_MIN_LEN * q targets long
+# (n >= PHASE_MIN_LEN * p * q), and gathered otherwise.  A phase saves the
+# gathers but reads every q-th sample and costs four numpy calls, so it
+# pays only on long phases, the longer the larger q.  Measured on one run
+# of affine_map(s, 0.3) (2-core Xeon, numpy 2.4.6; apply time of the phases
+# over the gather's, median of 25 alternating timings), where the ratio
+# crosses 1:
+#   q = 1 (s = 2, 3, 5, 7):  1.10 at phase length 1638, 1.01 at 2340,
+#                            0.75-0.81 at 2048-4096 for s = 2, 3;
+#   q = 2 (s = 2.5, 3.5):    1.07 at 3276, 0.93 at 4681, 0.84 at 6553;
+#   q = 4 (s = 2.25, 2.75):  1.06 at 2978, 0.95-0.98 at 5957-7281,
+#                            0.86-0.91 at 11915-14563;
+#   q = 8 (s = 2.125):       1.02 at 3855, 0.95 at 7710.
+# At G = 2^16, two-slope-wrap's four runs (q = 1 and 2) all qualify; at
+# G <= 2^12 only a slope-2 run over the whole grid does.
+PHASE_MIN_LEN = 2048
+
 
 class TransferOperator:
     """The pullback operator of one map on the grid i/G.
 
     For each branch and lift offset k, the grid targets j/G + k inside the
-    branch image form one contiguous run of j, stored as a slice.  Each
-    preimage x of a target contributes the linear interpolant of phi at x
-    divided by |f'(x)|: a left sample index i0 and the weights
-    (1 - frac)/|f'| and frac/|f'| on samples i0 and i0 + 1.  f' comes with
-    the preimages from the solve (the slope, on an affine branch).
+    branch image form one contiguous run of j.  Each preimage x of a target
+    contributes the linear interpolant of phi at x divided by |f'(x)|: a
+    left sample index i0 and the weights (1 - frac)/|f'| and frac/|f'| on
+    samples i0 and i0 + 1.
+
+    A run is stored as pieces (targets, sources, w0, w1).  A gather piece
+    holds the whole run: a target slice, an array of i0 and weight arrays,
+    from the preimage solve (f' is the slope, on an affine branch).  On an
+    affine branch of slope +-p/q (the float's exact ratio) target j + p
+    lies q samples after target j (before, on a decreasing branch) with the
+    same fraction, so a run of at least PHASE_MIN_LEN * p * q targets is
+    stored as p phase pieces instead: strided target and source slices and
+    two scalar weights, from exact positions (_phases).
 
     The operator owns its scratch arrays, the periodic extension of the
-    samples and two work buffers as long as its longest run, so an apply
+    samples and two work buffers as long as its longest piece, so an apply
     allocates only the array it returns.
     """
 
@@ -48,10 +79,14 @@ class TransferOperator:
         self.m = m
         self.G = G
         ys = np.arange(G) / G
-        self._runs = []
+        self._pieces = []
         for b in m.branches:
             flo, fhi, offsets = b.image()
             inc = b.increasing
+            # a run of at least min_run targets is applied as phases
+            min_run = (PHASE_MIN_LEN
+                       * math.prod(abs(b.slope).as_integer_ratio())
+                       if b.is_affine else math.inf)
             for k in offsets:
                 t = ys + k
                 if inc:  # targets in [flo, fhi)
@@ -60,23 +95,15 @@ class TransferOperator:
                     j0, j1 = np.searchsorted(t, (fhi, flo), side="right")
                 if j0 >= j1:
                     continue
-                xs, deriv = _solve_lift(b, t[j0:j1])
-                xs[xs >= 1.0] -= 1.0
-                pos = xs * G
-                i0 = np.floor(pos)
-                # apply gathers with mode="clip", which would silently
-                # move an index outside [0, G - 1] onto an edge sample
-                if not (i0.min() >= 0.0 and i0.max() <= G - 1):
-                    raise TransferError(
-                        f"preimage sample index outside [0, {G - 1}] on {b}")
-                frac = pos - i0
-                inv = 1.0 / np.abs(deriv)  # a scalar on an affine branch
-                self._runs.append((slice(int(j0), int(j1)), i0.astype(np.intp),
-                                   (1.0 - frac) * inv, frac * inv))
+                if j1 - j0 >= min_run:
+                    self._pieces += _phases(b, G, k, int(j0), int(j1))
+                else:
+                    self._pieces.append(_gather(b, G, t, int(j0), int(j1)))
         self._ext = np.empty(G + 1)
-        longest = max((i0.size for _, i0, _, _ in self._runs), default=0)
-        self._a = np.empty(longest)
-        self._b = np.empty(longest)
+        sizes = [len(range(G)[tgt]) if isinstance(src, slice) else src.size
+                 for tgt, src, _, _ in self._pieces]
+        work = np.empty((2, max(sizes, default=0)))
+        self._bufs = [(work[0, :n], work[1, :n]) for n in sizes]
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
         """Raw (unnormalized) pushforward samples of one density."""
@@ -85,16 +112,74 @@ class TransferOperator:
         s_ext[-1] = samples[0]  # periodic right neighbour
         right = s_ext[1:]
         acc = np.zeros(self.G)
-        for sl, i0, w0, w1 in self._runs:
-            a = self._a[:i0.size]
-            b = self._b[:i0.size]
-            np.take(s_ext, i0, out=a, mode="clip")
-            np.multiply(a, w0, out=a)
-            np.take(right, i0, out=b, mode="clip")
-            np.multiply(b, w1, out=b)
+        for (tgt, src, w0, w1), (a, b) in zip(self._pieces, self._bufs):
+            if isinstance(src, slice):  # a phase: strided views
+                np.multiply(s_ext[src], w0, out=a)
+                np.multiply(right[src], w1, out=b)
+            else:
+                np.take(s_ext, src, out=a, mode="clip")
+                np.multiply(a, w0, out=a)
+                np.take(right, src, out=b, mode="clip")
+                np.multiply(b, w1, out=b)
             np.add(a, b, out=a)
-            np.add(acc[sl], a, out=acc[sl])
+            dst = acc[tgt]
+            np.add(dst, a, out=dst)
         return acc
+
+
+def _gather(b: BranchSpec, G: int, t: np.ndarray, j0: int, j1: int):
+    """The gather piece of the targets t[j0:j1], from the preimage solve."""
+    xs, deriv = _solve_lift(b, t[j0:j1])
+    xs[xs >= 1.0] -= 1.0  # a float root at the arc's end can reach x = 1
+    pos = xs * G
+    i0 = np.floor(pos)
+    # apply gathers with mode="clip", which would silently move an index
+    # outside [0, G - 1] onto an edge sample
+    if not (i0.min() >= 0.0 and i0.max() <= G - 1):
+        raise TransferError(
+            f"preimage sample index outside [0, {G - 1}] on {b}")
+    frac = pos - i0
+    inv = 1.0 / np.abs(deriv)  # a scalar on an affine branch
+    return slice(j0, j1), i0.astype(np.intp), (1.0 - frac) * inv, frac * inv
+
+
+def _phases(b: BranchSpec, G: int, k: int, j0: int, j1: int) -> list:
+    """The phase pieces of the targets j0 <= j < j1 on the affine branch b
+    of slope s = +-p/q: one for each of j0, ..., j0 + p - 1, holding every
+    p-th target from it on.
+
+    The exact root of the target j/G + k sits at the sample position
+    (j + (k - c)*G)/s.  A phase reads the samples i, i + q, ... (i, i - q,
+    ... on a decreasing branch), i the floor of its first position, with
+    the weights (1 - frac)/|s| and frac/|s|, each rounded once from the
+    exact fraction.  G is a power of two, as Density requires, so the
+    targets are exact floats, and a float target inside the rounded image
+    end round(lift(1)) is inside lift(1) itself; lift(0) = c is exact.  So
+    every root lies in [0, 1), a phase needs no wrap, and the index check
+    refuses one that would.
+    """
+    s = Fraction(b.slope)
+    p, q = abs(s.numerator), s.denominator
+    step = q if s > 0 else -q
+    shift = (k - Fraction(b.offset)) * G
+    inv = 1 / abs(s)
+    pieces = []
+    for j in range(j0, min(j0 + p, j1)):
+        pos = (j + shift) / s
+        i = math.floor(pos)
+        n = len(range(j, j1, p))
+        last = i + (n - 1) * step
+        # a strided view would read an index outside [0, G - 1] from the
+        # wrong end of the samples, or fall short of n
+        if not (0 <= min(i, last) and max(i, last) <= G - 1):
+            raise TransferError(
+                f"preimage sample index outside [0, {G - 1}] on {b}")
+        frac = pos - i
+        stop = last + step
+        pieces.append((slice(j, j1, p),
+                       slice(i, stop if stop >= 0 else None, step),
+                       float((1 - frac) * inv), float(frac * inv)))
+    return pieces
 
 
 def push_with_factor(op: TransferOperator,

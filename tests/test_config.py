@@ -120,7 +120,8 @@ FIXED = {"schema": 1, "name": "bad", "kind": "fixed-map", "grid": 512,
 NBHD = dict(FIXED, kind="neighborhood", eps=0.01,
             family={"base": {"form": "slope3-two-branch"}})
 SMOOTH = dict(FIXED, kind="smooth", family={})
-CURVE = dict(FIXED, kind="curve-driven", n_max="auto",
+CURVE = dict({k: v for k, v in FIXED.items() if k != "family"},
+             kind="curve-driven", n_max="auto",
              curve={"family": "slope", "s0": 2.5, "s1": 3.5})
 
 MALFORMED = [
@@ -168,7 +169,10 @@ def test_malformed_field_exits_2_naming_it(tmp_path, cfg, field):
 @pytest.mark.parametrize("body,key,value", [
     (SMOOTH, "a_star", -1), (SMOOTH, "eps", -3), (SMOOTH, "mesh", -1),
     (SMOOTH, "probes", -4), (FIXED, "eps_loc", 0.2),
-    (NBHD, "mesh_override", True), (CURVE, "eps_loc", 0.5)])
+    (NBHD, "mesh_override", True), (CURVE, "eps_loc", 0.5),
+    (CURVE, "family", {"map": {"form": "slope3-two-branch"}}),
+    (FIXED, "curve", {"family": "slope", "s0": 2.5, "s1": 3.5}),
+    (SMOOTH, "curve", {"family": "slope", "s0": 2.5, "s1": 3.5})])
 def test_field_the_kind_does_not_read_exits_2(tmp_path, body, key, value):
     cfg = dict(body, **{key: value})
     message = f"{key} is not read by a {body['kind']} scenario, got {value!r}"
@@ -287,7 +291,7 @@ KINDS = pytest.mark.parametrize("over", [
      "family": {"base": {"form": "slope3-two-branch"}, "slope": 3.0,
                 "amp_max": 0.003, "slope_jitter": 0.002}},
     {"kind": "smooth", "family": {"slope": 2.0, "amp_max": 0.05}},
-    {"kind": "curve-driven", "mesh": "auto",
+    {"kind": "curve-driven", "mesh": "auto", "family": {},
      "curve": {"family": "slope", "s0": 2.5, "s1": 3.5}},
 ], ids=["fixed-map", "neighborhood", "smooth", "curve-driven"])
 

@@ -654,9 +654,10 @@ def test_operator_build_evaluates_one_sin_cos_pair_per_preimage(
             row[:] = 0, 0
         op = transfer.TransferOperator(m, G)
         ends = 2 * len(m.branches)
-        runs = len(op._runs)
-        chunks = sum(-(-i0.size // maps.SOLVE_CHUNK) for _, i0, _, _ in op._runs)
-        targets = sum(i0.size for _, i0, _, _ in op._runs)
+        runs = len(op._pieces)  # a sine branch gathers every run
+        chunks = sum(-(-i0.size // maps.SOLVE_CHUNK)
+                     for _, i0, _, _ in op._pieces)
+        targets = sum(i0.size for _, i0, _, _ in op._pieces)
         assert trig["sin"][0] == ends + 2 * chunks
         assert trig["cos"] == [ends + 2 * runs + chunks,
                                ends + 2 * runs + targets]

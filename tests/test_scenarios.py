@@ -20,9 +20,12 @@ def rng_for(seed):
 
 
 def base_scenario(**over):
+    """A fixed-map scenario, or with a curve in `over` a curve-driven one
+    (which carries no family)."""
     body = dict(name="t", kind="fixed-map", grid=1024, n_max=10, seed=3,
-                phi={"preset": "sine"}, psi={"preset": "uniform"},
-                family={"map": {"form": "slope3-two-branch"}})
+                phi={"preset": "sine"}, psi={"preset": "uniform"})
+    if "curve" not in over:
+        body["family"] = {"map": {"form": "slope3-two-branch"}}
     body.update(over)
     return Scenario(**body)
 

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import signal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from circlemix import (BranchSpec, Density, PiecewiseMap, affine_map, analyze,
                        push_with_factor, sine_map, slope25_map,
                        slope3_two_branch, two_slope_wrap_map, ulam_matrix,
                        ulam_push)
+from circlemix import transfer
+from circlemix.scenarios import (PLANS, build_density, build_sequence,
+                                 read_scenario)
 from circlemix.transfer import TransferError, TransferOperator
 from test_maps import eval_many
 
@@ -392,21 +396,25 @@ def test_push_duality(m, G, q, theta, data):
 
 
 def allocating_apply(op, samples):
-    """TransferOperator.apply as it was before it gathered into the
-    operator's own buffers: fancy indexing and fresh temporaries."""
+    """TransferOperator.apply as it was before it read into the operator's
+    own buffers: indexing (fancy for a gather piece, strided for a phase)
+    and fresh temporaries."""
     s_ext = np.append(samples, samples[0])  # periodic right neighbour
     right = s_ext[1:]
     acc = np.zeros(op.G)
-    for sl, i0, w0, w1 in op._runs:
-        acc[sl] += s_ext[i0] * w0 + right[i0] * w1
+    for tgt, src, w0, w1 in op._pieces:
+        acc[tgt] += s_ext[src] * w0 + right[src] * w1
     return acc
 
 
 @PROPERTY
-@given(m=circle_maps(), G=st.sampled_from([2 ** k for k in range(4, 13)]),
-       data=st.data())
-def test_apply_bit_identical_to_allocating_apply(m, G, data):
-    op = TransferOperator(m, G)
+@given(m=st.one_of(circle_maps(), st.sampled_from(BUILTINS)),
+       G=st.sampled_from([2 ** k for k in range(4, 13)]),
+       min_len=st.sampled_from([transfer.PHASE_MIN_LEN, 1]), data=st.data())
+def test_apply_bit_identical_to_allocating_apply(m, G, min_len, data):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "PHASE_MIN_LEN", min_len)
+        op = TransferOperator(m, G)
     phi = data.draw(densities(G))
     assert np.array_equal(op.apply(phi.samples),
                           allocating_apply(op, phi.samples))
@@ -450,9 +458,121 @@ def test_push_refuses_a_density_on_another_grid():
 
 @pytest.mark.parametrize("xs", [-0.5, math.nan], ids=["negative", "nan"])
 def test_out_of_range_preimage_index_refused(monkeypatch, xs):
-    from circlemix import transfer
-
+    # doubling at G = 64 gathers, so the solve's roots reach the check
     monkeypatch.setattr(transfer, "_solve_lift",
                         lambda b, t: (np.full_like(t, xs), b.slope))
     with pytest.raises(TransferError, match="outside"):
         TransferOperator(doubling_map(), 64)
+
+
+@pytest.mark.parametrize("below,above", [(0.5, 0.0), (0.0, 0.5)],
+                         ids=["negative", "past-G"])
+def test_out_of_range_phase_index_refused(monkeypatch, below, above):
+    # an image widened by half a unit holds targets whose roots lie in
+    # [-1/4, 0) or [1, 5/4), so a phase would start or end outside the
+    # samples
+    image = BranchSpec.image
+
+    def widened(self):
+        flo, fhi, offsets = image(self)
+        return flo - below, fhi + above, offsets
+
+    monkeypatch.setattr(BranchSpec, "image", widened)
+    monkeypatch.setattr(transfer, "PHASE_MIN_LEN", 1)
+    with pytest.raises(TransferError, match=r"outside \[0, 63\]"):
+        TransferOperator(doubling_map(), 64)
+
+
+# --- exact phases on affine branches of slope +-p/q -------------------------
+
+
+@st.composite
+def rational_slope_maps(draw):
+    """(m, p, q, G): an affine map of slope +-p/q, q a power of two and p at
+    most 12, on a grid G; its offset is arbitrary, or puts lift(1) on a grid
+    target and then moves it by up to two ulps, so that a rounded image end
+    meets a target."""
+    q = 2 ** draw(st.integers(0, 2))
+    p = draw(st.integers(q + 1, 12).filter(lambda p: math.gcd(p, q) == 1))
+    slope = draw(st.sampled_from([1.0, -1.0])) * p / q
+    G = draw(st.sampled_from([2 ** 10, 2 ** 11, 2 ** 12]))
+    if draw(st.booleans()):
+        offset = draw(st.floats(-1.0, 1.0))
+    else:
+        offset = draw(st.integers(-G, 2 * G)) / G - slope
+        ulps = draw(st.integers(-2, 2))
+        for _ in range(abs(ulps)):
+            offset = math.nextafter(offset, math.copysign(math.inf, ulps))
+    marks = draw(st.sampled_from([None] + MARKS))
+    return affine_map(slope, offset, marks), p, q, G
+
+
+def exact_root(m, G, j, i):
+    """The exact root, in samples, of the one target j/G + k whose root
+    has its left sample at i."""
+    s, c = Fraction(m.branches[0].slope), Fraction(m.branches[0].offset)
+    roots = [pos for k in range(-16, 17)
+             if math.floor(pos := (Fraction(j, G) + k - c) / s * G) == i]
+    assert len(roots) == 1
+    return roots[0]
+
+
+@settings(PROPERTY, max_examples=100)
+@given(case=rational_slope_maps(), data=st.data())
+def test_phases_match_the_gathered_operator(case, data):
+    m, p, q, G = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "PHASE_MIN_LEN", 1)
+        op = TransferOperator(m, G)
+        mp.setattr(transfer, "PHASE_MIN_LEN", math.inf)
+        gathered = TransferOperator(m, G)
+    # the same runs, each of at least p * q targets split into p phases
+    want = []
+    for run, _, _, _ in gathered._pieces:
+        n = run.stop - run.start
+        want += ([slice(run.start + r, run.stop, p) for r in range(p)]
+                 if n >= p * q else [run])
+    assert [tgt for tgt, _, _, _ in op._pieces] == want
+    phases = [piece for piece in op._pieces if isinstance(piece[1], slice)]
+    assert phases
+    phi = data.draw(densities(G))
+    assert (np.abs(op.apply(phi.samples) - gathered.apply(phi.samples)).max()
+            <= 1e-13)
+    # each phase's first and last index and its weights, exactly
+    inv = Fraction(q, p)
+    for tgt, src, w0, w1 in phases:
+        assert src.step == math.copysign(q, m.branches[0].slope)
+        n = len(range(G)[tgt])
+        first = exact_root(m, G, tgt.start, src.start)
+        last = exact_root(m, G, tgt.start + (n - 1) * p,
+                                  src.start + (n - 1) * src.step)
+        frac = first - src.start
+        assert last - math.floor(last) == frac
+        assert (w0, w1) == (float((1 - frac) * inv), float(frac * inv))
+        assert len(range(G + 1)[src]) == n
+
+
+def workload_maps(name):
+    """The maps and grid of a benchmark workload's reference call, drawn as
+    run_scenario draws them."""
+    from test_config import WORKLOADS
+
+    seed = WORKLOADS.REFERENCE_SEEDS[name]
+    cfg = read_scenario(WORKLOADS.scenario(name, seed))
+    rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
+    for key in ("phi", "psi"):
+        build_density(cfg[key], cfg["grid"], rng)
+    return build_sequence(PLANS[cfg["kind"]](cfg), rng), cfg["grid"]
+
+
+def test_workload_operators_take_their_paths():
+    # fixed-wrap's map applies phases only; the other three workloads
+    # gather every run, as they did before phases existed
+    op = TransferOperator(two_slope_wrap_map(), 2 ** 16)
+    assert [src.step for _, src, _, _ in op._pieces] == [1] * 6 + [2] * 10
+    for name in ("curve-slope", "neighborhood-sine", "smooth-sine"):
+        maps, G = workload_maps(name)
+        assert len(maps) > 1
+        for m in {m: None for m in maps}:
+            pieces = TransferOperator(m, G)._pieces
+            assert not any(isinstance(src, slice) for _, src, _, _ in pieces)
