@@ -79,7 +79,7 @@ def _cmd_calculator(args) -> int:
             raise ValueError("config must be a JSON object")
         report = run(_apply_grid_seed(cfg, args))
     except (CoveringError, TransferError, OSError, ValueError) as exc:
-        # TransferError: a float escape witness left its branch image
+        # TransferError: a sine branch's preimage solve did not converge
         print(f"{args.command} error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.out:

@@ -14,9 +14,9 @@ image arcs are integers over one power-of-two denominator per depth, and
 a cylinder is pulled back through its composed affine lift.  Fractions are
 built only at the API (`Cylinder.lo`/`hi` and the escape witness), so
 covering decisions never hinge on roundoff.  Maps with sine-perturbed
-branches run through the same generator in floats; their endpoints carry a
-~1e-12 enclosure, cuts closer than FLOAT_DEDUPE are merged, and covering
-checks then require a FLOAT_MARGIN margin.
+branches run through the same generator in floats; their endpoints are
+plain floats with no proved error bound, cuts closer than FLOAT_DEDUPE are
+merged, and covering checks then require a FLOAT_MARGIN margin.
 """
 
 from __future__ import annotations
@@ -52,12 +52,6 @@ class NotEnvelopingError(CoveringError):
 
 def _all_affine(maps) -> bool:
     return all(b.is_affine for m in maps for b in m.branches)
-
-
-def _inv_lift_pt(branch, t: float) -> float:
-    if branch.is_affine:
-        return (t - branch.offset) / branch.slope
-    return float(_solve_lift(branch, np.array([float(t)]))[0][0])
 
 
 @dataclass(frozen=True)
@@ -146,10 +140,6 @@ class _Ints:
     def advance(self) -> None:
         self.unit *= self.Q
 
-    def shift(self, pull, k: int):
-        """The pull of F - k."""
-        return pull[0], pull[1] - k * self.unit
-
     def pull_back(self, pull, c) -> Fraction:
         P, T = pull
         return Fraction(c - T, P * self.unit0)
@@ -171,7 +161,7 @@ class _Floats:
 
     The unit is 1.  A piece also carries its interval (lo, hi), and it
     pulls back through its chain of (branch, shift k, shift s) steps, the
-    newest first, by `_inv_lift_pt`.  Cuts closer than FLOAT_DEDUPE to the
+    newest first, by `_solve_lift`.  Cuts closer than FLOAT_DEDUPE to the
     previous cut or to the interval's end are merged away.
     """
 
@@ -221,15 +211,11 @@ class _Floats:
     def advance(self) -> None:
         pass
 
-    def shift(self, pull, k: int):
-        sign, (steps, br, k0, s) = pull
-        return sign, (steps, br, k0, s + k)
-
     def pull_back(self, pull, c) -> float:
         steps = pull[1]
         while steps is not None:
             steps, br, k, s = steps
-            c = _inv_lift_pt(br, c + s) + k
+            c = float(_solve_lift(br, np.array([c + s]))[0][0]) + k
         return c
 
     def interval(self, piece) -> tuple[float, float]:
@@ -386,10 +372,12 @@ def escape_time(g: PiecewiseMap, J: Cylinder, cap_factor: int = ESCAPE_CAP_FACTO
     """Nested-interval loop producing (s, witness) with g^s(witness) covering
     a full first-level interval.
 
-    Maintains the current image arc; when it straddles a partition point
-    the longer piece is kept (ties toward the piece with the smaller start)
-    and the witness is pulled back through the composed lift.
-    Containment of a first-level interval is checked in the closed sense.
+    Maintains the current image arc; each step cuts it at the partition
+    points inside it by `_cuts`, as the depth generator does, keeps the
+    longer piece (ties toward the piece with the smaller start) and maps it
+    through its own branch.  The witness is pulled back through the
+    composed lift.  Containment of a first-level interval is checked in the
+    closed sense.
     """
     ar = _arith([g], J.lo, J.hi,
                 exact=_all_affine([g]) and isinstance(J.lo, Fraction))
@@ -398,31 +386,17 @@ def escape_time(g: PiecewiseMap, J: Cylinder, cap_factor: int = ESCAPE_CAP_FACTO
         return 0, (J.lo, J.hi)
     cap = cap_factor * max(1, len(J.itinerary))
     for k in range(1, cap + 1):
-        a, b = piece[0], piece[1]
-        bi = max(bisect_right(ends, a) - 1, 0)
-        (piece,) = ar.split(piece, [(a, b, bi, 0)], g)
-        ar.advance()
-        a, b, _, pull = piece[:4]
-        unit, ends = ar.unit, ar.breakpoints(g)
-        if _holds_branch(a, b, ends, unit):
-            wa, wb = ar.pull_back(pull, a), ar.pull_back(pull, b)
-            return k, (min(wa, wb), max(wa, wb))
-        # interior partition points of the open arc (a, b)
-        length = b - a
-        inside = [off for p in ends if 0 < (off := (p - a) % unit) < length]
-        if not inside:
-            continue  # arc sits inside one first-level interval
-        if len(inside) != 1:
+        unit = ar.unit
+        cuts = _cuts(piece[0], piece[1], ends, unit)
+        if len(cuts) > 2:
             raise CoveringError("arc straddles more than one partition point")
-        off = inside[0]
-        if off > length - off or (off == length - off
-                                  and a <= (a + off) % unit):
-            b = a + off
-        else:
-            a = a + off
-        k0 = a // unit
-        piece = (a - k0 * unit, b - k0 * unit, piece[2],
-                 ar.shift(pull, k0)) + piece[4:]
+        cut = max(cuts, key=lambda c: (c[1] - c[0], -(c[0] % unit)))
+        (piece,) = ar.split(piece, [cut], g)
+        ar.advance()
+        ends = ar.breakpoints(g)
+        if _holds_branch(piece[0], piece[1], ends, ar.unit):
+            wa, wb = (ar.pull_back(piece[3], c) for c in piece[:2])
+            return k, (min(wa, wb), max(wa, wb))
     raise CoveringError(
         f"escape loop exceeded {cap} iterations; expansion likely <= 2")
 

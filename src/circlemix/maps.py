@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,16 +124,6 @@ class BranchSpec:
         if self.amplitude == 0.0:
             return np.zeros_like(np.asarray(x, dtype=float))
         return -(TWO_PI ** 2) * self.amplitude * np.sin(TWO_PI * x)
-
-    def jet(self, x, sin2, cos2):
-        """(lift, f', f'') at x from the tables sin2 = sin(2 pi x) and
-        cos2 = cos(2 pi x), by the expressions of lift, deriv and deriv2, so
-        the values are the same to the bit.  The derivatives of an affine
-        branch are returned as scalars."""
-        if self.amplitude == 0.0:
-            return self.slope * x + self.offset, self.slope, 0.0
-        return _sine_jet(self.slope, self.offset, self.amplitude, x, sin2,
-                         cos2)
 
     def deriv_range(self) -> tuple[float, float]:
         """(min, max) of f' over the closed arc, by extremal calculus on cos."""
@@ -481,11 +471,11 @@ def _base_samples(g: PiecewiseMap, f_arcs, grid: int):
         # Anchor xi at the left marks; the last arc of f may be traversed
         # beyond 1.0, where the analytic lift still applies.
         ys = f_lo + sigma * (xs - gb.lo)
-        tables = (*gb.jet(xs, np.sin(TWO_PI * xs), np.cos(TWO_PI * xs)),
+        tables = (*_sine_jet(gb.slope, gb.offset, gb.amplitude, xs,
+                             np.sin(TWO_PI * xs), np.cos(TWO_PI * xs)),
                   ys, np.sin(TWO_PI * ys), np.cos(TWO_PI * ys))
         for t in tables:
-            if isinstance(t, np.ndarray):
-                t.flags.writeable = False
+            t.flags.writeable = False
         arcs.append((sigma, *tables))
     return 0.25 * analyze(g).d_omega, tuple(arcs)
 
@@ -519,8 +509,9 @@ def neighborhood_distance(f: PiecewiseMap, g: PiecewiseMap,
         f.marked_points, [(b.lo, b.hi) for b in f.branches], g, grid)
     if part1 >= cap:
         return math.inf
-    worst = float(_c2_norms([f.branches[j].jet for j in order], arcs, part1,
-                            slice(None)))
+    worst = float(_c2_norms([(b.slope, b.offset, b.amplitude)
+                             for b in (f.branches[j] for j in order)],
+                            arcs, part1, slice(None)))
     return math.inf if worst >= cap else worst
 
 
@@ -542,34 +533,28 @@ def sine_screen(slopes, amplitudes, marks, g: PiecewiseMap, bound: float):
     cuts = (*marks, 1.0)
     _, part1, cap, arcs = _aligned(marks, list(zip(cuts, cuts[1:])), g,
                                    NEIGHBORHOOD_GRID)
-    jet = partial(_sine_jet, slopes, 0.0, amplitudes)
-    worst = _c2_norms([jet] * len(arcs), arcs, part1,
+    worst = _c2_norms([(slopes, 0.0, amplitudes)] * len(arcs), arcs, part1,
                       slice(None, None, COARSE_STRIDE))
     return (worst < cap) & (worst <= bound)
 
 
-def _c2_norms(jets, arcs, part1: float, samples: slice):
+def _c2_norms(params, arcs, part1: float, samples: slice):
     """max(part1, the C2 norms of each arc) over the given samples of the
-    _base_samples tables arcs, with f's values on arc i from jets[i].
-    Maxima are taken along the last axis, so rows of values give a row of
-    norms."""
+    _base_samples tables arcs, with f's values on arc i from _sine_jet of
+    params[i] = (slope, offset, amplitude); an affine branch has amplitude
+    0.  Maxima are taken along the last axis, so rows of values give a row
+    of norms."""
     worst = part1
-    for jet, (sigma, *tables) in zip(jets, arcs):
-        gv, gd, gd2, ys, sin_y, cos_y = (
-            t[samples] if isinstance(t, np.ndarray) else t for t in tables)
-        fv, fd, fd2 = jet(ys, sin_y, cos_y)
+    for (slope, offset, amp), (sigma, *tables) in zip(params, arcs):
+        gv, gd, gd2, ys, sin_y, cos_y = (t[samples] for t in tables)
+        fv, fd, fd2 = _sine_jet(slope, offset, amp, ys, sin_y, cos_y)
         h = fv - gv
         h = np.abs(h - np.round(h[..., :1]))
         h1 = np.abs(sigma * fd - gd)
         h2 = np.abs(sigma ** 2 * fd2 - gd2)
-        worst = np.maximum(worst, _sup(h) + _sup(h1) + _sup(h2))
+        worst = np.maximum(worst, h.max(axis=-1) + h1.max(axis=-1)
+                           + h2.max(axis=-1))
     return worst
-
-
-def _sup(values):
-    """The maximum along the last axis; a scalar (a constant derivative
-    difference of two affine branches) is its own."""
-    return values.max(axis=-1) if np.ndim(values) else values
 
 
 # --- Builders for the map families used throughout ---------------------------

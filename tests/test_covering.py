@@ -13,8 +13,8 @@ from circlemix import (Density, NotEnvelopingError, cylinder_partition,
                        positivity_horizon, push_sequence, refine_until,
                        sine_map, slope3_two_branch, slope25_map,
                        two_slope_wrap_map, verify_overcover)
-from circlemix.covering import PartitionExplosionError
-from circlemix.maps import MapFormError
+from circlemix.covering import CoveringError, PartitionExplosionError
+from circlemix.maps import MapFormError, TransferError
 from test_maps import eval_many
 
 
@@ -536,9 +536,11 @@ def _oracle_escape_or_error(g, J):
 
 
 @st.composite
-def random_maps(draw, sine=False):
+def random_maps(draw, sine=False, slopes=(2.05, 3.5), amp=0.1,
+                offsets=st.floats(-1.0, 1.0)):
     """1-3 branches over random cut points, each with a random orientation,
-    slope modulus and offset (and, for sine maps, amplitude)."""
+    slope modulus in `slopes` and offset from `offsets` (and, for sine maps,
+    amplitude up to `amp`)."""
     from circlemix import BranchSpec, PiecewiseMap
 
     nb = draw(st.integers(1, 3))
@@ -547,10 +549,10 @@ def random_maps(draw, sine=False):
     ends = [0.0] + cuts + [1.0]
     branches = []
     for lo, hi in zip(ends, ends[1:]):
-        slope = draw(st.floats(2.05, 3.5)) * draw(st.sampled_from((1, -1)))
-        offset = draw(st.floats(-1.0, 1.0))
-        amp = draw(st.floats(-0.1, 0.1)) if sine else 0.0
-        branches.append(BranchSpec(lo, hi, slope, offset, amp))
+        slope = draw(st.floats(*slopes)) * draw(st.sampled_from((1, -1)))
+        offset = draw(offsets)
+        amp_i = draw(st.floats(-amp, amp)) if sine else 0.0
+        branches.append(BranchSpec(lo, hi, slope, offset, amp_i))
     return PiecewiseMap(tuple(branches))
 
 
@@ -608,7 +610,15 @@ def test_partition_and_escape_match_oracle_on_sine_maps(g, n):
     _assert_same_partition(cylinder_partition([g] * n, n), want, tol=1e-12)
     for J in want[:: max(1, len(want) // 8)]:
         got, ref = _escape_or_error(g, J), _oracle_escape_or_error(g, J)
-        if isinstance(ref, tuple):
+        if ref is TransferError:
+            # the oracle mapped an arc starting at 1.0 by the last branch,
+            # and its witness left that branch's image; ours must escape
+            assert witness_escapes(g, *got, tol=1e-9)
+        elif isinstance(ref, tuple) and not witness_escapes(g, *ref, tol=1e-9):
+            # the same misstep without a failed solve: ours must escape, or
+            # exceed the step cap of a map with expansion <= 2
+            assert got is CoveringError or witness_escapes(g, *got, tol=1e-9)
+        elif isinstance(ref, tuple):
             assert got[0] == ref[0]
             assert got[1] == pytest.approx(ref[1], abs=1e-12)
         else:
@@ -626,6 +636,66 @@ def test_sine_partition_merges_cuts_closer_than_float_dedupe():
         assert len(got) == count
         _assert_same_partition(got, oracle_cylinder_partition([g] * n, n),
                                tol=1e-12)
+
+
+# --- an independent check of escape witnesses, by forward iteration ---
+
+
+def witness_escapes(g, s, witness, tol=0.0):
+    """Does the arc `witness` lie in one closed branch arc of g (mod 1)
+    under g^k for every k < s, and does g^s(witness) contain a closed
+    first-level interval mod 1?  Exact for a Fraction witness of an affine
+    map; otherwise in floats, every comparison loosened by tol."""
+    exact = isinstance(witness[0], Fraction)
+    a, b = witness
+    for _ in range(s):
+        home = [(br, m) for m in range(math.floor(a - tol),
+                                       math.floor(a + tol) + 1)
+                for br in g.branches
+                if br.lo - tol <= a - m and b - m <= br.hi + tol]
+        if not home:
+            return False
+        br, m = home[0]
+        va = _oracle_lift(br, a - m, exact)
+        vb = _oracle_lift(br, b - m, exact)
+        a, b = min(va, vb), max(va, vb)
+    if b - a >= 1 - tol:
+        return True
+    for br in g.branches:
+        lo, hi = (Fraction(br.lo), Fraction(br.hi)) if exact else (br.lo,
+                                                                    br.hi)
+        m = math.ceil(a - lo - tol)
+        if hi + m <= b + tol:
+            return True
+    return False
+
+
+def _assert_witnesses_escape(g, n, tol):
+    """Every witness escape_time returns for an n-cylinder of g escapes (a
+    sliver cylinder may exceed the step cap instead)."""
+    for J in cylinder_partition([g] * n, n):
+        try:
+            s, (wa, wb) = escape_time(g, J)
+        except CoveringError:
+            continue
+        assert J.lo - tol <= wa < wb <= J.hi + tol
+        assert witness_escapes(g, s, (wa, wb), tol)
+
+
+@ORACLE_SETTINGS
+@given(g=random_maps(), n=st.integers(1, 5))
+def test_escape_witnesses_pass_forward_check_on_affine_maps(g, n):
+    _assert_witnesses_escape(g, n, 0)
+
+
+@ORACLE_SETTINGS
+@given(g=random_maps(sine=True, slopes=(2.3, 3.5), amp=1 / 32,
+                     offsets=st.one_of(st.floats(-1.0, 1.0),
+                                       st.floats(-1.0, -1.0 + 1e-3))),
+       n=st.integers(1, 3))
+def test_escape_witnesses_pass_forward_check_on_sine_maps(g, n):
+    # expansion >= 2.3 - 2 pi / 32 > 2; offsets often near -1
+    _assert_witnesses_escape(g, n, 1e-9)
 
 
 GOLDEN = Path(__file__).with_name("covering_golden.json")

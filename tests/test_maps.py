@@ -394,8 +394,10 @@ def test_sine_screen_rejects_only_above_the_bound(rows, bound, base, mark):
 
 def test_sine_screen_rejects_a_far_row_on_65_samples(monkeypatch):
     # both rows are scored on the 65 coarse samples of each arc; only the
-    # near one reaches the full pass
+    # near one reaches the full pass.  g's tables, which also come from
+    # _sine_jet, are built before counting starts.
     g = slope3_two_branch()
+    maps._base_samples(g, ((0.0, 0.5), (0.5, 1.0)), maps.NEIGHBORHOOD_GRID)
     shapes = []
     jet = maps._sine_jet
 

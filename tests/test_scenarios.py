@@ -750,16 +750,21 @@ def test_cli_covering_bad_config_exits_2(tmp_path, capsys, cfg, message):
     assert message in captured.err
 
 
-def test_cli_covering_lost_escape_witness_exits_2(tmp_path, capsys):
-    # a float witness of this sine map leaves its branch image
+def test_cli_covering_sine_map_witnesses_escape(tmp_path, capsys):
+    # a float image arc of this sine map starts at 1.0; every witness still
+    # stays inside its branch arcs and escapes
+    from test_covering import witness_escapes
+
+    spec = {"branches": [{"lo": 0.0, "hi": 1.0, "slope": 2.5,
+                          "offset": -1.0, "amplitude": 0.03125}]}
     cov = tmp_path / "cov.json"
-    cov.write_text(json.dumps({"map": {"branches": [
-        {"lo": 0.0, "hi": 1.0, "slope": 2.5, "offset": -1.0,
-         "amplitude": 0.03125}]}, "a_star": 10.0}))
-    assert main(["covering", "--config", str(cov)]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("covering error: preimage solve on")
+    cov.write_text(json.dumps({"map": spec, "a_star": 10.0}))
+    assert main(["covering", "--config", str(cov)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    g = map_from_dict(spec)
+    assert len(report["s_table"]) == 50
+    for row in report["s_table"]:
+        assert witness_escapes(g, row["s"], tuple(row["witness"]), 1e-9)
 
 
 @pytest.mark.parametrize("command,cfg,message", [
