@@ -15,13 +15,13 @@ import numpy as np
 
 from circlemix import (Density, certify, fit_decay, run_coupled,
                        slope3_two_branch)
-from circlemix.scenarios import Scenario, plan_piecewise, read_scenario
+from circlemix.scenarios import plan_piecewise, read_scenario
 
 G = 2 ** 12
-sc = Scenario(name="demo", kind="fixed-map", grid=G, n_max=40, seed=2,
-              phi={"preset": "sine"}, psi={"preset": "uniform"},
-              family={"map": {"form": "slope3-two-branch"}})
-plan = plan_piecewise(read_scenario(sc))
+spec = {"name": "demo", "kind": "fixed-map", "grid": G, "n_max": 40,
+        "seed": 2, "phi": {"preset": "sine"}, "psi": {"preset": "uniform"},
+        "family": {"map": {"form": "slope3-two-branch"}}}
+plan = plan_piecewise(read_scenario(spec))
 bounds, covering = plan.report, plan.covering
 
 print(f"constants: a*={bounds.a_star:.3f} kappa={bounds.kappa:.5f} "

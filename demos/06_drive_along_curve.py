@@ -14,7 +14,7 @@ import tempfile
 
 from circlemix import slope_curve
 from circlemix.bounds import delta0_of_curve
-from circlemix.scenarios import Scenario, run_scenario
+from circlemix.scenarios import run_scenario
 
 curve = slope_curve(2.5, 3.5, interval=(0.0, 1.0))
 cover = delta0_of_curve(curve, [i / 8 for i in range(9)])
@@ -28,13 +28,13 @@ print(f"covered: {cover.covered}; safe mesh delta0 = {cover.delta0:.4e}")
 
 # Run the drive at the certified mesh.  The block planner re-anchors to
 # whichever probe window contains the current parameter.
-sc = Scenario(name="drive", kind="curve-driven", grid=2 ** 12, n_max="auto",
-              seed=3, phi={"preset": "sine"}, psi={"preset": "uniform"},
-              curve={"family": "slope", "s0": 2.5, "s1": 3.5,
-                     "interval": [0, 1]},
-              mesh="auto", probes=9)
+spec = {"name": "drive", "kind": "curve-driven", "grid": 2 ** 12,
+        "n_max": "auto", "seed": 3, "phi": {"preset": "sine"},
+        "psi": {"preset": "uniform"},
+        "curve": {"family": "slope", "s0": 2.5, "s1": 3.5, "interval": [0, 1]},
+        "mesh": "auto", "probes": 9}
 out_dir = os.path.join(tempfile.gettempdir(), "drive_demo")
-res = run_scenario(sc, out_dir)
+res = run_scenario(spec, out_dir)
 led = res.ledger
 # the resolved step count and mesh are recorded in the written scenario.json
 with open(res.artifacts["scenario"]) as fh:

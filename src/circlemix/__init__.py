@@ -19,7 +19,7 @@ from .maps import (BranchSpec, MapAnalysis, MapFormError, PiecewiseMap,
                    affine_map, analyze, circle_dist, doubling_map,
                    map_from_dict, neighborhood_distance, sine_map,
                    slope25_map, slope3_two_branch, two_slope_wrap_map)
-from .scenarios import Scenario, ScenarioError, build_sequence, run_scenario
+from .scenarios import ScenarioError, build_sequence, run_scenario
 from .transfer import (TransferOperator, UlamMatrix, backend_consistency, push,
                        push_sequence, push_with_factor, ulam_matrix,
                        ulam_push)

@@ -1,7 +1,7 @@
 """Batch command-line front-end.
 
 Subcommands: analyze-map, verify-ly, absorb, envelope-check, covering,
-drive-curve, couple.  envelope-check reruns `certify` on a finished run
+couple.  envelope-check reruns `certify` on a finished run
 directory (ledger.csv, bounds.json and scenario.json) and prints the run's
 certificate.  Exit codes: 0 success, 1 certificate violation, 2 a refused
 config or hypothesis.
@@ -10,20 +10,20 @@ config or hypothesis.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 from .bounds import BoundsReport
 from .config import read, write_json
 from .coupling import CouplingLedger, certify
 from .covering import CoveringError, positivity_horizon
 from .maps import MAP, TransferError, analyze, map_from_dict
-from .scenarios import (EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, Scenario,
-                        ScenarioError, load_config, run_absorption,
-                        run_scenario, run_variation_suite)
+from .scenarios import (EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, ScenarioError,
+                        load_config, run_absorption, run_scenario,
+                        run_variation_suite)
 
 
 def _load_json(path) -> dict:
@@ -97,10 +97,9 @@ def _cmd_envelope_check(args) -> int:
     run = args.out
     try:
         bounds = BoundsReport(**_load_json(os.path.join(run, "bounds.json")))
-        grid = Scenario.from_dict(
-            _load_json(os.path.join(run, "scenario.json"))).grid
+        (scenario,) = load_config(os.path.join(run, "scenario.json"))
         ledger = CouplingLedger.from_csv(os.path.join(run, "ledger.csv"),
-                                         bounds.grid_slack(grid))
+                                         bounds.grid_slack(scenario["grid"]))
     except (OSError, ValueError, TypeError) as exc:
         print(f"envelope-check: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -111,10 +110,10 @@ def _cmd_envelope_check(args) -> int:
 
 def _run_one(payload):
     res = run_scenario(*payload)
-    return res.exit_code, res.message, payload[0].name
+    return res.exit_code, res.message, payload[0]["name"]
 
 
-def _cmd_pipeline(args, required_kind: str | None = None) -> int:
+def _cmd_pipeline(args) -> int:
     if args.jobs < 1:
         print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return EXIT_CONFIG
@@ -123,25 +122,16 @@ def _cmd_pipeline(args, required_kind: str | None = None) -> int:
     except (ScenarioError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if required_kind:
-        for sc in scenarios:
-            if sc.kind != required_kind:
-                print(f"scenario {sc.name!r} is {sc.kind}, expected "
-                      f"{required_kind}", file=sys.stderr)
-                return EXIT_CONFIG
     # run_scenario refuses an override its read stage does not pass
-    jobs = [(replace(sc, **_apply_grid_seed({}, args)),
-             os.path.join(args.out, sc.name)) for sc in scenarios]
+    overrides = _apply_grid_seed({}, args)
+    jobs = [({**spec, **overrides}, os.path.join(args.out, spec["name"]))
+            for spec in scenarios]
     worst = EXIT_OK
-    if args.jobs > 1 and len(jobs) > 1:
-        # one worker per scenario at most: the pool starts them all at once
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
-            for code, msg, name in pool.map(_run_one, jobs):
-                print(f"{name}: exit {code} ({msg})")
-                worst = max(worst, code)
-    else:
-        for payload in jobs:
-            code, msg, name = _run_one(payload)
+    # one worker per scenario at most: the pool starts them all at once
+    workers = min(args.jobs, len(jobs))
+    with (ProcessPoolExecutor(workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        for code, msg, name in (pool.map if pool else map)(_run_one, jobs):
             print(f"{name}: exit {code} ({msg})")
             worst = max(worst, code)
     return worst
@@ -169,12 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=_cmd_envelope_check)
 
-    for name, kind in (("couple", None), ("drive-curve", "curve-driven")):
-        sp = sub.add_parser(name, parents=[grid_seed])
-        sp.add_argument("--config", required=True, help="JSON config path")
-        sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--jobs", type=int, default=1)
-        sp.set_defaults(fn=lambda a, k=kind: _cmd_pipeline(a, k))
+    sp = sub.add_parser("couple", parents=[grid_seed])
+    sp.add_argument("--config", required=True, help="JSON config path")
+    sp.add_argument("--out", required=True, help="output directory")
+    sp.add_argument("--jobs", type=int, default=1)
+    sp.set_defaults(fn=_cmd_pipeline)
     return p
 
 

@@ -203,7 +203,10 @@ class _Floats:
             if va > vb:
                 va, vb = vb, va
             s = math.floor(va)
-            out.append((va - s, vb - s, itin + (j,),
+            a, b = va - s, vb - s
+            if a >= 1.0:  # a tiny negative va rounds up to the unit
+                a, b, s = 0.0, b - 1.0, s + 1
+            out.append((a, b, itin + (j,),
                         (sign * self._signs[id(m)][j], (pull[1], br, k, s)),
                         xlo, xhi))
         return out

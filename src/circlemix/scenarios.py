@@ -1,19 +1,19 @@
 """Scenario configs, map-sequence assembly, and the run pipeline.
 
-A scenario names the composition style (fixed map, random draws inside a
-neighborhood, curve driving, or smooth sine perturbations), the initial
-densities, grid, horizon, and seed.  `run_scenario` runs every kind through
-the same stages: read (the config, once), densities (phi, then psi), plan
-(the kind's constants in `PLANS`, refusing inputs outside the theorem),
-slack check, draw (the maps, after every refusal), evolve, fit, certify,
-write.  All randomness flows through one seeded PCG64 generator consumed
-in that order: phi, psi, then the map draws.  Neighborhood attempts are
-drawn in blocks of DRAW_BLOCK, one call per block giving the values of
-that many scalar draws in the same order, and each step continues the
-block where the last one stopped; the unused tail of the last block is
-drawn but never read, and nothing draws after the maps.  Up to the draws a
-ValueError is a refused input (exit 2); after them it is a defect and
-propagates.
+A scenario is a spec dict, its fields declared in the `SCENARIO` tables,
+naming the composition style (fixed map, neighborhood draws, curve driving
+or smooth sine perturbations), initial densities, grid, horizon and seed.
+`run_scenario` runs every kind through the same stages: read (the spec,
+once, by `read_scenario`), densities (phi, then psi), plan (the kind's
+constants in `PLANS`, refusing inputs outside the theorem), slack check,
+draw (the maps, after every refusal), evolve, fit, certify, write.  All
+randomness flows through one seeded PCG64 generator consumed in that
+order: phi, psi, then the map draws.  Neighborhood attempts are drawn in
+blocks of DRAW_BLOCK, one call per block giving the values of that many
+scalar draws in the same order, and each step continues the block where
+the last one stopped; the unused tail of the last block is drawn but never
+read, and nothing draws after the maps.  Up to the draws a ValueError is a
+refused input (exit 2); after them it is a defect and propagates.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 import math
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 
 import numpy as np
@@ -59,55 +58,24 @@ DENSITY = Format("preset", "uniform", "density preset", {
                   "pieces": Field(int, 8, least=1), "step_amp": 0.3}})
 
 
-@dataclass
-class Scenario:
-    name: str
-    kind: str
-    grid: int
-    n_max: int
-    seed: int
-    phi: dict
-    psi: dict
-    family: dict = field(default_factory=dict)
-    curve: dict = field(default_factory=dict)
-    eps: float | None = None
-    eps_loc: float = 0.1
-    a_star: float | None = None
-    mesh: float | str | None = None
-    mesh_override: bool = False
-    probes: int = 9
+# The spec perfbench/workloads.py builds, kept by name: a scenario is its dict.
+Scenario = dict
 
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "Scenario":
-        if not isinstance(cfg, dict) or cfg.get("schema") != SCHEMA_VERSION:
-            raise ScenarioError(f"config schema must be {SCHEMA_VERSION}")
-        body = {k: v for k, v in cfg.items() if k != "schema"}
-        names = {f.name for f in fields(cls)}
-        for key in body:
-            if key not in names:
-                raise ScenarioError(f"{key} is not a scenario field")
-        filled = read(body, SCENARIO)
-        try:
-            sc = cls(**body)
-        except TypeError as exc:
-            raise ScenarioError(str(exc)) from exc
-        check_scenario(filled)
-        return sc
-
-    def as_dict(self) -> dict:
-        return {"schema": SCHEMA_VERSION, **vars(self)}
-
-
-# n_max (an integer or "auto") is checked by check_scenario alone
+# The fields every kind requires; n_max (an integer or "auto") is checked
+# by read_scenario alone
 _COMMON = {"name": str, "grid": int, "seed": int, "phi": DENSITY,
            "psi": DENSITY}
 # The optional fields that only some kinds read.  A kind's table lists the
-# ones its stages read; check_scenario refuses the others unless they keep
-# their Scenario defaults, and treats family and curve (default {}) alike.
+# ones its stages read; read_scenario refuses the others unless they keep
+# their defaults, and treats family and curve (default {}) alike.
 _OPTIONAL = {"eps": Field(float), "a_star": Field(float),
-             "mesh": Field(float, also=("auto",)), "eps_loc": Scenario.eps_loc,
-             "mesh_override": Scenario.mesh_override,
-             "probes": Scenario.probes}
+             "mesh": Field(float, also=("auto",)), "eps_loc": 0.1,
+             "mesh_override": False, "probes": 9}
+# Each optional field at the value that stands in for it when left out
+_DEFAULTS = {**{key: entry.default if isinstance(entry, Field) else entry
+                for key, entry in _OPTIONAL.items()},
+             "family": {}, "curve": {}}
+_FIELDS = {"schema", "kind", "n_max", *_COMMON, *_DEFAULTS}
 
 
 def _reads(*keys) -> dict:
@@ -127,16 +95,20 @@ SCENARIO = Format("kind", None, "scenario kind", {
                "family": {"slope": 2.0, "amp_max": 0.05, "marks": MARKS}}})
 
 
-def check_scenario(cfg: dict) -> dict:
-    """`cfg`, a scenario read against SCENARIO, after the checks its table
-    cannot state: no optional field, family or curve the kind does not read,
-    the grid, the smooth grid cap and n_max."""
+def read_scenario(spec: dict) -> dict:
+    """The read stage: `spec` checked against SCENARIO with every field
+    filled, after the checks its table cannot state: no unknown field, kind
+    and n_max given, no unread optional field, the grid and n_max."""
+    for key in spec:
+        if key not in _FIELDS:
+            raise ScenarioError(f"{key} is not a scenario field")
+    for key in ("kind", "n_max"):  # required, but in no table's entries
+        if key not in spec:
+            raise ScenarioError(f"missing field {key!r}")
+    cfg = read({**_DEFAULTS, **spec}, SCENARIO)
     grid, kind, n_max = cfg["grid"], cfg["kind"], cfg["n_max"]
-    defaults = {key: entry.default if isinstance(entry, Field) else entry
-                for key, entry in _OPTIONAL.items()}
-    for key, default in {**defaults, "family": {}, "curve": {}}.items():
-        if (key not in SCENARIO.tables[kind]
-                and cfg.get(key, default) != default):
+    for key, default in _DEFAULTS.items():
+        if key not in SCENARIO.tables[kind] and cfg[key] != default:
             raise ScenarioError(f"{key} is not read by a {kind} scenario, "
                                 f"got {cfg[key]!r}")
     if grid < 2 or (grid & (grid - 1)) != 0:
@@ -151,11 +123,6 @@ def check_scenario(cfg: dict) -> dict:
     elif not (is_int(n_max) and 1 <= n_max <= N_MAX_CAP):
         raise ScenarioError(f"n_max must lie in [1, {N_MAX_CAP}]")
     return cfg
-
-
-def read_scenario(scenario: Scenario) -> dict:
-    """The read stage: the scenario checked, with every default filled."""
-    return check_scenario(read(scenario.as_dict(), SCENARIO))
 
 
 def build_density(spec: dict, G: int, rng: np.random.Generator) -> Density:
@@ -389,24 +356,17 @@ def build_sequence(plan: RunPlan,
     return [sine_map(slope, float(a), 0.0, marks) for a in draws]
 
 
-@dataclass
-class RunResult:
-    exit_code: int
-    message: str
-    artifacts: dict
-    ledger: object = None
-    fit: object = None
-    certificate: object = None
-    bounds: object = None
+RunResult = namedtuple("RunResult", "exit_code message artifacts ledger fit "
+                       "certificate bounds", defaults=(None,) * 4)
 
 
-def run_scenario(scenario: Scenario, out_dir) -> RunResult:
-    """The pipeline of the module docstring, writing its artifacts to
-    out_dir.  Exit codes: 0 success, 1 certificate violation, 2 a refused
-    config or hypothesis (or a TransferError).  A refused run writes
-    nothing."""
+def run_scenario(spec: dict, out_dir) -> RunResult:
+    """The pipeline of the module docstring on the scenario `spec`, writing
+    its artifacts to out_dir.  Exit codes: 0 success, 1 certificate
+    violation, 2 a refused config or hypothesis (or a TransferError).  A
+    refused run writes nothing."""
     try:
-        cfg = read_scenario(scenario)
+        cfg = read_scenario(spec)
         grid = cfg["grid"]
         rng = np.random.Generator(np.random.PCG64(cfg["seed"]))
         phi = build_density(cfg["phi"], grid, rng)
@@ -441,9 +401,10 @@ def run_scenario(scenario: Scenario, out_dir) -> RunResult:
         artifacts[name] = os.path.join(out_dir, filename)
         return artifacts[name]
 
-    if plan.ts is not None:  # scenario.json records the resolved steps
-        scenario = replace(scenario, n_max=len(plan.ts),
-                           curve={**scenario.curve, "resolved_mesh": plan.mesh})
+    record = {"schema": SCHEMA_VERSION, **_DEFAULTS, **spec}  # as given
+    if plan.ts is not None:  # with a curve's resolved steps
+        record.update(n_max=len(plan.ts),
+                      curve={**spec["curve"], "resolved_mesh": plan.mesh})
     ledger.to_csv(path("ledger", "ledger.csv"))
     plan.report.to_json(path("bounds", "bounds.json"))
     if plan.covering is not None:
@@ -453,7 +414,7 @@ def run_scenario(scenario: Scenario, out_dir) -> RunResult:
                     plan.curve_cover.as_dict())
     write_decay_json(fit, path("decay", "decay.json"))
     _write_json(path("certificate", "certificate.json"), cert.as_dict())
-    _write_json(path("scenario", "scenario.json"), scenario.as_dict())
+    _write_json(path("scenario", "scenario.json"), record)
     code, message = ((EXIT_OK, "ok") if cert.passed
                      else (EXIT_CERTIFICATE, "envelope violated"))
     return RunResult(code, message, artifacts, ledger, fit, cert, plan.report)
@@ -531,11 +492,27 @@ def run_variation_suite(cfg: dict) -> dict:
             "max_margin": max_margin, "passed": not violations}
 
 
-def load_config(path) -> list[Scenario]:
+def load_config(path) -> list[dict]:
+    """A config file's scenario specs, as given.  Each is read before any
+    run, so that one malformed scenario, or a name that is not one new
+    directory in the output directory, refuses the whole file."""
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    if not (isinstance(cfg, dict) and "scenarios" in cfg):
-        return [Scenario.from_dict(cfg)]
-    batch = read(cfg, {"scenarios": [{}]})["scenarios"]
-    return [Scenario.from_dict({"schema": cfg.get("schema"), **body})
-            for body in batch]
+    if isinstance(cfg, dict) and "scenarios" in cfg:
+        specs = [{"schema": cfg.get("schema"), **body}
+                 for body in read(cfg, {"scenarios": [{}]})["scenarios"]]
+    else:
+        specs = [cfg]
+    names = set()
+    for spec in specs:
+        if not isinstance(spec, dict) or spec.get("schema") != SCHEMA_VERSION:
+            raise ScenarioError(f"config schema must be {SCHEMA_VERSION}")
+        name = read_scenario(spec)["name"]
+        if name in names:
+            raise ScenarioError(f"scenario name {name!r} is used twice")
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ScenarioError(f"scenario name {name!r} must be a directory "
+                                "name: not empty, '.' or '..', and no path "
+                                "separator")
+        names.add(name)
+    return specs

@@ -22,9 +22,8 @@ from circlemix import (Density, TransferOperator, analyze,
 from circlemix.bounds import tau_piecewise
 from circlemix.cli import main as cli_main
 from circlemix.covering import positivity_horizon
-from circlemix.scenarios import (EXIT_CONFIG, EXIT_OK, Scenario,
-                                 run_absorption, run_scenario,
-                                 two_slope_wrap_family_bounds)
+from circlemix.scenarios import (EXIT_CONFIG, EXIT_OK, run_absorption,
+                                 run_scenario, two_slope_wrap_family_bounds)
 
 
 def report(num, ok, detail):
@@ -117,15 +116,15 @@ def test_ac4_positivity_horizon():
 
 def test_ac5_neighborhood_decay(tmp_path):
     t0 = time.monotonic()
-    sc = Scenario(name="thB", kind="neighborhood", grid=2 ** 13, n_max=40,
-                  seed=101,
-                  phi={"preset": "sine-step", "k": 1, "amplitude": 0.5,
-                       "step_amp": 0.3, "pieces": 8},
-                  psi={"preset": "uniform"},
-                  family={"base": {"form": "slope3-two-branch"},
-                          "slope": 3.0, "amp_max": 0.003,
-                          "slope_jitter": 0.002},
-                  eps=0.01)
+    sc = dict(name="thB", kind="neighborhood", grid=2 ** 13, n_max=40,
+              seed=101,
+              phi={"preset": "sine-step", "k": 1, "amplitude": 0.5,
+                   "step_amp": 0.3, "pieces": 8},
+              psi={"preset": "uniform"},
+              family={"base": {"form": "slope3-two-branch"},
+                      "slope": 3.0, "amp_max": 0.003,
+                      "slope_jitter": 0.002},
+              eps=0.01)
     res = run_scenario(sc, tmp_path / "thB")
     fit = res.fit
     elapsed = time.monotonic() - t0
@@ -139,9 +138,9 @@ def test_ac5_neighborhood_decay(tmp_path):
 
 def test_ac6_curve_drive(tmp_path):
     curve_cfg = {"family": "slope", "s0": 2.5, "s1": 3.5, "interval": [0, 1]}
-    sc = Scenario(name="thC", kind="curve-driven", grid=2 ** 12, n_max="auto",
-                  seed=5, phi={"preset": "sine"}, psi={"preset": "uniform"},
-                  curve=dict(curve_cfg), mesh="auto", probes=9)
+    sc = dict(name="thC", kind="curve-driven", grid=2 ** 12, n_max="auto",
+              seed=5, phi={"preset": "sine"}, psi={"preset": "uniform"},
+              curve=dict(curve_cfg), mesh="auto", probes=9)
     res = run_scenario(sc, tmp_path / "thC")
     delta0 = res.bounds.delta0
     final = res.ledger.distances()[-1]
@@ -156,7 +155,7 @@ def test_ac6_curve_drive(tmp_path):
            "curve": dict(curve_cfg), "mesh": 2.0 * delta0, "probes": 9}
     cfg_path = tmp_path / "thC2.json"
     cfg_path.write_text(json.dumps(cfg))
-    code = cli_main(["drive-curve", "--config", str(cfg_path),
+    code = cli_main(["couple", "--config", str(cfg_path),
                      "--out", str(tmp_path / "thC2")])
     ok = ok_run and code == EXIT_CONFIG
     report(6, ok, f"delta0={delta0:.3e}, {n_used} steps, final distance "
@@ -166,18 +165,18 @@ def test_ac6_curve_drive(tmp_path):
 def test_ac7_smooth_matching(tmp_path):
     from circlemix.scenarios import plan_smooth, read_scenario
 
-    sc = Scenario(name="thA", kind="smooth", grid=2 ** 12, n_max=1, seed=33,
-                  phi={"preset": "sine"}, psi={"preset": "uniform"},
-                  family={"slope": 2.0, "amp_max": 0.05}, eps_loc=0.1)
+    sc = dict(name="thA", kind="smooth", grid=2 ** 12, n_max=1, seed=33,
+              phi={"preset": "sine"}, psi={"preset": "uniform"},
+              family={"slope": 2.0, "amp_max": 0.05}, eps_loc=0.1)
     rep = plan_smooth(read_scenario(sc)).report
     lam0 = 2.0 - 0.1 * math.pi
     C1 = 4 * math.pi ** 2 * 0.05 / lam0
     ok_consts = (rep.lambda0 == pytest.approx(lam0, abs=1e-12)
                  and rep.L_star == pytest.approx(4 * C1 / (lam0 - 1), rel=1e-9))
     n_max = 30 * rep.block + 20
-    rng = np.random.Generator(np.random.PCG64(sc.seed))
-    phi = Density.sine(sc.grid, 1, 0.5)
-    psi = Density.uniform(sc.grid)
+    rng = np.random.Generator(np.random.PCG64(sc["seed"]))
+    phi = Density.sine(sc["grid"], 1, 0.5)
+    psi = Density.uniform(sc["grid"])
     maps = [sine_map(2.0, float(a))
             for a in rng.uniform(-0.05, 0.05, n_max)]
     led = run_coupled(maps, phi, psi, bounds=rep, record_snapshots=True)
@@ -188,9 +187,9 @@ def test_ac7_smooth_matching(tmp_path):
         pre_phi, pre_psi = snap["pre"]
         post_phi, post_psi = snap["post"]
         for d in (pre_phi, pre_psi):
-            ok_ratio &= d.ratio_class_L(sc.eps_loc) <= rep.L_star * (1 + 1e-9)
+            ok_ratio &= d.ratio_class_L(sc["eps_loc"]) <= rep.L_star * (1 + 1e-9)
         for d in (post_phi, post_psi):
-            ok_ratio &= d.ratio_class_L(sc.eps_loc) <= 2 * rep.L_star * (1 + 1e-9)
+            ok_ratio &= d.ratio_class_L(sc["eps_loc"]) <= 2 * rep.L_star * (1 + 1e-9)
     cert = certify(led)
     ok = ok_consts and ok_blocks and ok_ratio and cert.passed
     report(7, ok, f"L*={rep.L_star:.3f}, wait={led.n_wait}, cone level held "
@@ -220,21 +219,20 @@ def test_ac8_backend_equivalence():
 
 def test_ac9_determinism(tmp_path):
     cfgs = [
-        Scenario(name="det1", kind="fixed-map", grid=1024, n_max=10, seed=42,
-                 phi={"preset": "random-bv", "a": 8.0},
-                 psi={"preset": "uniform"},
-                 family={"map": {"form": "two-slope-wrap"}}),
-        Scenario(name="det2", kind="neighborhood", grid=1024, n_max=8,
-                 seed=101, eps=0.01,
-                 phi={"preset": "sine"}, psi={"preset": "uniform"},
-                 family={"base": {"form": "slope3-two-branch"}, "slope": 3.0,
-                         "amp_max": 0.003, "slope_jitter": 0.002}),
+        dict(name="det1", kind="fixed-map", grid=1024, n_max=10, seed=42,
+             phi={"preset": "random-bv", "a": 8.0},
+             psi={"preset": "uniform"},
+             family={"map": {"form": "two-slope-wrap"}}),
+        dict(name="det2", kind="neighborhood", grid=1024, n_max=8,
+             seed=101, eps=0.01,
+             phi={"preset": "sine"}, psi={"preset": "uniform"},
+             family={"base": {"form": "slope3-two-branch"}, "slope": 3.0,
+                     "amp_max": 0.003, "slope_jitter": 0.002}),
     ]
     ok = True
     for sc in cfgs:
-        body = sc.as_dict()
-        a = run_scenario(Scenario.from_dict(dict(body)), tmp_path / (sc.name + "_a"))
-        b = run_scenario(Scenario.from_dict(dict(body)), tmp_path / (sc.name + "_b"))
+        a = run_scenario(dict(sc), tmp_path / (sc["name"] + "_a"))
+        b = run_scenario(dict(sc), tmp_path / (sc["name"] + "_b"))
         ok &= a.exit_code == EXIT_OK and b.exit_code == EXIT_OK
         la = open(a.artifacts["ledger"], "rb").read()
         lb = open(b.artifacts["ledger"], "rb").read()

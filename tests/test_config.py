@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from circlemix import config, curves, maps, scenarios
 from circlemix.cli import main
 from circlemix.config import Field, Format, ScenarioError, read
-from circlemix.scenarios import (EXIT_CONFIG, EXIT_OK, Scenario, load_config,
-                                 run_scenario)
+from circlemix.scenarios import (EXIT_CONFIG, EXIT_OK, load_config,
+                                 read_scenario, run_scenario)
 
 
 # --- the reader ----------------------------------------------------------------
@@ -158,7 +158,7 @@ def _couple(tmp_path, cfg, *extra):
                          ids=[f for _, f in MALFORMED])
 def test_malformed_field_exits_2_naming_it(tmp_path, cfg, field):
     with pytest.raises(ScenarioError, match=field.replace(".", r"\.")):
-        Scenario.from_dict(cfg)
+        read_scenario(cfg)
     code, out, err = _couple(tmp_path, cfg)
     assert code == EXIT_CONFIG and out == ""
     assert err.startswith("config error: ") and field in err
@@ -177,7 +177,7 @@ def test_field_the_kind_does_not_read_exits_2(tmp_path, body, key, value):
     cfg = dict(body, **{key: value})
     message = f"{key} is not read by a {body['kind']} scenario, got {value!r}"
     with pytest.raises(ScenarioError) as exc:
-        Scenario.from_dict(cfg)
+        read_scenario(cfg)
     assert str(exc.value) == message
     code, out, err = _couple(tmp_path, cfg)
     assert code == EXIT_CONFIG and out == ""
@@ -188,13 +188,13 @@ def test_field_the_kind_does_not_read_exits_2(tmp_path, body, key, value):
 def test_unread_fields_at_their_defaults_are_accepted():
     defaults = {"eps": None, "a_star": None, "mesh": None, "probes": 9,
                 "mesh_override": False}
-    assert Scenario.from_dict(dict(SMOOTH, **defaults)).probes == 9
-    assert Scenario.from_dict(dict(CURVE, eps_loc=0.1)).eps_loc == 0.1
+    assert read_scenario(dict(SMOOTH, **defaults))["probes"] == 9
+    assert read_scenario(dict(CURVE, eps_loc=0.1))["eps_loc"] == 0.1
 
 
 def test_unknown_top_level_key_exits_2_naming_it(tmp_path):
     with pytest.raises(ScenarioError, match="^foo is not a scenario field$"):
-        Scenario.from_dict(dict(FIXED, foo=2))
+        read_scenario(dict(FIXED, foo=2))
     code, out, err = _couple(tmp_path, dict(FIXED, foo=2))
     assert code == EXIT_CONFIG and out == ""
     assert err == "config error: foo is not a scenario field\n"
@@ -237,7 +237,52 @@ def test_batch_of_non_objects_exits_2(tmp_path, scenarios_value, message):
 def test_load_config_keeps_a_scenario_schema(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"scenarios": [dict(FIXED)]}))
-    assert [sc.name for sc in load_config(path)] == ["bad"]
+    assert [spec["name"] for spec in load_config(path)] == ["bad"]
+
+
+@pytest.mark.parametrize("key", ["name", "kind", "grid", "n_max", "seed",
+                                 "phi", "psi"])
+def test_missing_required_field_exits_2(tmp_path, key):
+    cfg = {k: v for k, v in FIXED.items() if k != key}
+    code, out, err = _couple(tmp_path, cfg)
+    assert (code, out, err) == (EXIT_CONFIG, "",
+                                f"config error: missing field {key!r}\n")
+    spec = {k: v for k, v in cfg.items() if k != "schema"}
+    res = run_scenario(spec, tmp_path / "run")
+    assert (res.exit_code, res.message) == (EXIT_CONFIG,
+                                            f"missing field {key!r}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+BAD_NAME = ("must be a directory name: not empty, '.' or '..', and no path "
+            "separator")
+
+
+@pytest.mark.parametrize("names,message", [
+    (["a", "a"], "scenario name 'a' is used twice"),
+    (["a", "b", "a"], "scenario name 'a' is used twice"),
+    (["../escaped"], f"scenario name '../escaped' {BAD_NAME}"),
+    (["a", "x/y"], f"scenario name 'x/y' {BAD_NAME}"),
+    (["x\\y"], f"scenario name 'x\\\\y' {BAD_NAME}"),
+    ([""], f"scenario name '' {BAD_NAME}"),
+    (["."], f"scenario name '.' {BAD_NAME}"),
+    ([".."], f"scenario name '..' {BAD_NAME}"),
+], ids=["repeat", "repeat-later", "escape", "separator", "backslash", "empty",
+        "dot", "dotdot"])
+def test_batch_names_that_collide_or_leave_out_exit_2(tmp_path, names,
+                                                      message):
+    body = {k: v for k, v in FIXED.items() if k != "schema"}
+    cfg = {"schema": 1, "scenarios": [dict(body, name=n) for n in names]}
+    code, out, err = _couple(tmp_path, cfg, "--jobs", "2")
+    assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_single_scenario_name_outside_out_exits_2(tmp_path):
+    code, out, err = _couple(tmp_path, dict(FIXED, name="../escaped"))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"config error: scenario name '../escaped' {BAD_NAME}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 # --- run-time reads of directly built scenarios --------------------------------
@@ -245,7 +290,7 @@ def test_load_config_keeps_a_scenario_schema(tmp_path):
 def _direct(**over):
     body = {k: v for k, v in FIXED.items() if k != "schema"}
     body.update(over)
-    return Scenario(**body)
+    return body
 
 
 @pytest.mark.parametrize("over,field", [
@@ -263,10 +308,10 @@ def test_direct_scenario_is_read_by_run_scenario(tmp_path, over, field):
 
 
 def test_run_scenario_leaves_the_scenario_dicts_unfilled(tmp_path):
-    sc = _direct(kind="smooth", family={"slope": 2.0})
-    before = copy.deepcopy(sc.as_dict())
-    assert run_scenario(sc, tmp_path / "run").exit_code == EXIT_OK
-    assert sc.as_dict() == before
+    spec = _direct(kind="smooth", family={"slope": 2.0})
+    before = copy.deepcopy(spec)
+    assert run_scenario(spec, tmp_path / "run").exit_code == EXIT_OK
+    assert spec == before
     written = json.loads((tmp_path / "run" / "scenario.json").read_text())
     assert written["family"] == {"slope": 2.0}
 

@@ -12,22 +12,22 @@ from circlemix import (CertificateViolation, Density, certify, doubling_map,
                        slope3_two_branch)
 from circlemix.coupling import (ENVELOPE_START, BlockPlan, CertifyReport,
                                 CouplingLedger)
-from circlemix.scenarios import (Scenario, plan_piecewise, plan_smooth,
-                                 read_scenario, run_scenario)
+from circlemix.scenarios import (plan_piecewise, plan_smooth, read_scenario,
+                                 run_scenario)
 
 
 def slope3_setup(G=4096, n=30):
-    sc = Scenario(name="t", kind="fixed-map", grid=G, n_max=n, seed=1,
-                  phi={"preset": "sine"}, psi={"preset": "uniform"},
-                  family={"map": {"form": "slope3-two-branch"}})
+    sc = dict(name="t", kind="fixed-map", grid=G, n_max=n, seed=1,
+              phi={"preset": "sine"}, psi={"preset": "uniform"},
+              family={"map": {"form": "slope3-two-branch"}})
     plan = plan_piecewise(read_scenario(sc))
     return plan.report, plan.covering
 
 
 def smooth_setup(eps_loc=0.1):
-    sc = Scenario(name="t", kind="smooth", grid=4096, n_max=40, seed=1,
-                  phi={"preset": "sine"}, psi={"preset": "uniform"},
-                  family={"slope": 2.0, "amp_max": 0.05}, eps_loc=eps_loc)
+    sc = dict(name="t", kind="smooth", grid=4096, n_max=40, seed=1,
+              phi={"preset": "sine"}, psi={"preset": "uniform"},
+              family={"slope": 2.0, "amp_max": 0.05}, eps_loc=eps_loc)
     return plan_smooth(read_scenario(sc)).report
 
 
@@ -213,9 +213,9 @@ def test_fit_decay_fourier_cascade():
 def test_affine_smooth_family_floors_distortion():
     # zero second derivative gives zero distortion; the cone machinery then
     # runs on the floored constant and the scheme still certifies
-    sc = Scenario(name="aff", kind="smooth", grid=1024, n_max=30, seed=4,
-                  phi={"preset": "sine"}, psi={"preset": "uniform"},
-                  family={"slope": 2.0, "amp_max": 0.0}, eps_loc=0.1)
+    sc = dict(name="aff", kind="smooth", grid=1024, n_max=30, seed=4,
+              phi={"preset": "sine"}, psi={"preset": "uniform"},
+              family={"slope": 2.0, "amp_max": 0.0}, eps_loc=0.1)
     rep = plan_smooth(read_scenario(sc)).report
     assert rep.C0 == 1e-6
     assert rep.L_star == 4e-6
@@ -272,10 +272,10 @@ def oracle_ledgers(tmp_path):
     maps = [sine_map(2.0, float(a)) for a in rng.uniform(-0.05, 0.05, 40)]
     yield "smooth", run_coupled(maps, Density.sine(G, 1, 0.5), psi,
                                 bounds=smooth), smooth
-    sc = Scenario(name="curve", kind="curve-driven", grid=1024, n_max="auto",
-                  seed=5, phi={"preset": "sine"}, psi={"preset": "uniform"},
-                  curve={"family": "slope", "s0": 2.5, "s1": 3.5,
-                         "interval": [0, 1]}, mesh="auto", probes=9)
+    sc = dict(name="curve", kind="curve-driven", grid=1024, n_max="auto",
+              seed=5, phi={"preset": "sine"}, psi={"preset": "uniform"},
+              curve={"family": "slope", "s0": 2.5, "s1": 3.5,
+                     "interval": [0, 1]}, mesh="auto", probes=9)
     res = run_scenario(sc, tmp_path / "curve")
     assert res.exit_code == 0, res.message
     yield "curve-plan", res.ledger, res.bounds

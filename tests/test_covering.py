@@ -698,6 +698,33 @@ def test_escape_witnesses_pass_forward_check_on_sine_maps(g, n):
     _assert_witnesses_escape(g, n, 1e-9)
 
 
+def test_float_pieces_start_below_the_unit(monkeypatch):
+    # an escape step of this map gave the image arc (1.0, 1.99...) when
+    # va - floor(va) rounded a tiny negative va up to the unit, and _cuts
+    # then cut a zero-length sub-arc off its start
+    from circlemix import covering
+    from circlemix.maps import map_from_dict
+
+    g = map_from_dict({"branches": [{"lo": 0.0, "hi": 1.0, "slope": 2.5,
+                                     "offset": -1.0, "amplitude": 1 / 32}]})
+    pieces = []
+    split = covering._Floats.split
+
+    def recorded(self, piece, cuts, m):
+        out = split(self, piece, cuts, m)
+        pieces.extend(out)
+        return out
+
+    monkeypatch.setattr(covering._Floats, "split", recorded)
+    for n in (1, 2, 3):
+        for J in cylinder_partition([g] * n, n):
+            s, witness = escape_time(g, J)
+            assert witness_escapes(g, s, witness, 1e-9)
+    assert pieces and all(0.0 <= p[0] < 1.0 for p in pieces)
+    assert all(u < v for p in pieces
+               for u, v, _, _ in covering._cuts(p[0], p[1], [0.0], 1.0))
+
+
 GOLDEN = Path(__file__).with_name("covering_golden.json")
 
 

@@ -10,7 +10,7 @@ from circlemix import (map_from_dict, neighborhood_distance, sine_map,
                        slope3_two_branch)
 from circlemix.cli import main
 from circlemix.scenarios import (EXIT_CONFIG, EXIT_OK, PLANS, REDRAW_LIMIT,
-                                 RunPlan, Scenario, ScenarioError,
+                                 RunPlan, ScenarioError,
                                  build_sequence, load_config, read_scenario,
                                  run_scenario)
 
@@ -27,7 +27,7 @@ def base_scenario(**over):
     if "curve" not in over:
         body["family"] = {"map": {"form": "slope3-two-branch"}}
     body.update(over)
-    return Scenario(**body)
+    return body
 
 
 def plan_for(sc):
@@ -39,7 +39,7 @@ def test_fixed_sequence():
     sc = base_scenario(n_max=3, family={"map": {"form": "doubling"}})
     # the doubling map has no piecewise constants (lambda0 = 2), and a
     # fixed-map draw reads only the config
-    maps = build_sequence(RunPlan(read_scenario(sc), None), rng_for(sc.seed))
+    maps = build_sequence(RunPlan(read_scenario(sc), None), rng_for(sc["seed"]))
     assert len(maps) == 3
     assert all(m is maps[0] for m in maps)
     assert maps[0].eval(0.3) == 0.6
@@ -76,19 +76,17 @@ def test_sequence_deterministic():
            [m.branches[0].amplitude for m in b]
 
 
-def test_scenario_validation():
+def test_scenario_validation(tmp_path):
+    body = {"schema": 1, "name": "x", "kind": "fixed-map", "grid": 64,
+            "n_max": 1, "seed": 0, "phi": {}, "psi": {}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(body, schema=2)))
+    with pytest.raises(ScenarioError, match="config schema must be 1"):
+        load_config(path)
     with pytest.raises(ScenarioError):
-        Scenario.from_dict({"schema": 2, "name": "x", "kind": "fixed-map",
-                            "grid": 64, "n_max": 1, "seed": 0,
-                            "phi": {}, "psi": {}})
+        read_scenario(dict(body, kind="bogus"))
     with pytest.raises(ScenarioError):
-        Scenario.from_dict({"schema": 1, "name": "x", "kind": "bogus",
-                            "grid": 64, "n_max": 1, "seed": 0,
-                            "phi": {}, "psi": {}})
-    with pytest.raises(ScenarioError):
-        Scenario.from_dict({"schema": 1, "name": "x", "kind": "fixed-map",
-                            "grid": 100, "n_max": 1, "seed": 0,
-                            "phi": {}, "psi": {}})
+        read_scenario(dict(body, grid=100))
 
 
 CONFIG_BODY = {"schema": 1, "name": "typed", "kind": "fixed-map",
@@ -107,7 +105,7 @@ CONFIG_BODY = {"schema": 1, "name": "typed", "kind": "fixed-map",
 def test_scenario_field_types_exit_2(tmp_path, capsys, key, value):
     cfg = dict(CONFIG_BODY, **{key: value})
     with pytest.raises(ScenarioError, match=key):
-        Scenario.from_dict(cfg)
+        read_scenario(cfg)
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(cfg))
     assert main(["couple", "--config", str(path),
@@ -130,7 +128,7 @@ def test_sine_family_field_types_exit_2(tmp_path, capsys, kind, key, value):
     body = SINE_BODIES[kind]
     cfg = dict(body, family=dict(body["family"], **{key: value}))
     with pytest.raises(ScenarioError, match=f"family.{key} must be a number"):
-        Scenario.from_dict(cfg)
+        read_scenario(cfg)
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(cfg))
     assert main(["couple", "--config", str(path),
@@ -140,20 +138,20 @@ def test_sine_family_field_types_exit_2(tmp_path, capsys, kind, key, value):
 
 def test_sine_family_must_be_an_object():
     with pytest.raises(ScenarioError, match="family must be an object"):
-        Scenario.from_dict(dict(SINE_BODIES["smooth"], family=[2.0]))
+        read_scenario(dict(SINE_BODIES["smooth"], family=[2.0]))
 
 
 def test_sine_family_numbers_accepted():
     for body in SINE_BODIES.values():
         family = dict(body["family"], slope=3, amp_max=0.002, slope_jitter=0)
-        Scenario.from_dict(dict(body, family=family))
+        read_scenario(dict(body, family=family))
 
 
 def test_scenario_numbers_accepted():
-    sc = Scenario.from_dict(dict(CONFIG_BODY, eps=1, a_star=12))
-    assert (sc.grid, sc.n_max, sc.seed, sc.eps, sc.a_star) == (512, 4, 1, 1, 12)
-    sc = Scenario.from_dict(dict(SINE_BODIES["smooth"], eps_loc=1))
-    assert sc.eps_loc == 1
+    cfg = read_scenario(dict(CONFIG_BODY, eps=1, a_star=12))
+    assert [cfg[k] for k in ("grid", "n_max", "seed", "eps", "a_star")] == \
+        [512, 4, 1, 1, 12]
+    assert read_scenario(dict(SINE_BODIES["smooth"], eps_loc=1))["eps_loc"] == 1
 
 
 def test_run_scenario_writes_artifacts(tmp_path):
@@ -198,7 +196,7 @@ def test_curve_run_leaves_scenario_unchanged(tmp_path):
         outputs.append([open(res.artifacts[k], "rb").read()
                         for k in ("ledger", "scenario")])
     assert outputs[0] == outputs[1]
-    assert sc.n_max == "auto" and sc.curve == curve
+    assert sc["n_max"] == "auto" and sc["curve"] == curve
     written = json.loads(outputs[0][1])
     assert written["n_max"] == len(outputs[0][0].splitlines()) - 2
     assert written["curve"]["resolved_mesh"] > 0
@@ -211,7 +209,7 @@ def test_kappa_mode_is_an_unknown_field(tmp_path):
            "family": {"map": {"form": "slope3-two-branch"}},
            "kappa_mode": "empirical"}
     with pytest.raises(ScenarioError, match="kappa_mode"):
-        Scenario.from_dict(cfg)
+        read_scenario(cfg)
     cfg_path = tmp_path / "km.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["couple", "--config", str(cfg_path),
@@ -249,7 +247,7 @@ def test_cli_couple_and_envelope_check(tmp_path):
 
 def test_cli_decay_is_no_longer_a_command(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(base_scenario().as_dict()))
+    cfg_path.write_text(json.dumps(dict(base_scenario(), schema=1)))
     with pytest.raises(SystemExit) as exc:
         main(["decay", "--config", str(cfg_path), "--out", str(tmp_path)])
     assert exc.value.code == 2
@@ -279,18 +277,6 @@ def test_cli_grid_seed_overrides(tmp_path):
     with open(out / "ov" / "scenario.json") as fh:
         sc = json.load(fh)
     assert sc["grid"] == 512 and sc["seed"] == 4
-
-
-def test_cli_drive_curve_kind_gate(tmp_path):
-    cfg = {"schema": 1, "name": "notcurve", "kind": "fixed-map", "grid": 512,
-           "n_max": 4, "seed": 1, "phi": {"preset": "uniform"},
-           "psi": {"preset": "uniform"},
-           "family": {"map": {"form": "slope3-two-branch"}}}
-    cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps(cfg))
-    code = main(["drive-curve", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "x")])
-    assert code == EXIT_CONFIG
 
 
 def _couple(tmp_path, cfg):
@@ -493,7 +479,7 @@ def test_load_config_multi(tmp_path):
          "family": {"map": {"form": "doubling"}}}]}
     p = tmp_path / "multi.json"
     p.write_text(json.dumps(cfg))
-    assert [sc.name for sc in load_config(p)] == ["a", "b"]
+    assert [spec["name"] for spec in load_config(p)] == ["a", "b"]
 
 
 def test_cli_calculator_subcommands(tmp_path, capsys):
@@ -868,26 +854,24 @@ def test_smooth_grid_cap_is_2_16(tmp_path):
             "n_max": 3, "seed": 1, "phi": {"preset": "sine"},
             "psi": {"preset": "uniform"},
             "family": {"slope": 2.0, "amp_max": 0.05}}
-    sc = Scenario.from_dict(body)
-    res = run_scenario(sc, tmp_path / "fine")
+    res = run_scenario(body, tmp_path / "fine")
     assert res.exit_code == EXIT_OK and res.certificate.passed
     with pytest.raises(ScenarioError, match="2\\^16"):
-        Scenario.from_dict({**body, "grid": 2 ** 17})
+        read_scenario({**body, "grid": 2 ** 17})
 
 
 @pytest.mark.parametrize("seed", [7, 17, 18])
 def test_neighborhood_redraws_complete(tmp_path, seed):
     # the acceptance neighborhood config; these seeds need more than 100
     # draws for some step
-    sc = Scenario(name="thB", kind="neighborhood", grid=2 ** 13, n_max=40,
-                  seed=seed,
-                  phi={"preset": "sine-step", "k": 1, "amplitude": 0.5,
-                       "step_amp": 0.3, "pieces": 8},
-                  psi={"preset": "uniform"},
-                  family={"base": {"form": "slope3-two-branch"},
-                          "slope": 3.0, "amp_max": 0.003,
-                          "slope_jitter": 0.002},
-                  eps=0.01)
+    sc = {"name": "thB", "kind": "neighborhood", "grid": 2 ** 13, "n_max": 40,
+          "seed": seed,
+          "phi": {"preset": "sine-step", "k": 1, "amplitude": 0.5,
+                  "step_amp": 0.3, "pieces": 8},
+          "psi": {"preset": "uniform"},
+          "family": {"base": {"form": "slope3-two-branch"}, "slope": 3.0,
+                     "amp_max": 0.003, "slope_jitter": 0.002},
+          "eps": 0.01}
     res = run_scenario(sc, tmp_path / "thB")
     assert res.exit_code == EXIT_OK, res.message
 
@@ -904,10 +888,10 @@ def test_nan_step_level_exits_2(tmp_path):
 def jump_scenario(slope, amp_max):
     """The smooth config of a valid-range sweep that exited 1 when its
     slope was not an integer."""
-    return Scenario(name="jump", kind="smooth", grid=1024, n_max=10, seed=345,
-                    phi={"preset": "random-bv", "a": 6.0},
-                    psi={"preset": "uniform"},
-                    family={"slope": slope, "amp_max": amp_max}, eps_loc=0.1)
+    return {"name": "jump", "kind": "smooth", "grid": 1024, "n_max": 10,
+            "seed": 345, "phi": {"preset": "random-bv", "a": 6.0},
+            "psi": {"preset": "uniform"},
+            "family": {"slope": slope, "amp_max": amp_max}, "eps_loc": 0.1}
 
 
 @pytest.mark.parametrize("slope,amp_max", [
@@ -936,9 +920,12 @@ def test_smooth_family_with_integer_slope_certifies(tmp_path, slope):
       "family": {"slope": 2.0, "amp_max": 0.05}}, "cap the grid at 2^16"),
 ], ids=["auto-fixed", "zero", "negative", "smooth-2^17"])
 def test_direct_scenario_gets_the_from_dict_checks(tmp_path, over, message):
+    # the checks a config file gets from load_config
     sc = base_scenario(**over)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(sc, schema=1)))
     with pytest.raises(ScenarioError) as err:
-        Scenario.from_dict(sc.as_dict())
+        load_config(path)
     assert message in str(err.value)
     res = run_scenario(sc, tmp_path / "run")
     assert res.exit_code == EXIT_CONFIG and res.message == str(err.value)
