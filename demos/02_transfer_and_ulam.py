@@ -10,7 +10,7 @@ import numpy as np
 
 from circlemix import (Density, TransferOperator, backend_consistency,
                        doubling_map, push, push_sequence, slope25_map,
-                       ulam_matrix, ulam_push)
+                       ulam_matrix)
 
 G = 4096
 
@@ -40,8 +40,8 @@ print("mode-4 cascade L1 to uniform:",
 # The Ulam matrix of the doubling map at two bins is the 2x2 matrix of
 # halves; pushing the uniform mass vector reproduces itself.
 U = ulam_matrix(doubling_map(), 2)
-print("\nUlam(doubling, B=2):\n", U.entries)
-print("uniform masses stay put:", ulam_push(U, np.array([0.5, 0.5])))
+print("\nUlam(doubling, B=2):\n", U)
+print("uniform masses stay put:", U @ np.array([0.5, 0.5]))
 
 # Cross-backend agreement at growing resolution (first-order in 1/B).
 phi = Density.from_function(G * 2, lambda x: 1 + 0.3 * np.sin(2 * np.pi * x)

@@ -20,8 +20,7 @@ from .maps import (BranchSpec, MapAnalysis, MapFormError, PiecewiseMap,
                    map_from_dict, neighborhood_distance, sine_map,
                    slope25_map, slope3_two_branch, two_slope_wrap_map)
 from .scenarios import ScenarioError, build_sequence, run_scenario
-from .transfer import (TransferOperator, UlamMatrix, backend_consistency, push,
-                       push_sequence, push_with_factor, ulam_matrix,
-                       ulam_push)
+from .transfer import (TransferOperator, backend_consistency, push,
+                       push_sequence, push_with_factor, ulam_matrix)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

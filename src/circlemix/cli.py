@@ -32,10 +32,9 @@ def _load_json(path) -> dict:
 
 
 def _apply_grid_seed(cfg: dict, args) -> dict:
-    if args.grid:
-        cfg["grid"] = args.grid
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    for key in ("grid", "seed"):  # 0 is an override too, refused downstream
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     return cfg
 
 

@@ -123,6 +123,8 @@ class CouplingLedger:
                             c == "envelope_value" and value <= 0.0):
                         raise ValueError(f"{path}:{lineno}: bad {c} {v!r}")
                     steps[c].append(value)
+        if not steps["n"] or steps["n"] != list(range(len(steps["n"]))):
+            raise ValueError(f"{path}: ledger rows must be n = 0, 1, 2, ...")
         return cls(slack=slack, steps=steps)
 
 

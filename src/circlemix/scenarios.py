@@ -501,6 +501,8 @@ def load_config(path) -> list[dict]:
     if isinstance(cfg, dict) and "scenarios" in cfg:
         specs = [{"schema": cfg.get("schema"), **body}
                  for body in read(cfg, {"scenarios": [{}]})["scenarios"]]
+        if not specs:
+            raise ScenarioError("config holds no scenarios")
     else:
         specs = [cfg]
     names = set()

@@ -1,8 +1,8 @@
 """Density evolution under piecewise expanding circle maps.
 
-Two interchangeable backends.  The primary pullback backend evaluates
-sum_{y in f^-1 x} phi(y)/|f'(y)| at every grid point.  The preimages and
-the weights 1/|f'| depend only on the map and the grid, so a
+The pullback operator, plus an Ulam oracle.  The pullback operator
+evaluates sum_{y in f^-1 x} phi(y)/|f'(y)| at every grid point.  Its
+preimages and weights 1/|f'| depend only on the map and the grid, so a
 TransferOperator solves them once per (map, G) and every push is then a
 weighted sum of samples read at them.  Most runs of targets read their
 samples by two gathers.  On an affine branch whose slope is a small
@@ -12,14 +12,14 @@ scalar weights per progression instead (PHASE_MIN_LEN gives the rule and
 its measurements).  The caller builds the operator and pushes through it,
 so it decides how long an operator lives: a run that pushes several
 densities through one map, or reuses a map, builds it once.  The Ulam
-backend discretizes the same operator as a column-stochastic bin-to-bin
-mass-transport matrix and serves as an independent consistency oracle.
+matrix, exact on affine branches, discretizes the same operator bin to
+bin and serves as an independent consistency oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -223,73 +223,46 @@ def push_sequence(maps, phi: Density) -> list[Density]:
     return out
 
 
-@dataclass(frozen=True)
-class UlamMatrix:
-    """Column-stochastic bin transport matrix; entry (i, j) is the fraction
-    of bin j whose image lands in bin i."""
-
-    B: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (self.B, self.B):
-            raise ValueError("entries must be B x B")
-        if np.any(e < 0.0):
-            raise ValueError("negative Ulam entry")
-        colsum = e.sum(axis=0)
-        if float(np.abs(colsum - 1.0).max()) > 1e-8:
-            raise TransferError("Ulam column sums deviate from 1 beyond 1e-8")
-        object.__setattr__(self, "entries", e)
-
-
-def ulam_matrix(m: PiecewiseMap, B: int) -> UlamMatrix:
-    """Bin transport matrix: exact interval arithmetic on affine branches,
-    midpoint quadrature (64 points per segment) on sine-perturbed ones."""
+def ulam_matrix(m: PiecewiseMap, B: int) -> np.ndarray:
+    """Ulam's B-bin matrix of the transfer operator: entry (i, j) is the
+    fraction of bin j that the map sends into bin i.  On an affine branch,
+    in bin units, the arc is [lo*B, hi*B] and u maps to s*u + c*B, so each
+    overlap of a segment's image with a bin is a Fraction; a cell sums its
+    overlaps / |s| exactly and is rounded once.  A sine branch's entries
+    come from midpoint quadrature, ULAM_QUAD_POINTS per segment.  A column
+    sum off 1 by more than 1e-8 raises TransferError."""
     if B < 2:
         raise ValueError("need at least 2 bins")
     M = np.zeros((B, B))
+    cells = defaultdict(Fraction)
     for b in m.branches:
-        sgn = 1.0 if b.increasing else -1.0
+        if b.is_affine:
+            s, cB = Fraction(b.slope), Fraction(b.offset) * B
+            lo, hi = Fraction(b.lo) * B, Fraction(b.hi) * B
+            for j in range(math.floor(lo), math.ceil(hi)):
+                y0, y1 = sorted((s * max(lo, j) + cB, s * min(hi, j + 1) + cB))
+                for i in range(math.floor(y0), math.ceil(y1)):
+                    cells[i % B, j] += (min(y1, i + 1) - max(y0, i)) / abs(s)
+            continue
+        n = ULAM_QUAD_POINTS
         for j in range(B):
-            seg_lo = max(b.lo, j / B)
-            seg_hi = min(b.hi, (j + 1) / B)
-            if seg_hi <= seg_lo:
-                continue
-            if b.is_affine:
-                a_l = float(b.lift(seg_lo))
-                b_l = float(b.lift(seg_hi))
-                lo, hi = (a_l, b_l) if sgn > 0 else (b_l, a_l)
-                # the bin index is carried: floor(((i + 1) / B) * B) can
-                # round to i, which would never step past bin i
-                s = lo
-                i = math.floor(s * B)
-                while hi - s > 1e-15:
-                    e = min(hi, (i + 1) / B)
-                    if e > s:
-                        M[i % B, j] += (e - s) / abs(b.slope) * B
-                        s = e
-                    i += 1
-            else:
-                n = ULAM_QUAD_POINTS
+            seg_lo, seg_hi = max(b.lo, j / B), min(b.hi, (j + 1) / B)
+            if seg_hi > seg_lo:
                 xs = seg_lo + (seg_hi - seg_lo) * (np.arange(n) + 0.5) / n
                 vals = b.lift(xs)
                 vals = vals - np.floor(vals)
                 idx = np.minimum((vals * B).astype(np.int64), B - 1)
-                w = (seg_hi - seg_lo) * B / n
-                np.add.at(M, (idx, j), w)
-    return UlamMatrix(B, M)
-
-
-def ulam_push(U: UlamMatrix, masses: np.ndarray) -> np.ndarray:
-    return U.entries @ np.asarray(masses, dtype=float)
+                np.add.at(M, (idx, j), (seg_hi - seg_lo) * B / n)
+    for (i, j), mass in cells.items():
+        M[i, j] += float(mass)
+    if float(np.abs(M.sum(axis=0) - 1.0).max()) > 1e-8:
+        raise TransferError("Ulam column sums deviate from 1 beyond 1e-8")
+    return M
 
 
 def backend_consistency(m: PiecewiseMap, phi: Density, B: int) -> float:
     """L1 distance between the bin-averaged pullback pushforward and the
     Ulam image of the bin-averaged input (B must divide G)."""
-    masses_in = phi.bin_masses(B)
-    pushed = push(TransferOperator(m, phi.G), phi)
-    masses_push = pushed.bin_masses(B)
-    masses_ulam = ulam_push(ulam_matrix(m, B), masses_in)
+    masses_push = push(TransferOperator(m, phi.G), phi).bin_masses(B)
+    masses_ulam = ulam_matrix(m, B) @ phi.bin_masses(B)
     return float(np.abs(masses_push - masses_ulam).sum())

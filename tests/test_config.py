@@ -234,6 +234,13 @@ def test_batch_of_non_objects_exits_2(tmp_path, scenarios_value, message):
     assert code == EXIT_CONFIG and message in err
 
 
+def test_empty_batch_exits_2(tmp_path):
+    code, out, err = _couple(tmp_path, {"schema": 1, "scenarios": []})
+    assert (code, out, err) == (EXIT_CONFIG, "",
+                                "config error: config holds no scenarios\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_load_config_keeps_a_scenario_schema(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"scenarios": [dict(FIXED)]}))

@@ -314,7 +314,9 @@ def test_ledger_csv_round_trip(tmp_path):
                        (text + ["1,2,3"], "fields"),
                        (with_last("l1_distance", "nan"), "bad l1_distance"),
                        (with_last("envelope_value", "0"), "bad envelope"),
-                       (with_last("block_index", "1.5"), "invalid literal")):
+                       (with_last("block_index", "1.5"), "invalid literal"),
+                       (text[:1], "rows"),  # the header alone
+                       (text[:2] + text[3:], "rows")):  # step 1 deleted
         path.write_text("\n".join(bad) + "\n")
         with pytest.raises(ValueError, match=match):
             CouplingLedger.from_csv(path, led.slack)

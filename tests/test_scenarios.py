@@ -279,6 +279,29 @@ def test_cli_grid_seed_overrides(tmp_path):
     assert sc["grid"] == 512 and sc["seed"] == 4
 
 
+@pytest.mark.parametrize("command,cfg,message", [
+    ("couple", {"schema": 1, "name": "g0", "kind": "fixed-map", "grid": 1024,
+                "n_max": 5, "seed": 9, "phi": {"preset": "sine"},
+                "psi": {"preset": "uniform"},
+                "family": {"map": {"form": "slope3-two-branch"}}},
+     "g0: exit 2 (grid must be a power of two)"),
+    ("absorb", {"a": 8.0, "a_star": 25.0},
+     "absorb error: grid must be an integer >= 2, got 0"),
+    ("verify-ly", None, "verify-ly error: grid must be an integer >= 2, got 0"),
+])
+def test_cli_grid_zero_exits_2(tmp_path, capsys, command, cfg, message):
+    # --grid 0 is an override like any other, refused where the config's
+    # grid would be, not dropped for the config's
+    args = [command, "--grid", "0", "--out", str(tmp_path / "out")]
+    if cfg is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        args += ["--config", str(tmp_path / "cfg.json")]
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def _couple(tmp_path, cfg):
     """Run one scenario config through the CLI; return its run directory."""
     cfg_path = tmp_path / f"{cfg['name']}.json"
@@ -360,6 +383,11 @@ def _ledger_header(run_dir):
     led.write_text(led.read_text().replace("l1_distance", "l1", 1))
 
 
+def _ledger_header_only(run_dir):
+    led = run_dir / "ledger.csv"
+    led.write_text(led.read_text().splitlines(keepends=True)[0])
+
+
 @pytest.mark.parametrize("damage,message", [
     (_drop("scenario.json"), "scenario.json"),
     (_drop("bounds.json"), "bounds.json"),
@@ -369,9 +397,10 @@ def _ledger_header(run_dir):
     (_bounds_without("a_star"), "a_star"),
     (_write("scenario.json", "[]"), "schema"),
     (_ledger_header, "ledger header"),
+    (_ledger_header_only, "ledger rows"),
 ], ids=["no-scenario", "no-bounds", "no-ledger", "bounds-not-json",
         "bounds-not-object", "bounds-missing-key", "scenario-not-object",
-        "ledger-header"])
+        "ledger-header", "ledger-no-rows"])
 def test_envelope_check_exit_2_on_damaged_run_dir(tmp_path, capsys, damage,
                                                   message):
     cfg = {"schema": 1, "name": "dmg", "kind": "fixed-map", "grid": 1024,

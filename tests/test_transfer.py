@@ -1,6 +1,7 @@
 import contextlib
 import math
 import signal
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,7 @@ from hypothesis import strategies as st
 from circlemix import (BranchSpec, Density, PiecewiseMap, affine_map, analyze,
                        backend_consistency, doubling_map, push, push_sequence,
                        push_with_factor, sine_map, slope25_map,
-                       slope3_two_branch, two_slope_wrap_map, ulam_matrix,
-                       ulam_push)
+                       slope3_two_branch, two_slope_wrap_map, ulam_matrix)
 from circlemix import transfer
 from circlemix.scenarios import (PLANS, build_density, build_sequence,
                                  read_scenario)
@@ -77,21 +77,21 @@ def test_push_sequence_composes_single_pushes():
 
 def test_ulam_doubling_b2():
     U = ulam_matrix(doubling_map(), 2)
-    assert np.array_equal(U.entries, np.full((2, 2), 0.5))
+    assert np.array_equal(U, np.full((2, 2), 0.5))
 
 
 def test_ulam_slope3_b3():
     U = ulam_matrix(slope3_two_branch(), 3)
-    assert float(np.abs(U.entries - 1.0 / 3.0).max()) < 1e-12
+    assert float(np.abs(U - 1.0 / 3.0).max()) < 1e-12
 
 
 @pytest.mark.parametrize("B", [8, 64])
 def test_ulam_column_stochastic_all_builtins(B):
     for m in BUILTINS + [sine_map(2.0, 0.05), sine_map(3.0, 0.001)]:
         U = ulam_matrix(m, B)
-        assert float(np.abs(U.entries.sum(axis=0) - 1.0).max()) < 1e-10
+        assert float(np.abs(U.sum(axis=0) - 1.0).max()) < 1e-10
         masses = np.full(B, 1.0 / B)
-        assert abs(ulam_push(U, masses).sum() - 1.0) < 1e-12
+        assert abs((U @ masses).sum() - 1.0) < 1e-12
 
 
 @contextlib.contextmanager
@@ -116,12 +116,12 @@ def test_ulam_affine_walk_steps_past_a_rounded_edge():
     assert math.floor((15 / 22) * 22) == 14
     with time_limit():
         U = ulam_matrix(doubling_map(), 22)
-    assert float(np.abs(U.entries.sum(axis=0) - 1.0).max()) <= 1e-8
+    assert float(np.abs(U.sum(axis=0) - 1.0).max()) <= 1e-8
     # the doubling map sends bin j onto bins 2j and 2j + 1 (mod 22)
     want = np.zeros((22, 22))
     for j in range(22):
         want[2 * j % 22, j] = want[(2 * j + 1) % 22, j] = 0.5
-    assert np.allclose(U.entries, want, rtol=0.0, atol=1e-12)
+    assert np.allclose(U, want, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -129,7 +129,56 @@ def test_ulam_affine_walk_steps_past_a_rounded_edge():
 def test_ulam_affine_walk_ends_for_every_bin_count(B, m):
     with time_limit():
         U = ulam_matrix(m, B)
-    assert float(np.abs(U.entries.sum(axis=0) - 1.0).max()) <= 1e-8
+    assert float(np.abs(U.sum(axis=0) - 1.0).max()) <= 1e-8
+
+
+@st.composite
+def affine_branch_maps(draw):
+    """An affine map of 1-3 branches, each with its own orientation, slope
+    modulus in [2.05, 5] and offset."""
+    n = draw(st.integers(1, 3))
+    cuts = draw(st.lists(st.floats(0.05, 0.95), min_size=n - 1,
+                         max_size=n - 1, unique=True))
+    ends = [0.0, *sorted(cuts), 1.0]
+    sign = st.sampled_from([1.0, -1.0])
+    return PiecewiseMap(tuple(
+        BranchSpec(lo, hi, draw(sign) * draw(st.floats(2.05, 5.0)),
+                   draw(st.floats(-1.0, 1.0)))
+        for lo, hi in zip(ends, ends[1:])))
+
+
+def exact_ulam_cells(m, B):
+    """The Ulam matrix of an affine map as exact cells {(i, j): entry}: B
+    times the length of the points of bin j whose image lies in bin i,
+    from the preimages of every lift [i/B, (i+1)/B) + k of bin i."""
+    cells = {}
+    for b in m.branches:
+        s, c = Fraction(b.slope), Fraction(b.offset)
+        lo, hi = Fraction(b.lo), Fraction(b.hi)
+        y0, y1 = sorted((s * lo + c, s * hi + c))
+        for k in range(math.floor(y0), math.ceil(y1)):
+            for i in range(B):
+                x0, x1 = sorted(((Fraction(i, B) + k - c) / s,
+                                 (Fraction(i + 1, B) + k - c) / s))
+                x0, x1 = max(x0, lo), min(x1, hi)
+                if x1 <= x0:
+                    continue
+                for j in range(math.floor(x0 * B), math.ceil(x1 * B)):
+                    part = min(x1, Fraction(j + 1, B)) - max(x0, Fraction(j, B))
+                    cells[i, j] = cells.get((i, j), 0) + part * B
+    return cells
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(m=affine_branch_maps(), B=st.integers(2, 64))
+def test_ulam_affine_entries_are_the_exact_cells_rounded(m, B):
+    U = ulam_matrix(m, B)
+    assert isinstance(U, np.ndarray) and U.shape == (B, B)
+    want = np.zeros((B, B))
+    for (i, j), cell in exact_ulam_cells(m, B).items():
+        want[i, j] = float(cell)
+    assert np.all(np.abs(U - want) <= 2.0 * np.spacing(want))
+    assert float(np.abs(U.sum(axis=0) - 1.0).max()) <= B * 2.0 ** -52
 
 
 def test_backend_consistency_uniform_doubling():
@@ -161,17 +210,16 @@ def test_decreasing_branch_push_and_ulam():
     out = push(TransferOperator(m, 1024), Density.uniform(1024))
     assert float(np.abs(out.samples - 1.0).max()) < 1e-14
     U = ulam_matrix(m, 4)
-    assert float(np.abs(U.entries.sum(axis=0) - 1.0).max()) < 1e-12
+    assert float(np.abs(U.sum(axis=0) - 1.0).max()) < 1e-12
     phi = Density.sine(2048, 1, 0.4)
     assert backend_consistency(m, phi, 64) <= 4.0 / 64
 
 
 def test_mass_and_column_guards():
-    from circlemix.transfer import UlamMatrix
-
-    bad = np.full((4, 4), 0.3)  # columns sum to 1.2
-    with pytest.raises(TransferError):
-        UlamMatrix(4, bad)
+    # branches that leave half the circle unmapped: half the columns sum to 0
+    half = types.SimpleNamespace(branches=(BranchSpec(0.0, 0.5, 2.0),))
+    with pytest.raises(TransferError, match="column sums"):
+        ulam_matrix(half, 4)
     rng = np.random.Generator(np.random.PCG64(9))
     push(TransferOperator(two_slope_wrap_map(), 1024),
          Density.random_bv(1024, 10.0, rng))  # no trip
