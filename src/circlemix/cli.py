@@ -17,18 +17,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .bounds import BoundsReport
-from .config import read, write_json
+from .config import load_json, read, write_json
 from .coupling import CouplingLedger, certify
 from .covering import CoveringError, positivity_horizon
 from .maps import MAP, TransferError, analyze, map_from_dict
-from .scenarios import (EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, ScenarioError,
-                        load_config, run_absorption, run_scenario,
-                        run_variation_suite)
-
-
-def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+from .scenarios import (EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, load_config,
+                        run_absorption, run_scenario, run_variation_suite)
 
 
 def _apply_grid_seed(cfg: dict, args) -> dict:
@@ -73,7 +67,7 @@ CALCULATORS = {
 def _cmd_calculator(args) -> int:
     run, report_file, _ = CALCULATORS[args.command]
     try:
-        cfg = _load_json(args.config) if args.config else {}
+        cfg = load_json(args.config) if args.config else {}
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
         report = run(_apply_grid_seed(cfg, args))
@@ -95,7 +89,7 @@ def _cmd_envelope_check(args) -> int:
     untouched directory is its certificate.json byte for byte."""
     run = args.out
     try:
-        bounds = BoundsReport(**_load_json(os.path.join(run, "bounds.json")))
+        bounds = BoundsReport(**load_json(os.path.join(run, "bounds.json")))
         (scenario,) = load_config(os.path.join(run, "scenario.json"))
         ledger = CouplingLedger.from_csv(os.path.join(run, "ledger.csv"),
                                          bounds.grid_slack(scenario["grid"]))
@@ -118,7 +112,7 @@ def _cmd_pipeline(args) -> int:
         return EXIT_CONFIG
     try:
         scenarios = load_config(args.config)
-    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # run_scenario refuses an override its read stage does not pass

@@ -1,9 +1,10 @@
-"""One reader for every config format: `read` checks a spec against a field
-table and returns a copy with the defaults filled in.  An entry is the
-field's default, which is also its type (an int takes integers, a float
-finite numbers, a tuple a non-empty list of numbers), a bare type for a
-required field, a nested table (default {}), a required `Format`, `[entry]`
-for a list, or a `Field`.  Keys a table does not list are ignored."""
+"""One reader for every config format: `load_json` reads every JSON input,
+and `read` checks a spec against a field table and returns a copy with the
+defaults filled in.  An entry is the field's default, which is also its
+type (an int takes integers, a float finite numbers, a tuple a non-empty
+list of numbers), a bare type for a required field, a nested table
+(default {}), a required `Format`, `[entry]` for a list, or a `Field`.
+Keys a table does not list are ignored."""
 
 from __future__ import annotations
 
@@ -14,6 +15,18 @@ from collections import namedtuple
 
 class ScenarioError(ValueError):
     """Configuration or assembly problem; maps to exit code 2."""
+
+
+def load_json(path):
+    """The JSON value in the UTF-8 file at `path`.  ScenarioError names a
+    file that does not hold one Python can read: bytes that are not UTF-8,
+    malformed JSON, an integer literal past Python's digit limit, or
+    nesting past the recursion limit.  OSError passes through."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ScenarioError(f"{path}: {exc}") from None
 
 
 def write_json(path, payload) -> None:

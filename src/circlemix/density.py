@@ -48,18 +48,19 @@ def _shift_level(s: np.ndarray, k: int, r: np.ndarray) -> float:
     return m / (k / G)
 
 
-def _frozen_samples(arr: np.ndarray) -> np.ndarray:
-    """arr, checked as the samples of a unit-mass density and made
-    read-only; ValueError if it is not one."""
+def _frozen_samples(arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """(arr, its minimum), arr checked as the samples of a unit-mass
+    density and made read-only; ValueError if it is not one."""
     _check_grid(arr.shape[0] if arr.ndim == 1 else 0)
     # written so that NaN fails both checks
-    if not arr.min() >= 0.0:
+    low = float(arr.min())
+    if not low >= 0.0:
         raise ValueError("density samples must be nonnegative numbers")
     total = float(arr.mean())
     if not abs(total - 1.0) <= INTEGRAL_TOL:
         raise ValueError(f"density integral {total} is not 1 within {INTEGRAL_TOL}")
     arr.flags.writeable = False
-    return arr
+    return arr, low
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,16 +70,22 @@ class Density:
     samples: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _frozen_samples(
-            np.array(self.samples, dtype=float)))
+        self._hold(np.array(self.samples, dtype=float))
 
     @classmethod
     def _own(cls, arr: np.ndarray) -> "Density":
         """The density of a fresh float array that no one else holds: the
         same checks as Density(arr), without the copy."""
         self = object.__new__(cls)
-        object.__setattr__(self, "samples", _frozen_samples(arr))
+        self._hold(arr)
         return self
+
+    def _hold(self, arr: np.ndarray) -> None:
+        """Take arr as the samples, keeping the minimum that the check
+        computes for min_value."""
+        samples, low = _frozen_samples(arr)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "_min", low)
 
     # --- construction ---------------------------------------------------
 
@@ -173,7 +180,7 @@ class Density:
         return float(np.abs(d, out=d).sum())
 
     def min_value(self) -> float:
-        return float(self.samples.min())
+        return self._min
 
     def bin_masses(self, B: int) -> np.ndarray:
         """Exact per-bin integrals of the interpolant over [j/B, (j+1)/B)."""

@@ -157,9 +157,10 @@ class BranchSpec:
         return dmin > 0
 
 
-def _solve_lift(branch: BranchSpec, targets: np.ndarray):
+def _solve_lift(branch: BranchSpec, targets: np.ndarray, sines=None):
     """Solve lift(x) = t on [lo, hi] for each target (vectorized); returns
-    the roots and f' at them.
+    the roots and f' at them.  A sine branch also writes sin 2 pi x at each
+    root into the array sines, if one is given.
 
     Affine branches are exact, and f' is the slope, a scalar.  On a sine
     branch the root lies within |a|/|s| of the affine inverse
@@ -176,7 +177,8 @@ def _solve_lift(branch: BranchSpec, targets: np.ndarray):
     in angle by a second-order rotation, whose truncation is below half an
     ulp (a carried value is within 2^-52 of np.sin/np.cos), so a full
     chunk costs one sin/cos pair per target besides its table, and f' at
-    the root comes from the carried cos.
+    the root comes from the carried cos, and sin 2 pi x from the carried
+    sin.
     Iteration stops at the first iterate whose residuals are all at most
     SOLVE_TOL * max(1, |t|); if one is still above SOLVE_GUARD after
     SOLVE_MAX_ITERS steps, TransferError names the branch.
@@ -189,8 +191,39 @@ def _solve_lift(branch: BranchSpec, targets: np.ndarray):
     d = np.empty_like(targets)
     for i in range(0, targets.size, SOLVE_CHUNK):
         chunk = slice(i, i + SOLVE_CHUNK)
-        x[chunk], d[chunk] = _newton(branch, targets[chunk], dmin > 0, spacing)
+        x[chunk], d[chunk], sin2 = _newton(branch, targets[chunk], dmin > 0,
+                                           spacing)
+        if sines is not None:
+            sines[chunk] = sin2
     return x, d
+
+
+def _bracket(branch: BranchSpec, targets: np.ndarray):
+    """(lo, hi): the bracket of each target's root on a sine branch of
+    nonzero slope s, the points of the arc within |a|/|s| of the affine
+    inverse (t - c)/s."""
+    x0 = (targets - branch.offset) / branch.slope
+    r = abs(branch.amplitude / branch.slope)
+    return np.maximum(x0 - r, branch.lo), np.minimum(x0 + r, branch.hi)
+
+
+def _passes(branch: BranchSpec, x: np.ndarray, targets: np.ndarray,
+            sin2: np.ndarray) -> np.ndarray:
+    """Whether each x, given sin2 = sin 2 pi x, passes the checks that a
+    root of _newton passes for its target on a sine branch of nonzero
+    slope: a residual of at most SOLVE_TOL * max(1, |t|), computed from
+    sin2 as _newton computes it from its carried sine, and a place in its
+    bracket.  Checked in chunks of SOLVE_CHUNK, as they are solved."""
+    s, c, a = branch.slope, branch.offset, branch.amplitude
+    ok = np.empty(targets.size, dtype=bool)
+    for i in range(0, targets.size, SOLVE_CHUNK):
+        chunk = slice(i, i + SOLVE_CHUNK)
+        xc, tc = x[chunk], targets[chunk]
+        lo, hi = _bracket(branch, tc)
+        tol = SOLVE_TOL * np.maximum(1.0, np.abs(tc))
+        ok[chunk] = ((np.abs(s * xc + c + a * sin2[chunk] - tc) <= tol)
+                     & (lo <= xc) & (xc <= hi))
+    return ok
 
 
 def _start_spacing(branch: BranchSpec, dmin: float, dmax: float) -> float:
@@ -235,17 +268,14 @@ def _newton(branch: BranchSpec, targets: np.ndarray, inc: bool,
             spacing: float):
     """The bracketed Newton solve of _solve_lift on one sine branch, whose
     lift increases if inc, from a table of the given node spacing; returns
-    the roots and f' at them."""
+    the roots, f' at them and the carried sin 2 pi x."""
     s, c, a = branch.slope, branch.offset, branch.amplitude
     if s == 0.0:  # no affine part to bracket by
         lo = np.full_like(targets, branch.lo)
         hi = np.full_like(targets, branch.hi)
         x = 0.5 * (lo + hi)
     else:
-        x0 = (targets - c) / s
-        r = abs(a / s)
-        lo = np.maximum(x0 - r, branch.lo)
-        hi = np.minimum(x0 + r, branch.hi)
+        lo, hi = _bracket(branch, targets)
         start, stop = lo.min(), hi.max()
         nodes = targets.size + 2
         span = stop - start  # < 0 for a target outside the branch image
@@ -290,7 +320,7 @@ def _newton(branch: BranchSpec, targets: np.ndarray, inc: bool,
         raise TransferError(
             f"preimage solve on {branch} left residual {worst:.3g} > "
             f"{SOLVE_GUARD:g} after {SOLVE_MAX_ITERS} iterations")
-    return x, s + TWO_PI * a * cos2
+    return x, s + TWO_PI * a * cos2, sin2
 
 
 @dataclass(frozen=True)

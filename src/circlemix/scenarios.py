@@ -18,7 +18,6 @@ refused input (exit 2); after them it is a defect and propagates.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections import namedtuple
@@ -27,7 +26,7 @@ from itertools import islice
 import numpy as np
 
 from . import bounds as bnd
-from .config import (Field, Format, ScenarioError, is_int, read,
+from .config import (Field, Format, ScenarioError, is_int, load_json, read,
                      write_json as _write_json)
 from .coupling import (ENVELOPE_START, BlockPlan, CertificateViolation,
                        certify, fit_decay, run_coupled, write_decay_json)
@@ -496,8 +495,7 @@ def load_config(path) -> list[dict]:
     """A config file's scenario specs, as given.  Each is read before any
     run, so that one malformed scenario, or a name that is not one new
     directory in the output directory, refuses the whole file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = load_json(path)
     if isinstance(cfg, dict) and "scenarios" in cfg:
         specs = [{"schema": cfg.get("schema"), **body}
                  for body in read(cfg, {"scenarios": [{}]})["scenarios"]]

@@ -9,11 +9,20 @@ samples by two gathers.  On an affine branch whose slope is a small
 rational p/q the preimages of a long run are p arithmetic progressions
 with exact, constant fractions, so such a run reads strided views with two
 scalar weights per progression instead (PHASE_MIN_LEN gives the rule and
-its measurements).  The caller builds the operator and pushes through it,
-so it decides how long an operator lives: a run that pushes several
-densities through one map, or reuses a map, builds it once.  The Ulam
-matrix, exact on affine branches, discretizes the same operator bin to
-bin and serves as an independent consistency oracle.
+its measurements).  An odd sine map solves half of its preimages: where a
+branch on [1 - hi, 1 - lo) mirrors one on [lo, hi), with the same slope
+and amplitude and f(1 - x) = C - f(x) for an exact C with C*G an integer,
+the target (C*G - J)/G takes 1 - x for the root x of the target J/G, and
+the same f'.  A derived root passes the checks of a solved one: its
+residual, from the solve's carried sine as sin 2 pi (1 - x) =
+-sin 2 pi x, and its bracket; its gather piece mirrors that of x, whose
+sample index passed the index check.  A target whose mirror was not
+solved, at an arc end, or whose derived root fails is solved directly
+(_mirrors and _mirrored give the rule).  The caller builds the operator
+and pushes through it, so it decides how long an operator lives: a run
+that pushes several densities through one map, or reuses a map, builds it
+once.  The Ulam matrix, exact on affine branches, discretizes the same
+operator bin to bin and serves as an independent consistency oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ from fractions import Fraction
 import numpy as np
 
 from .density import Density
-from .maps import BranchSpec, PiecewiseMap, TransferError, _solve_lift
+from .maps import (BranchSpec, PiecewiseMap, TransferError, _passes,
+                   _solve_lift)
 
 # Hard sanity window for the per-step mass renormalization factor; values
 # outside it indicate a broken map/density pairing rather than grid error.
@@ -63,7 +73,8 @@ class TransferOperator:
 
     A run is stored as pieces (targets, sources, w0, w1).  A gather piece
     holds the whole run: a target slice, an array of i0 and weight arrays,
-    from the preimage solve (f' is the slope, on an affine branch).  On an
+    from the preimage solve (f' is the slope, on an affine branch), or on a
+    branch that mirrors an earlier one, from that branch's roots.  On an
     affine branch of slope +-p/q (the float's exact ratio) target j + p
     lies q samples after target j (before, on a decreasing branch) with the
     same fraction, so a run of at least PHASE_MIN_LEN * p * q targets is
@@ -78,27 +89,7 @@ class TransferOperator:
     def __init__(self, m: PiecewiseMap, G: int):
         self.m = m
         self.G = G
-        ys = np.arange(G) / G
-        self._pieces = []
-        for b in m.branches:
-            flo, fhi, offsets = b.image()
-            inc = b.increasing
-            # a run of at least min_run targets is applied as phases
-            min_run = (PHASE_MIN_LEN
-                       * math.prod(abs(b.slope).as_integer_ratio())
-                       if b.is_affine else math.inf)
-            for k in offsets:
-                t = ys + k
-                if inc:  # targets in [flo, fhi)
-                    j0, j1 = np.searchsorted(t, (flo, fhi), side="left")
-                else:    # targets in (fhi, flo]
-                    j0, j1 = np.searchsorted(t, (fhi, flo), side="right")
-                if j0 >= j1:
-                    continue
-                if j1 - j0 >= min_run:
-                    self._pieces += _phases(b, G, k, int(j0), int(j1))
-                else:
-                    self._pieces.append(_gather(b, G, t, int(j0), int(j1)))
+        self._pieces = _pieces(m, G)
         self._ext = np.empty(G + 1)
         sizes = [len(range(G)[tgt]) if isinstance(src, slice) else src.size
                  for tgt, src, _, _ in self._pieces]
@@ -127,11 +118,133 @@ class TransferOperator:
         return acc
 
 
-def _gather(b: BranchSpec, G: int, t: np.ndarray, j0: int, j1: int):
-    """The gather piece of the targets t[j0:j1], from the preimage solve."""
-    xs, deriv = _solve_lift(b, t[j0:j1])
-    xs[xs >= 1.0] -= 1.0  # a float root at the arc's end can reach x = 1
+def _pieces(m: PiecewiseMap, G: int) -> list:
+    """The pieces of every run, branch by branch."""
+    ys = np.arange(G) / G
+    mirrors = _mirrors(m, G)
+    firsts = {i for i, _ in mirrors.values()}
+    held = {}  # the solved runs of a branch, until its mirror builds
+    pieces = []
+    for n, b in enumerate(m.branches):
+        if n in mirrors:
+            i, CG = mirrors[n]
+            for k, t, j0, j1 in _runs(b, ys):
+                pieces.append(_mirrored(b, G, t, j0, j1, CG - k * G, held[i]))
+            del held[i]
+            continue
+        # a run of at least min_run targets is applied as phases
+        min_run = (PHASE_MIN_LEN * math.prod(abs(b.slope).as_integer_ratio())
+                   if b.is_affine else math.inf)
+        for k, t, j0, j1 in _runs(b, ys):
+            if j1 - j0 >= min_run:
+                pieces += _phases(b, G, k, j0, j1)
+            elif n in firsts:  # no local keeps the run past its mirror
+                held.setdefault(n, []).append(_held_run(b, G, k, t, j0, j1))
+                pieces.append(held[n][-1][-1])
+            else:
+                pieces.append(_gather(b, G, j0, j1,
+                                      *_solve_lift(b, t[j0:j1])))
+    return pieces
+
+
+def _held_run(b: BranchSpec, G: int, k: int, t: np.ndarray, j0: int,
+              j1: int):
+    """(first target J0 = k*G + j0, roots, carried sines, gather piece) of
+    the run t[j0:j1], solved for a mirror branch.  Only what the mirror
+    reads outlives the call: f' lives on in the piece's weights, and each
+    array held through the mirror's build (128 KB at 2^14) raises the heap
+    that the next build must fault in again."""
+    sines = np.empty(j1 - j0)
+    xs, deriv = _solve_lift(b, t[j0:j1], sines)
+    return k * G + j0, xs, sines, _gather(b, G, j0, j1, xs, deriv)
+
+
+def _runs(b: BranchSpec, ys: np.ndarray):
+    """(k, t, j0, j1) for each lift offset k whose grid targets t = ys + k
+    meet the branch image in t[j0:j1]."""
+    flo, fhi, offsets = b.image()
+    inc = b.increasing
+    for k in offsets:
+        t = ys + k
+        if inc:  # targets in [flo, fhi)
+            j0, j1 = np.searchsorted(t, (flo, fhi), side="left")
+        else:    # targets in (fhi, flo]
+            j0, j1 = np.searchsorted(t, (fhi, flo), side="right")
+        if j0 < j1:
+            yield k, t, int(j0), int(j1)
+
+
+def _mirrors(m: PiecewiseMap, G: int) -> dict:
+    """{p: (i, C*G)} for each sine branch p that mirrors an earlier branch
+    i: their arcs are [lo, hi) and [1 - hi, 1 - lo), their slopes s and
+    amplitudes agree, and C = s + both offsets makes C*G an integer.  Then
+    f_p(1 - x) = C - f_i(x), as sin 2 pi (1 - x) = -sin 2 pi x, so the root
+    x of the target J/G on branch i gives the root 1 - x of the target
+    (C*G - J)/G on branch p, where f' takes the same value.  Checked
+    exactly on the floats: C*G from their integer ratios, the arcs in
+    Fractions."""
+    bs = m.branches
+    # where 1 - hi is exactly a float lo, the float subtraction returns it,
+    # so the lookup finds every mirror arc; the Fractions refuse a match
+    # that only rounding made
+    arcs = {(b.lo, b.hi): i for i, b in enumerate(bs)}
+    out = {}
+    for i, b in enumerate(bs):
+        p = arcs.get((1.0 - b.hi, 1.0 - b.lo), i)
+        if p <= i or b.is_affine \
+                or (bs[p].slope, bs[p].amplitude) != (b.slope, b.amplitude):
+            continue
+        # C*G, summed over the floats' common power-of-two denominator
+        parts = [v.as_integer_ratio()
+                 for v in (b.slope, b.offset, bs[p].offset)]
+        den = max(q for _, q in parts)
+        CG, rest = divmod(sum(n * (den // q) for n, q in parts) * G, den)
+        if (rest == 0 and 1 - Fraction(b.hi) == bs[p].lo
+                and 1 - Fraction(b.lo) == bs[p].hi):
+            out[p] = (i, CG)
+    return out
+
+
+def _mirrored(b: BranchSpec, G: int, t: np.ndarray, j0: int, j1: int,
+              base: int, solved: list):
+    """The gather piece of the targets t[j0:j1] on the sine branch b, from
+    the solved runs (first target J0, roots xs, carried sines, gather
+    piece) of its mirror branch (see _mirrors); base is C*G - k*G, k the
+    targets' lift offset.
+
+    Target j mirrors index i = base - j - J0 of a run that holds it.  Its
+    root is 1 - xs[i], checked by maps._passes with sin 2 pi (1 - x) =
+    -sines[i]; at the mirrored sample position G - pos the interpolant
+    reads samples G - 1 - i0 and G - i0 with the weights w1 and w0 of
+    index i swapped, so a sample index in [0, G - 1] stays there.  The
+    other targets, at the arc ends where the half-open images differ, and
+    any whose derived root fails its check, are solved and gathered
+    directly."""
+    n = j1 - j0
+    i0, w0, w1 = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n)
+    solve = np.ones(n, dtype=bool)
+    for first, xs, sines, (_, their_i0, their_w0, their_w1) in solved:
+        top = base - first  # the run's index of target j is top - j
+        v0, v1 = max(j0, top - xs.size + 1), min(j1, top + 1)
+        if v0 < v1:
+            own = slice(v0 - j0, v1 - j0)
+            theirs = slice(top - v1 + 1, top - v0 + 1)
+            solve[own] = ~_passes(b, 1.0 - xs[theirs][::-1], t[v0:v1],
+                                  -sines[theirs][::-1])
+            np.subtract(G - 1, their_i0[theirs][::-1], out=i0[own])
+            w0[own] = their_w1[theirs][::-1]
+            w1[own] = their_w0[theirs][::-1]
+    if solve.any():
+        _, i0[solve], w0[solve], w1[solve] = _gather(
+            b, G, j0, j1, *_solve_lift(b, t[j0:j1][solve]))
+    return slice(j0, j1), i0, w0, w1
+
+
+def _gather(b: BranchSpec, G: int, j0: int, j1: int, xs: np.ndarray, deriv):
+    """The gather piece of the targets j0 <= j < j1, from their roots xs
+    and f' there."""
     pos = xs * G
+    pos[pos >= G] -= G  # a float root at the arc's end can reach x = 1
     i0 = np.floor(pos)
     # apply gathers with mode="clip", which would silently move an index
     # outside [0, G - 1] onto an edge sample

@@ -241,6 +241,31 @@ def test_empty_batch_exits_2(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+# JSON files Python cannot read: bytes that are not UTF-8, a grid literal
+# past the integer digit limit, and nesting past the recursion limit
+UNREADABLE = {
+    "not-utf8": b"\xff{}",
+    "5000-digit-grid": json.dumps(FIXED).replace(
+        '"grid": 512', '"grid": 1' + "0" * 4999).encode(),
+    "nested": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["couple", "absorb"])
+@pytest.mark.parametrize("name", list(UNREADABLE))
+def test_unreadable_json_exits_2_and_writes_nothing(tmp_path, name, command):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(UNREADABLE[name])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    prefix = "config error: " if command == "couple" else "absorb error: "
+    assert (code, out.getvalue()) == (EXIT_CONFIG, "")
+    assert err.getvalue().startswith(f"{prefix}{path}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_load_config_keeps_a_scenario_schema(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"scenarios": [dict(FIXED)]}))

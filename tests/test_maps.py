@@ -647,15 +647,56 @@ def test_operator_build_evaluates_one_sin_cos_pair_per_preimage(
     # its start, and its one Newton step is carried, also on a nearly
     # affine branch.  The tables add at most table_max sines per preimage
     # (measured: up to 0.101 and 0.0072).
+    # A smooth-sine map is odd, so only its first branch's run (G targets)
+    # counts so: the second branch mirrors it, solves at most the one
+    # arc-end target its mirror lacks, and checks each derived root with
+    # the sine its mirror's solve carried, evaluating none.  The
+    # neighborhood maps have no mirror.
     trig = count_trig(monkeypatch)
+    solves, checks = [], []
+
+    def logged(name, log):
+        # (targets, sine calls, sines, cosine calls, cosines) of each call
+        f = getattr(transfer, name)
+
+        def call(*args):
+            before = trig["sin"] + trig["cos"]
+            out = f(*args)
+            log.append((args[-1].size,
+                        *np.subtract(trig["sin"] + trig["cos"], before)))
+            return out
+
+        monkeypatch.setattr(transfer, name, call)
+
+    if not jitter:
+        logged("_solve_lift", solves)
+        logged("_passes", checks)
     rng = np.random.Generator(np.random.PCG64(5))
     for _ in range(12):
         m = sine_map(slope + rng.uniform(-jitter, jitter),
                      rng.uniform(-amp_max, amp_max))
         for row in trig.values():
             row[:] = 0, 0
+        solves.clear()
+        checks.clear()
         op = transfer.TransferOperator(m, G)
         ends = 2 * len(m.branches)
+        if not jitter:
+            runs = [row for row in solves if row[0] == G]
+            for n, sin_calls, sines, cos_calls, cosines in runs:
+                chunks = n // maps.SOLVE_CHUNK
+                assert sin_calls == 2 * chunks
+                assert (cos_calls, cosines) == (2 + chunks, 2 + n)
+                assert 2 * chunks <= sines - n <= table_max * n
+            assert all(row[1:] == (0, 0, 0, 0) for row in checks)
+            solved = sum(row[0] for row in solves)
+            assert len(runs) == 1 and solved <= G + 1
+            assert solved + sum(row[0] for row in checks) == 2 * G
+            assert trig["sin"] == [ends + sum(row[1] for row in solves),
+                                   ends + sum(row[2] for row in solves)]
+            assert trig["cos"] == [ends + sum(row[3] for row in solves),
+                                   ends + sum(row[4] for row in solves)]
+            continue
         runs = len(op._pieces)  # a sine branch gathers every run
         chunks = sum(-(-i0.size // maps.SOLVE_CHUNK)
                      for _, i0, _, _ in op._pieces)

@@ -398,9 +398,10 @@ def _ledger_header_only(run_dir):
     (_write("scenario.json", "[]"), "schema"),
     (_ledger_header, "ledger header"),
     (_ledger_header_only, "ledger rows"),
+    (_write("bounds.json", "[" * 100_000), "maximum recursion depth"),
 ], ids=["no-scenario", "no-bounds", "no-ledger", "bounds-not-json",
         "bounds-not-object", "bounds-missing-key", "scenario-not-object",
-        "ledger-header", "ledger-no-rows"])
+        "ledger-header", "ledger-no-rows", "bounds-nested"])
 def test_envelope_check_exit_2_on_damaged_run_dir(tmp_path, capsys, damage,
                                                   message):
     cfg = {"schema": 1, "name": "dmg", "kind": "fixed-map", "grid": 1024,

@@ -14,6 +14,7 @@ from circlemix import (BranchSpec, Density, PiecewiseMap, affine_map, analyze,
                        push_with_factor, sine_map, slope25_map,
                        slope3_two_branch, two_slope_wrap_map, ulam_matrix)
 from circlemix import transfer
+from circlemix.maps import SOLVE_TOL
 from circlemix.scenarios import (PLANS, build_density, build_sequence,
                                  read_scenario)
 from circlemix.transfer import TransferError, TransferOperator
@@ -438,6 +439,112 @@ def test_push_duality(m, G, q, theta, data):
     M0 = analyze(m).M0
     slack = 2.0 * (1.0 + phi.variation()) * (1.0 + q * M0) / G
     assert abs(lhs - rhs) <= slack
+
+
+# --- mirrored sine branches ---------------------------------------------------
+
+@st.composite
+def odd_sine_maps(draw):
+    """x -> s x + c + a sin 2 pi x with f(1 - x) = C - f(x) branch by
+    branch: integer slope, offset 0 or 1/2, marks symmetric about 1/2, and
+    an amplitude up to the expanding limit (|s| - 1)/(2 pi)."""
+    slope = draw(st.sampled_from([-3.0, -2.0, 2.0, 3.0]))
+    amp = (draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.01, 0.99))
+           * (abs(slope) - 1.0) / (2.0 * math.pi))
+    return sine_map(slope, amp, draw(st.sampled_from([0.0, 0.5])),
+                    draw(st.sampled_from([(0.0, 0.5), (0.0, 0.25, 0.5, 0.75)])))
+
+
+def logged(mp, name, log):
+    """Patch transfer.<name> to append (args, result) of each call to log."""
+    f = getattr(transfer, name)
+
+    def call(*args):
+        out = f(*args)
+        log.append((args, out))
+        return out
+
+    mp.setattr(transfer, name, call)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(m=odd_sine_maps(), G=st.sampled_from([2 ** k for k in range(10, 15)]))
+def test_mirrored_roots_pass_the_checks_of_solved_roots(m, G):
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        logged(mp, "_mirrored", calls)
+        op = TransferOperator(m, G)
+    # every branch of the right half mirrors one of the left half
+    half = len(m.branches) // 2
+    assert {args[0] for args, _ in calls} == set(m.branches[half:])
+    solved = dict.fromkeys(m.branches, 0)
+    for (b, _, t, j0, j1, base, runs), (_, i0, w0, w1) in calls:
+        assert i0.min() >= 0 and i0.max() <= G - 1
+        t = t[j0:j1]
+        x0, r = (t - b.offset) / b.slope, abs(b.amplitude / b.slope)
+        derived = np.zeros(t.size, dtype=bool)
+        for first, xs, _, _ in runs:
+            # each derived root, 1 - x of its mirror target's root x,
+            # passes the checks of a solved root, evaluated afresh
+            i = base - first - np.arange(j0, j1)
+            own = (i >= 0) & (i < xs.size)
+            y, tj = 1.0 - xs[i[own]], t[own]
+            assert np.all(np.abs(b.lift(y) - tj)
+                          <= SOLVE_TOL * np.maximum(1.0, np.abs(tj)))
+            assert np.all((np.maximum(x0[own] - r, b.lo) <= y)
+                          & (y <= np.minimum(x0[own] + r, b.hi)))
+            # and its weights sum to 1/|f'| there
+            np.testing.assert_allclose(w0[own] + w1[own],
+                                       1.0 / np.abs(b.deriv(y)), rtol=1e-13)
+            derived |= own
+        solved[b] += int((~derived).sum())
+    # only the arc ends, where the half-open images differ, are solved
+    assert max(solved.values()) <= 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_mirrors", lambda m, G: {})
+        unpaired = TransferOperator(m, G)
+    # the roots agree to the solve's tolerance, so a smooth density's pushes
+    # agree to roundoff
+    phi = Density.sine(G, 1, 0.5).samples
+    assert (np.abs(op.apply(phi) - unpaired.apply(phi)).max()
+            <= 1e-14 * phi.max())
+
+
+def solved_and_mirrored(m, G):
+    """The number of targets TransferOperator(m, G) solves, the calls it
+    makes of _mirrored, and its number of preimages."""
+    solves, mirrored = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        logged(mp, "_solve_lift", solves)
+        logged(mp, "_mirrored", mirrored)
+        op = TransferOperator(m, G)
+    return (sum(args[1].size for args, _ in solves), mirrored,
+            sum(len(range(G)[tgt]) for tgt, _, _, _ in op._pieces))
+
+
+@pytest.mark.parametrize("m", [
+    sine_map(2.3, 0.05), sine_map(2.0, 0.05, 0.1),
+    sine_map(2.0, 0.05, 0.0, (0.0, 0.3)), sine_map(2.0, 0.05, 0.0, (0.0,))],
+    ids=["slope-2.3", "offset-0.1", "marks-0-0.3", "one-branch"])
+def test_maps_without_a_mirror_solve_every_run(m):
+    assert transfer._mirrors(m, 4096) == {}
+    solved, mirrored, preimages = solved_and_mirrored(m, 4096)
+    assert not mirrored and solved == preimages
+
+
+def test_workload_sine_maps_solve_half_or_every_preimage():
+    # each smooth-sine map solves its first branch's G targets plus at most
+    # one arc-end target of the second, where it solved 2G; no
+    # neighborhood-sine map mirrors a branch
+    maps, G = workload_maps("smooth-sine")
+    for m in maps:
+        solved, mirrored, preimages = solved_and_mirrored(m, G)
+        assert G <= solved <= G + 1 and preimages == 2 * G == 32768
+        assert [args[0] for args, _ in mirrored] == [m.branches[1]]
+    maps, G = workload_maps("neighborhood-sine")
+    for m in maps:
+        solved, mirrored, preimages = solved_and_mirrored(m, G)
+        assert not mirrored and solved == preimages
 
 
 # --- the buffered apply against the allocating apply it replaced -------------
