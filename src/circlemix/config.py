@@ -60,9 +60,10 @@ _TYPES = {bool: (lambda v: isinstance(v, bool), "true or false"),
 # names the key in messages ("map form").
 Format = namedtuple("Format", "key default what tables")
 # A field of type `kind` that defaults to `default`, also takes null when
-# that is null and the strings in `also`, and numbers from `least` up.
-Field = namedtuple("Field", "kind default also least",
-                   defaults=(None, (), None))
+# that is null and the strings in `also`, and numbers from `least` up to
+# `most`.
+Field = namedtuple("Field", "kind default also least most",
+                   defaults=(None, (), None, None))
 
 
 def read(spec, table, path: str = "") -> dict:
@@ -104,15 +105,20 @@ def _value(value, entry, where: str):
             raise ScenarioError(f"{where} must be a list, got {value!r}")
         return [_value(v, entry[0], f"{where}[{i}]")
                 for i, v in enumerate(value)]
-    kind, default, also, least = (
-        entry if isinstance(entry, Field) else (entry, entry, (), None))
+    kind, default, also, least, most = (
+        entry if isinstance(entry, Field) else (entry, entry, (), None, None))
     if (value is None and default is None) or value in also:
         return value
     if isinstance(kind, (dict, Format, list)):
         return _value(value, kind, where)
     test, wanted = _TYPES[kind if isinstance(kind, type) else type(kind)]
-    if test(value) and (least is None or value >= least):
+    typed = test(value)
+    # the ends that a value of the type breaks; every end, for one that is not
+    low = least is not None and not (typed and value >= least)
+    high = most is not None and not (typed and value <= most)
+    if typed and not (low or high):
         return value
-    wanted = " or ".join([wanted + ("" if least is None else f" >= {least}"),
-                          *map(repr, also)] + ["null"] * (default is None))
+    ends = " and ".join([f">= {least}"] * low + [f"<= {most}"] * high)
+    wanted = " or ".join([f"{wanted} {ends}".rstrip(), *map(repr, also)]
+                         + ["null"] * (default is None))
     raise ScenarioError(f"{where} must be {wanted}, got {value!r}")

@@ -48,6 +48,12 @@ def _shift_level(s: np.ndarray, k: int, r: np.ndarray) -> float:
     return m / (k / G)
 
 
+def _mean(x: np.ndarray) -> float:
+    """float(x.mean()): the same pairwise sum and one division, without
+    the Python that ndarray.mean runs around them."""
+    return float(np.add.reduce(x) / x.size)
+
+
 def _frozen_samples(arr: np.ndarray) -> tuple[np.ndarray, float]:
     """(arr, its minimum), arr checked as the samples of a unit-mass
     density and made read-only; ValueError if it is not one."""
@@ -56,7 +62,7 @@ def _frozen_samples(arr: np.ndarray) -> tuple[np.ndarray, float]:
     low = float(arr.min())
     if not low >= 0.0:
         raise ValueError("density samples must be nonnegative numbers")
-    total = float(arr.mean())
+    total = _mean(arr)
     if not abs(total - 1.0) <= INTEGRAL_TOL:
         raise ValueError(f"density integral {total} is not 1 within {INTEGRAL_TOL}")
     arr.flags.writeable = False
@@ -169,7 +175,7 @@ class Density:
         if self.G != other.G:
             raise ValueError("mismatched grid sizes")
         d = self.samples - other.samples
-        return float(np.abs(d, out=d).mean())
+        return _mean(np.abs(d, out=d))
 
     def variation(self) -> float:
         """Exact total variation of the piecewise-linear interpolant."""

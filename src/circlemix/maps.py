@@ -126,7 +126,11 @@ class BranchSpec:
         return -(TWO_PI ** 2) * self.amplitude * np.sin(TWO_PI * x)
 
     def deriv_range(self) -> tuple[float, float]:
-        """(min, max) of f' over the closed arc, by extremal calculus on cos."""
+        """(min, max) of f' over the closed arc, by extremal calculus on cos
+        (the slope, on an affine branch)."""
+        if self.amplitude == 0.0:
+            s = float(self.slope)  # a config may give an int
+            return s, s
         xs = [self.lo, self.hi]
         for c in (0.0, 0.5, 1.0):
             if self.lo < c < self.hi:
@@ -135,7 +139,9 @@ class BranchSpec:
         return min(vals), max(vals)
 
     def deriv2_range(self) -> tuple[float, float]:
-        """(min, max) of f'' over the closed arc."""
+        """(min, max) of f'' over the closed arc (0 on an affine branch)."""
+        if self.amplitude == 0.0:
+            return 0.0, 0.0
         xs = [self.lo, self.hi]
         for c in (0.25, 0.75):
             if self.lo < c < self.hi:

@@ -42,6 +42,10 @@ REDRAW_LIMIT = 1000
 # Neighborhood attempts drawn and screened at once (see _screened_draws).
 DRAW_BLOCK = 32
 N_MAX_CAP = 10 ** 4
+# The largest grid of any command: 16 times the largest shipped grid (2^16,
+# fixed-wrap), so that one array of samples stays at 8 MB.  It bounds what
+# a grid allocates, not how long a run takes.
+GRID_MAX = 2 ** 20
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -112,6 +116,9 @@ def read_scenario(spec: dict) -> dict:
                                 f"got {cfg[key]!r}")
     if grid < 2 or (grid & (grid - 1)) != 0:
         raise ScenarioError("grid must be a power of two")
+    if grid > GRID_MAX:
+        raise ScenarioError(f"grid must be at most 2^20 = {GRID_MAX}, "
+                            f"got {grid}")
     if kind == "smooth" and grid > 2 ** 16:
         raise ScenarioError("smooth scenarios cap the grid at 2^16 (the "
                             "exact cone-level scan, run when its O(G) "
@@ -419,7 +426,8 @@ def run_scenario(spec: dict, out_dir) -> RunResult:
     return RunResult(code, message, artifacts, ledger, fit, cert, plan.report)
 
 
-ABSORB = {"a": float, "a_star": float, "grid": Field(int, 2 ** 13, least=2),
+ABSORB = {"a": float, "a_star": float,
+          "grid": Field(int, 2 ** 13, least=2, most=GRID_MAX),
           "seeds": Field(int, 20, least=1), "seed": Field(int, 0, least=0),
           "headroom": 0.05, "family": WRAP_FAMILY}
 
@@ -457,7 +465,8 @@ def run_absorption(cfg: dict) -> dict:
 # verify-ly's maps when its config gives none
 LY_MAPS = ({"form": "doubling"}, {"form": "slope25"},
            {"form": "slope3-two-branch"}, {"form": "two-slope-wrap"})
-VERIFY_LY = {"maps": Field([MAP]), "grid": Field(int, 2 ** 14, least=2),
+VERIFY_LY = {"maps": Field([MAP]),
+             "grid": Field(int, 2 ** 14, least=2, most=GRID_MAX),
              "count": Field(int, 100, least=1), "var_max": 50.0,
              "seed": Field(int, 0, least=0), "slack": 0.02}
 

@@ -4,8 +4,13 @@ The pullback operator, plus an Ulam oracle.  The pullback operator
 evaluates sum_{y in f^-1 x} phi(y)/|f'(y)| at every grid point.  Its
 preimages and weights 1/|f'| depend only on the map and the grid, so a
 TransferOperator solves them once per (map, G) and every push is then a
-weighted sum of samples read at them.  Most runs of targets read their
-samples by two gathers.  On an affine branch whose slope is a small
+weighted sum of samples read at them.  A map is solved lift by lift:
+adjacent branches with equal slope, offset and amplitude share one lift,
+so unless a mirror pairs one of them they are solved as one branch over
+their joined arcs, with one run of targets per lift offset (_lifts).  A
+run's bounds are counted in integers, as G is a power of two and target j
+of offset k is exactly (j + k*G)/G (_runs).  Most runs of targets read
+their samples by two gathers.  On an affine branch whose slope is a small
 rational p/q the preimages of a long run are p arithmetic progressions
 with exact, constant fractions, so such a run reads strided views with two
 scalar weights per progression instead (PHASE_MIN_LEN gives the rule and
@@ -29,11 +34,12 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 
-from .density import Density
+from .density import Density, _mean
 from .maps import (BranchSpec, PiecewiseMap, TransferError, _passes,
                    _solve_lift)
 
@@ -65,11 +71,11 @@ PHASE_MIN_LEN = 2048
 class TransferOperator:
     """The pullback operator of one map on the grid i/G.
 
-    For each branch and lift offset k, the grid targets j/G + k inside the
-    branch image form one contiguous run of j.  Each preimage x of a target
-    contributes the linear interpolant of phi at x divided by |f'(x)|: a
-    left sample index i0 and the weights (1 - frac)/|f'| and frac/|f'| on
-    samples i0 and i0 + 1.
+    For each lift (_lifts) and lift offset k, the grid targets j/G + k
+    inside its image form one contiguous run of j.  Each preimage x of a
+    target contributes the linear interpolant of phi at x divided by
+    |f'(x)|: a left sample index i0 and the weights (1 - frac)/|f'| and
+    frac/|f'| on samples i0 and i0 + 1.
 
     A run is stored as pieces (targets, sources, w0, w1).  A gather piece
     holds the whole run: a target slice, an array of i0 and weight arrays,
@@ -108,9 +114,9 @@ class TransferOperator:
                 np.multiply(s_ext[src], w0, out=a)
                 np.multiply(right[src], w1, out=b)
             else:
-                np.take(s_ext, src, out=a, mode="clip")
+                s_ext.take(src, out=a, mode="clip")
                 np.multiply(a, w0, out=a)
-                np.take(right, src, out=b, mode="clip")
+                right.take(src, out=b, mode="clip")
                 np.multiply(b, w1, out=b)
             np.add(a, b, out=a)
             dst = acc[tgt]
@@ -119,59 +125,86 @@ class TransferOperator:
 
 
 def _pieces(m: PiecewiseMap, G: int) -> list:
-    """The pieces of every run, branch by branch."""
+    """The pieces of every run, lift by lift (see _lifts)."""
     ys = np.arange(G) / G
     mirrors = _mirrors(m, G)
     firsts = {i for i, _ in mirrors.values()}
     held = {}  # the solved runs of a branch, until its mirror builds
     pieces = []
-    for n, b in enumerate(m.branches):
+    for n, b in _lifts(m, firsts | mirrors.keys()):
         if n in mirrors:
             i, CG = mirrors[n]
-            for k, t, j0, j1 in _runs(b, ys):
-                pieces.append(_mirrored(b, G, t, j0, j1, CG - k * G, held[i]))
+            for k, j0, j1 in _runs(b, G):
+                pieces.append(_mirrored(b, G, ys[j0:j1] + k, j0, j1,
+                                        CG - k * G, held[i]))
             del held[i]
             continue
         # a run of at least min_run targets is applied as phases
         min_run = (PHASE_MIN_LEN * math.prod(abs(b.slope).as_integer_ratio())
                    if b.is_affine else math.inf)
-        for k, t, j0, j1 in _runs(b, ys):
+        for k, j0, j1 in _runs(b, G):
             if j1 - j0 >= min_run:
                 pieces += _phases(b, G, k, j0, j1)
             elif n in firsts:  # no local keeps the run past its mirror
-                held.setdefault(n, []).append(_held_run(b, G, k, t, j0, j1))
+                held.setdefault(n, []).append(
+                    _held_run(b, G, k, ys[j0:j1] + k, j0, j1))
                 pieces.append(held[n][-1][-1])
             else:
                 pieces.append(_gather(b, G, j0, j1,
-                                      *_solve_lift(b, t[j0:j1])))
+                                      *_solve_lift(b, ys[j0:j1] + k)))
     return pieces
+
+
+def _lifts(m: PiecewiseMap, paired: set):
+    """(n, b) for each lift of m.  Adjacent branches with equal (slope,
+    offset, amplitude) share one lift, so a chain of them with no branch
+    in paired (those that _mirrors pairs) becomes one branch b over their
+    joined arcs, n being the index of its first branch.  The joined image
+    is the union of theirs, split at the same float lifts of the inner
+    marks, so every target keeps its preimages, and the chain builds one
+    run per lift offset instead of one per branch and offset."""
+    out = []
+    for n, b in enumerate(m.branches):
+        if out and n not in paired and out[-1][0] not in paired:
+            first, prev = out[-1]
+            if ((b.slope, b.offset, b.amplitude)
+                    == (prev.slope, prev.offset, prev.amplitude)):
+                out[-1] = first, replace(prev, hi=b.hi)
+                continue
+        out.append((n, b))
+    return out
 
 
 def _held_run(b: BranchSpec, G: int, k: int, t: np.ndarray, j0: int,
               j1: int):
     """(first target J0 = k*G + j0, roots, carried sines, gather piece) of
-    the run t[j0:j1], solved for a mirror branch.  Only what the mirror
-    reads outlives the call: f' lives on in the piece's weights, and each
-    array held through the mirror's build (128 KB at 2^14) raises the heap
-    that the next build must fault in again."""
+    the run of targets t, j0 <= j < j1, solved for a mirror branch.  Only
+    what the mirror reads outlives the call: f' lives on in the piece's
+    weights, and each array held through the mirror's build (128 KB at
+    2^14) raises the heap that the next build must fault in again."""
     sines = np.empty(j1 - j0)
-    xs, deriv = _solve_lift(b, t[j0:j1], sines)
+    xs, deriv = _solve_lift(b, t, sines)
     return k * G + j0, xs, sines, _gather(b, G, j0, j1, xs, deriv)
 
 
-def _runs(b: BranchSpec, ys: np.ndarray):
-    """(k, t, j0, j1) for each lift offset k whose grid targets t = ys + k
-    meet the branch image in t[j0:j1]."""
+def _runs(b: BranchSpec, G: int):
+    """(k, j0, j1) for each lift offset k whose grid targets j/G + k meet
+    the branch image in j0 <= j < j1.  G is a power of two, so target j of
+    offset k is exactly J/G with J = j + k*G, and the bounds are counted
+    in integers: an increasing branch holds the J in [ceil(flo*G),
+    ceil(fhi*G)), a decreasing one those in [floor(fhi*G) + 1,
+    floor(flo*G) + 1).  flo - k in floats could round onto a target:
+    -0.49999999999999994 + 1 is 0.5."""
     flo, fhi, offsets = b.image()
-    inc = b.increasing
+    if b.increasing:  # targets in [flo, fhi)
+        lo, hi = math.ceil(flo * G), math.ceil(fhi * G)
+    else:             # targets in (fhi, flo]
+        lo, hi = math.floor(fhi * G) + 1, math.floor(flo * G) + 1
     for k in offsets:
-        t = ys + k
-        if inc:  # targets in [flo, fhi)
-            j0, j1 = np.searchsorted(t, (flo, fhi), side="left")
-        else:    # targets in (fhi, flo]
-            j0, j1 = np.searchsorted(t, (fhi, flo), side="right")
+        j0 = min(max(lo - k * G, 0), G)
+        j1 = min(max(hi - k * G, 0), G)
         if j0 < j1:
-            yield k, t, int(j0), int(j1)
+            yield k, j0, j1
 
 
 def _mirrors(m: PiecewiseMap, G: int) -> dict:
@@ -207,10 +240,10 @@ def _mirrors(m: PiecewiseMap, G: int) -> dict:
 
 def _mirrored(b: BranchSpec, G: int, t: np.ndarray, j0: int, j1: int,
               base: int, solved: list):
-    """The gather piece of the targets t[j0:j1] on the sine branch b, from
-    the solved runs (first target J0, roots xs, carried sines, gather
-    piece) of its mirror branch (see _mirrors); base is C*G - k*G, k the
-    targets' lift offset.
+    """The gather piece of the targets t, j0 <= j < j1, on the sine branch
+    b, from the solved runs (first target J0, roots xs, carried sines,
+    gather piece) of its mirror branch (see _mirrors); base is C*G - k*G,
+    k the targets' lift offset.
 
     Target j mirrors index i = base - j - J0 of a run that holds it.  Its
     root is 1 - xs[i], checked by maps._passes with sin 2 pi (1 - x) =
@@ -229,14 +262,14 @@ def _mirrored(b: BranchSpec, G: int, t: np.ndarray, j0: int, j1: int,
         if v0 < v1:
             own = slice(v0 - j0, v1 - j0)
             theirs = slice(top - v1 + 1, top - v0 + 1)
-            solve[own] = ~_passes(b, 1.0 - xs[theirs][::-1], t[v0:v1],
+            solve[own] = ~_passes(b, 1.0 - xs[theirs][::-1], t[own],
                                   -sines[theirs][::-1])
             np.subtract(G - 1, their_i0[theirs][::-1], out=i0[own])
             w0[own] = their_w1[theirs][::-1]
             w1[own] = their_w0[theirs][::-1]
     if solve.any():
         _, i0[solve], w0[solve], w1[solve] = _gather(
-            b, G, j0, j1, *_solve_lift(b, t[j0:j1][solve]))
+            b, G, j0, j1, *_solve_lift(b, t[solve]))
     return slice(j0, j1), i0, w0, w1
 
 
@@ -306,7 +339,7 @@ def push_with_factor(op: TransferOperator,
     if phi.G != op.G:
         raise ValueError(f"density grid {phi.G} != operator grid {op.G}")
     acc = op.apply(phi.samples)
-    raw = float(acc.mean())
+    raw = _mean(acc)
     if not FACTOR_WINDOW[0] <= raw <= FACTOR_WINDOW[1]:
         raise TransferError(
             f"pushforward mass {raw} outside {FACTOR_WINDOW}: broken map/density pairing")

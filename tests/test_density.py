@@ -333,3 +333,16 @@ def test_bin_masses_sum_to_integral():
         assert abs(d.bin_masses(B).sum() - 1.0) < 1e-12
     with pytest.raises(ValueError):
         d.bin_masses(3)
+
+
+def test_mean_helper_is_the_ndarray_mean():
+    # the push, the density check and l1_distance sum by np.add.reduce and
+    # divide once, as ndarray.mean does
+    from circlemix.density import _mean
+
+    rng = np.random.Generator(np.random.PCG64(12))
+    for n in (1, 2, 3, 7, 8, 9, 127, 128, 129, 4095, 4096, 12345, 2 ** 16):
+        for scale in (1.0, 1e-9, 1e9):
+            x = scale * rng.uniform(0.0, 2.0, n)
+            assert _mean(x) == float(x.mean())
+            assert type(_mean(x)) is float

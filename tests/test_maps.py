@@ -641,17 +641,18 @@ def test_carried_sin_cos_match_numpy():
     ids=["smooth-sine", "neighborhood-sine"])
 def test_operator_build_evaluates_one_sin_cos_pair_per_preimage(
         monkeypatch, slope, jitter, amp_max, G, table_max):
-    # each branch lifts its image ends (2 sines) and reads its direction
-    # (2 cosines, from deriv_range), and each run reads it again (2
-    # cosines); a chunk evaluates its table (1 sine call) and one pair at
-    # its start, and its one Newton step is carried, also on a nearly
-    # affine branch.  The tables add at most table_max sines per preimage
-    # (measured: up to 0.101 and 0.0072).
+    # each arc lifts its image ends (2 sines) and reads its direction
+    # (from deriv_range: 2 cosines, 3 on an arc holding 1/2 inside), and
+    # each run reads it again; a chunk evaluates its table (1 sine call)
+    # and one pair at its start, and its one Newton step is carried, also
+    # on a nearly affine branch.  The tables add at most table_max sines
+    # per preimage (measured: up to 0.101 and 0.0072).
     # A smooth-sine map is odd, so only its first branch's run (G targets)
     # counts so: the second branch mirrors it, solves at most the one
     # arc-end target its mirror lacks, and checks each derived root with
     # the sine its mirror's solve carried, evaluating none.  The
-    # neighborhood maps have no mirror.
+    # neighborhood maps have no mirror, so their two equal branches join
+    # into one arc [0, 1), solved as one run per lift offset.
     trig = count_trig(monkeypatch)
     solves, checks = [], []
 
@@ -697,13 +698,16 @@ def test_operator_build_evaluates_one_sin_cos_pair_per_preimage(
             assert trig["cos"] == [ends + sum(row[3] for row in solves),
                                    ends + sum(row[4] for row in solves)]
             continue
+        b = m.branches[0]
+        assert [arc for _, arc in transfer._lifts(m, set())] == [
+            BranchSpec(0.0, 1.0, b.slope, b.offset, b.amplitude)]
         runs = len(op._pieces)  # a sine branch gathers every run
         chunks = sum(-(-i0.size // maps.SOLVE_CHUNK)
                      for _, i0, _, _ in op._pieces)
         targets = sum(i0.size for _, i0, _, _ in op._pieces)
-        assert trig["sin"][0] == ends + 2 * chunks
-        assert trig["cos"] == [ends + 2 * runs + chunks,
-                               ends + 2 * runs + targets]
+        assert trig["sin"][0] == 2 + 2 * chunks
+        assert trig["cos"] == [3 + 3 * runs + chunks,
+                               3 + 3 * runs + targets]
         table = trig["sin"][1] - ends - targets
         assert 2 * chunks <= table <= table_max * targets
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from circlemix import (map_from_dict, neighborhood_distance, sine_map,
                        slope3_two_branch)
 from circlemix.cli import main
-from circlemix.scenarios import (EXIT_CONFIG, EXIT_OK, PLANS, REDRAW_LIMIT,
-                                 RunPlan, ScenarioError,
+from circlemix.config import read
+from circlemix.scenarios import (ABSORB, EXIT_CONFIG, EXIT_OK, GRID_MAX,
+                                 PLANS, REDRAW_LIMIT, VERIFY_LY, RunPlan,
+                                 ScenarioError,
                                  build_sequence, load_config, read_scenario,
                                  run_scenario)
 
@@ -888,6 +890,59 @@ def test_smooth_grid_cap_is_2_16(tmp_path):
     assert res.exit_code == EXIT_OK and res.certificate.passed
     with pytest.raises(ScenarioError, match="2\\^16"):
         read_scenario({**body, "grid": 2 ** 17})
+
+
+def test_grid_cap_is_2_20():
+    body = base_scenario(grid=GRID_MAX)
+    assert read_scenario(body)["grid"] == GRID_MAX == 2 ** 20
+    with pytest.raises(ScenarioError, match="grid must be at most 2\\^20"):
+        read_scenario({**body, "grid": 2 * GRID_MAX})
+    for table in (ABSORB, VERIFY_LY):
+        assert read({"a": 8.0, "a_star": 25.0, "grid": GRID_MAX},
+                    table)["grid"] == GRID_MAX
+        with pytest.raises(ScenarioError,
+                           match="grid must be an integer <= 1048576, got"):
+            read({"a": 8.0, "a_star": 25.0, "grid": 2 * GRID_MAX}, table)
+
+
+HUGE = 2 ** 31
+
+
+@pytest.mark.parametrize("command,cfg,extra", [
+    ("couple", base_scenario(schema=1, grid=HUGE, n_max=3,
+                             family={"map": {"form": "two-slope-wrap"}}), []),
+    ("couple", base_scenario(schema=1, n_max=3), ["--grid", str(HUGE)]),
+    ("couple", {"schema": 1, "scenarios": [
+        base_scenario(name="huge", grid=HUGE), base_scenario(name="ok")]},
+     ["--jobs", "2"]),
+    ("couple", {"schema": 1, "scenarios": [
+        base_scenario(name="a"), base_scenario(name="b")]},
+     ["--jobs", "2", "--grid", str(HUGE)]),
+    ("absorb", {"a": 50, "a_star": 30, "grid": HUGE}, []),
+    ("absorb", {"a": 50, "a_star": 30}, ["--grid", str(HUGE)]),
+    ("verify-ly", {"count": 1}, ["--grid", str(HUGE)]),
+], ids=["couple", "couple-override", "batch-jobs-2", "batch-override-jobs-2",
+        "absorb", "absorb-override", "verify-ly-override"])
+def test_huge_grid_exits_2_before_allocating(tmp_path, capsys, command, cfg,
+                                             extra):
+    # refused at the door: no traceback, no run directory, and nothing near
+    # the 16 GB that one array of 2^31 samples would take
+    import tracemalloc
+
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    args = [command, "--config", str(tmp_path / "cfg.json"),
+            "--out", str(tmp_path / "out"), *extra]
+    tracemalloc.start()
+    try:
+        assert main(args) == EXIT_CONFIG
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 24
+    captured = capsys.readouterr()
+    assert "grid must be" in captured.out + captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not any((tmp_path / "out").rglob("*.json"))
 
 
 @pytest.mark.parametrize("seed", [7, 17, 18])

@@ -480,7 +480,6 @@ def test_mirrored_roots_pass_the_checks_of_solved_roots(m, G):
     solved = dict.fromkeys(m.branches, 0)
     for (b, _, t, j0, j1, base, runs), (_, i0, w0, w1) in calls:
         assert i0.min() >= 0 and i0.max() <= G - 1
-        t = t[j0:j1]
         x0, r = (t - b.offset) / b.slope, abs(b.amplitude / b.slope)
         derived = np.zeros(t.size, dtype=bool)
         for first, xs, _, _ in runs:
@@ -545,6 +544,152 @@ def test_workload_sine_maps_solve_half_or_every_preimage():
     for m in maps:
         solved, mirrored, preimages = solved_and_mirrored(m, G)
         assert not mirrored and solved == preimages
+
+
+# --- one arc per lift, run bounds counted in integers -------------------------
+
+
+def searchsorted_runs(b, G):
+    """_runs as it was: every offset's targets ys + k as floats, cut at the
+    image ends by searchsorted."""
+    ys = np.arange(G) / G
+    flo, fhi, offsets = b.image()
+    out = []
+    for k in offsets:
+        t = ys + k
+        if b.increasing:
+            j0, j1 = np.searchsorted(t, (flo, fhi), side="left")
+        else:
+            j0, j1 = np.searchsorted(t, (fhi, flo), side="right")
+        if j0 < j1:
+            out.append((k, int(j0), int(j1)))
+    return out
+
+
+def ulps(x, n):
+    """x moved by n ulps."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+@st.composite
+def run_branches(draw):
+    """(b, G): an affine or sine branch of either orientation on a grid of
+    2 to 2^16 points, its offset arbitrary, -0.49999999999999994, or a grid
+    target moved by up to one ulp, so that lift(lo) = offset (lo = 0) sits
+    on or next to a seam between targets."""
+    G = 2 ** draw(st.integers(1, 16))
+    slope = draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(1.1, 4.0))
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (0.0, 0.5), (0.0, 0.3),
+                                   (0.5, 1.0), (0.25, 0.75)]))
+    offset = draw(st.one_of(
+        st.floats(-2.0, 2.0), st.just(-0.49999999999999994),
+        st.builds(lambda J, n: ulps(J / G, n), st.integers(-2 * G, 2 * G),
+                  st.integers(-1, 1))))
+    amp = 0.0
+    if draw(st.booleans()):
+        amp = draw(st.floats(-0.9, 0.9)) * (abs(slope) - 1.05) / (2 * math.pi)
+    return BranchSpec(lo, hi, slope, offset, amp), G
+
+
+@settings(PROPERTY, max_examples=300)
+@given(case=run_branches())
+def test_runs_match_the_searchsorted_runs(case):
+    b, G = case
+    assert list(transfer._runs(b, G)) == searchsorted_runs(b, G)
+
+
+@pytest.mark.parametrize("slope", [2.5, -2.5, 3.0])
+@pytest.mark.parametrize("G", [4, 2 ** 10, 2 ** 16])
+def test_runs_count_a_target_just_past_the_image_end(slope, G):
+    # -0.49999999999999994 + 1 rounds to 0.5 in floats: a float bound
+    # flo - k would let the target 1/2 of offset -1 into [flo, fhi)
+    b = BranchSpec(0.0, 0.5, slope, -0.49999999999999994)
+    runs = list(transfer._runs(b, G))
+    assert runs == searchsorted_runs(b, G)
+    if slope > 0:
+        assert runs[0] == (-1, G // 2 + 1, G)
+
+
+def per_arc(m, G):
+    """TransferOperator(m, G) with every branch its own arc."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_lifts", lambda m, paired: list(
+            enumerate(m.branches)))
+        return TransferOperator(m, G)
+
+
+@PROPERTY
+@given(slope=st.floats(1.3, 4.0), sign=st.sampled_from([1.0, -1.0]),
+       offset=st.floats(-1.0, 1.0),
+       marks=st.sampled_from([(0.0, 0.5), (0.0, 0.3, 0.7), (0.0, 0.25)]),
+       G=st.sampled_from([2 ** k for k in range(4, 13)]), data=st.data())
+def test_merged_affine_arcs_apply_as_the_arcs_apart(slope, sign, offset,
+                                                    marks, G, data):
+    # the marks split one lift, whose arcs join into [0, 1); each target
+    # keeps its roots, computed alike.  An increasing map sums a target's
+    # preimages in the same order, left to right, so the apply is
+    # bit-identical; on a decreasing one the joined runs sum them in
+    # another order
+    m = affine_map(sign * slope, offset, marks)
+    assert [b for _, b in transfer._lifts(m, set())] == [
+        BranchSpec(0.0, 1.0, sign * slope, offset)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "PHASE_MIN_LEN", math.inf)
+        op, apart = TransferOperator(m, G), per_arc(m, G)
+    assert len(op._pieces) <= len(apart._pieces)
+    phi = data.draw(densities(G)).samples
+    if sign > 0:
+        assert np.array_equal(op.apply(phi), apart.apply(phi))
+    else:
+        assert (np.abs(op.apply(phi) - apart.apply(phi)).max()
+                <= 1e-14 * phi.max())
+
+
+@PROPERTY
+@given(m=circle_maps().filter(lambda m: not m.branches[0].is_affine),
+       G=GRIDS)
+def test_merged_sine_arcs_apply_as_the_arcs_apart(m, G):
+    # a merged sine arc solves its roots on one bracket and table, so they
+    # agree with the arcs' to the solve's tolerance, and a smooth density's
+    # pushes agree to roundoff
+    phi = Density.sine(G, 1, 0.5).samples
+    op, apart = TransferOperator(m, G), per_arc(m, G)
+    assert (np.abs(op.apply(phi) - apart.apply(phi)).max()
+            <= 1e-14 * phi.max())
+
+
+@PROPERTY
+@given(m=odd_sine_maps())
+def test_mirror_paired_branches_never_merge(m):
+    mirrors = transfer._mirrors(m, 4096)
+    paired = mirrors.keys() | {i for i, _ in mirrors.values()}
+    assert paired == set(range(len(m.branches)))
+    assert transfer._lifts(m, paired) == list(enumerate(m.branches))
+
+
+def test_unpaired_branches_merge_between_paired_ones():
+    # [0, 1/4) and [3/4, 1) mirror each other; the three branches between
+    # pair nothing, so they join into one arc
+    m = sine_map(2.0, 0.05, 0.0, (0.0, 0.25, 0.5, 0.6, 0.75))
+    mirrors = transfer._mirrors(m, 4096)
+    assert mirrors == {4: (0, 2 * 4096)}
+    assert [(n, b.lo, b.hi) for n, b in transfer._lifts(m, {0, 4})] == [
+        (0, 0.0, 0.25), (1, 0.25, 0.75), (4, 0.75, 1.0)]
+    phi = Density.sine(4096, 1, 0.5).samples
+    assert (np.abs(TransferOperator(m, 4096).apply(phi)
+                   - per_arc(m, 4096).apply(phi)).max() <= 1e-14 * phi.max())
+
+
+def test_curve_slope_maps_build_one_run_per_lift_offset():
+    # affine_map(s, 0, (0, 1/2)) joins into one arc with image [0, s): 3
+    # runs for s <= 3 and 4 above, where its two arcs built 4 and 5
+    maps, G = workload_maps("curve-slope")
+    for m in {m: None for m in maps}:
+        s = m.branches[0].slope
+        assert len(TransferOperator(m, G)._pieces) == math.ceil(s)
+        assert len(per_arc(m, G)._pieces) == math.ceil(s) + 1
 
 
 # --- the buffered apply against the allocating apply it replaced -------------
