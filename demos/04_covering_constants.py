@@ -23,7 +23,7 @@ for c in cylinder_partition([g] * 2, 2):
 print("\nenveloping times:")
 print("  3x two-branch:", enveloping_time(g))
 print("  two-slope wrap:", enveloping_time(two_slope_wrap_map()))
-print("  doubling:", enveloping_time(doubling_map(), 8),
+print("  doubling:", enveloping_time(doubling_map()),
       "(open images always miss the origin)")
 
 # Escape: iterate a cylinder, keeping the longer piece whenever the image

@@ -71,7 +71,6 @@ class CouplingLedger:
     slack: float
     steps: dict = field(default_factory=dict)   # column name -> list
     blocks: list = field(default_factory=list)  # BlockRecord
-    snapshots: list = field(default_factory=list)
 
     COLUMNS = ("n", "l1_distance", "variation_phi", "variation_psi",
                "min_phi", "min_psi", "block_index", "kappa_used",
@@ -103,9 +102,9 @@ class CouplingLedger:
     @classmethod
     def from_csv(cls, path, slack: float) -> "CouplingLedger":
         """Read back a ledger written by `to_csv` (%.17g round-trips every
-        float), with the run's grid slack; the per-block records and
-        snapshots are not in the CSV and stay empty.  Raises ValueError on
-        a malformed file."""
+        float), with the run's grid slack; the per-block records are not
+        in the CSV and stay empty.  Raises ValueError on a malformed
+        file."""
         with open(path, "r", encoding="ascii") as fh:
             header = tuple(fh.readline().rstrip("\n").split(","))
             if header != cls.COLUMNS:
@@ -150,8 +149,8 @@ def _smooth_wait(phi: Density, psi: Density, eps_loc: float,
     return tau_smooth(L_init, lambda0, C0)
 
 
-def run_coupled(maps, phi: Density, psi: Density, *, bounds, plan=None,
-                record_snapshots: bool = False) -> CouplingLedger:
+def run_coupled(maps, phi: Density, psi: Density, *, bounds,
+                plan=None) -> CouplingLedger:
     """Run the matching scheme along the map sequence, on the constants of
     the plan stage's `bounds`.
 
@@ -211,14 +210,9 @@ def run_coupled(maps, phi: Density, psi: Density, *, bounds, plan=None,
                     f"positivity floor {cur.kappa} violated at step {n} "
                     f"(mins {mins}); inadmissible maps or grid too coarse",
                     block=index)
-            if record_snapshots:
-                pre = (u_phi, u_psi)
             u_phi = u_phi.match_subtract(cur.kappa, fraction)
             u_psi = u_psi.match_subtract(cur.kappa, fraction)
             residual *= 1.0 - fraction * cur.kappa
-            if record_snapshots:
-                ledger.snapshots.append({"n": n, "block": index, "pre": pre,
-                                         "post": (u_phi, u_psi)})
             ledger.blocks.append(BlockRecord(
                 index=index, start=start, sub_step=n, end=start + cur.length,
                 kappa_used=cur.kappa, fraction=fraction, min_phi=mins[0],

@@ -36,6 +36,8 @@ PARTITION_CAP = 10 ** 6
 FLOAT_MARGIN = 1e-9
 FLOAT_DEDUPE = 1e-13
 ESCAPE_CAP_FACTOR = 64
+# The deepest depth enveloping_time searches, and so positivity_horizon.
+ENVELOPING_MAX = 16
 
 
 class CoveringError(RuntimeError):
@@ -228,10 +230,8 @@ class _Floats:
         return max(p[5] - p[4] for p in pieces) < 1.0 / (2.0 * a_star)
 
 
-def _arith(maps, lo=0, hi=1, exact=None):
-    if exact is None:
-        exact = _all_affine(maps)
-    return (_Ints if exact else _Floats)(maps, lo, hi)
+def _arith(maps, lo=0, hi=1):
+    return (_Ints if _all_affine(maps) else _Floats)(maps, lo, hi)
 
 
 def _cuts(a, b, bps, unit) -> list[tuple]:
@@ -255,27 +255,27 @@ def _inside(a, b, bps, unit):
     return sum(-((p - b) // unit) - ((a - p) // unit) - 1 for p in bps)
 
 
-def _depths(maps, ar, cap: int = PARTITION_CAP):
+def _depths(maps, ar):
     """Yield the pieces of depth 1, 2, ... of the maps (any iterable), one
     depth per map, over the traversal `ar`; `ar.unit` is the unit of the
-    depth just yielded.  A depth predicted to hold more than `cap` pieces
-    raises PartitionExplosionError before it is built."""
+    depth just yielded.  A depth predicted to hold more than PARTITION_CAP
+    pieces raises PartitionExplosionError before it is built."""
     level = [ar.root]
     for n, m in enumerate(maps, 1):
         unit, bps = ar.unit, ar.breakpoints(m)
         count = len(level) + sum(_inside(p[0], p[1], bps, unit)
                                  for p in level)
-        if count > cap:
+        if count > PARTITION_CAP:
             raise PartitionExplosionError(
-                f"cylinder count exceeded {cap}: depth {n} would hold "
-                f"{count}")
+                f"cylinder count exceeded {PARTITION_CAP}: depth {n} would "
+                f"hold {count}")
         level = [kid for p in level
                  for kid in ar.split(p, _cuts(p[0], p[1], bps, unit), m)]
         ar.advance()
         yield level
 
 
-def cylinder_partition(maps, n: int, cap: int = PARTITION_CAP) -> list[Cylinder]:
+def cylinder_partition(maps, n: int) -> list[Cylinder]:
     """The join over i <= n of the pullbacks of each map's branch partition.
 
     A single repeated map gives the usual n-cylinders; sequences give the
@@ -287,7 +287,7 @@ def cylinder_partition(maps, n: int, cap: int = PARTITION_CAP) -> list[Cylinder]
     if len(maps) < n:
         raise ValueError("map sequence shorter than n")
     ar = _arith(maps)
-    for level in _depths(maps, ar, cap):
+    for level in _depths(maps, ar):
         pass
     return [Cylinder(*ar.interval(p), p[2]) for p in level]
 
@@ -314,21 +314,19 @@ def _covers_circle(arcs, unit, margin) -> bool:
                for p in candidates)
 
 
-def enveloping_time(g: PiecewiseMap, N_max: int = 16) -> int | None:
+def enveloping_time(g: PiecewiseMap) -> int | None:
     """Smallest N such that, over every first-level interval, the open
     images of its N-cylinders jointly cover the circle; None if no N <=
-    N_max works.
+    ENVELOPING_MAX works.
 
     In exact mode the search also ends (None) once every first-level
     group's set of image arcs repeats: depth N+1's arcs are {g(J & I_b)}
     over depth N's arcs J and the branch intervals I_b, so a repeated set
     never changes again and never comes to cover."""
-    if N_max < 1:
-        raise ValueError("N_max must be >= 1")
     ar = _arith([g])
     exact = isinstance(ar, _Ints)
     prev = None
-    for N, level in enumerate(_depths([g] * N_max, ar), 1):
+    for N, level in enumerate(_depths([g] * ENVELOPING_MAX, ar), 1):
         groups: dict[int, set] = {}
         for a, b, itin, *_ in level:
             groups.setdefault(itin[0], set()).add((a, b - a))
@@ -344,18 +342,17 @@ def enveloping_time(g: PiecewiseMap, N_max: int = 16) -> int | None:
     return None
 
 
-def refine_until(g: PiecewiseMap, a_star: float, cap: int = PARTITION_CAP) -> int:
+def refine_until(g: PiecewiseMap, a_star: float) -> int:
     """Smallest n with every n-cylinder shorter than 1/(2 a*)."""
-    return _refine(g, a_star, cap)[0]
+    return _refine(g, a_star)[0]
 
 
-def _refine(g: PiecewiseMap, a_star: float,
-            cap: int = PARTITION_CAP) -> tuple[int, list[Cylinder]]:
+def _refine(g: PiecewiseMap, a_star: float) -> tuple[int, list[Cylinder]]:
     """refine_until's n, with the n-cylinders it built."""
     if a_star <= 0:
         raise ValueError("a_star must be positive")
     ar = _arith([g])
-    for n, level in enumerate(_depths(itertools.repeat(g), ar, cap), 1):
+    for n, level in enumerate(_depths(itertools.repeat(g), ar), 1):
         if ar.all_shorter(level, a_star):
             return n, [Cylinder(*ar.interval(p), p[2]) for p in level]
 
@@ -371,7 +368,7 @@ def _holds_branch(a, b, bps, unit) -> bool:
                for lo, hi in zip(ends, ends[1:]))
 
 
-def escape_time(g: PiecewiseMap, J: Cylinder, cap_factor: int = ESCAPE_CAP_FACTOR):
+def escape_time(g: PiecewiseMap, J: Cylinder):
     """Nested-interval loop producing (s, witness) with g^s(witness) covering
     a full first-level interval.
 
@@ -380,14 +377,14 @@ def escape_time(g: PiecewiseMap, J: Cylinder, cap_factor: int = ESCAPE_CAP_FACTO
     longer piece (ties toward the piece with the smaller start) and maps it
     through its own branch.  The witness is pulled back through the
     composed lift.  Containment of a first-level interval is checked in the
-    closed sense.
+    closed sense.  At most ESCAPE_CAP_FACTOR steps per itinerary entry
+    are taken.
     """
-    ar = _arith([g], J.lo, J.hi,
-                exact=_all_affine([g]) and isinstance(J.lo, Fraction))
+    ar = _arith([g], J.lo, J.hi)
     piece, ends = ar.root, ar.breakpoints(g)
     if _holds_branch(piece[0], piece[1], ends, ar.unit):
         return 0, (J.lo, J.hi)
-    cap = cap_factor * max(1, len(J.itinerary))
+    cap = ESCAPE_CAP_FACTOR * max(1, len(J.itinerary))
     for k in range(1, cap + 1):
         unit = ar.unit
         cuts = _cuts(piece[0], piece[1], ends, unit)
@@ -446,8 +443,8 @@ class CoveringReport:
         write_json(path, self.as_dict())
 
 
-def positivity_horizon(g: PiecewiseMap, a_star: float, eps: float,
-                       N_max: int = 16) -> CoveringReport:
+def positivity_horizon(g: PiecewiseMap, a_star: float,
+                       eps: float) -> CoveringReport:
     """Assemble the horizon n0 = s0 + N after which every variation-bounded
     density is pushed above an explicit floor, together with the floors
     kappa0 = M0^-n0 / 2 and kappa_eps = (M0+eps)^-n0 / 2."""
@@ -456,7 +453,7 @@ def positivity_horizon(g: PiecewiseMap, a_star: float, eps: float,
         raise MapFormError("positivity horizon needs expansion > 2")
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    N = enveloping_time(g, N_max)
+    N = enveloping_time(g)
     if N is None:
         raise NotEnvelopingError("map is not enveloping within N_max")
     n1, cyls = _refine(g, a_star)
@@ -492,14 +489,13 @@ def verify_overcover(maps, interval, delta: float) -> bool:
         raise ValueError("interval must have positive length")
     if not 2 * delta < ahi - alo:
         raise ValueError("2*delta must be smaller than the interval length")
-    exact = _all_affine(maps)
-    if exact:
+    if _all_affine(maps):
         alo, ahi, delta = Fraction(alo), Fraction(ahi), Fraction(delta)
     # the domain's own depth-N pieces are the cylinders clipped to it
     lo_d, hi_d = max(alo + delta, 0), min(ahi - delta, 1)
     if not lo_d < hi_d:
         return False
-    ar = _arith(maps, lo_d, hi_d, exact)
+    ar = _arith(maps, lo_d, hi_d)
     for level in _depths(maps, ar):
         pass
     return _covers_circle(((p[0], p[1] - p[0]) for p in level), ar.unit,

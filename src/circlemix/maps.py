@@ -171,20 +171,19 @@ def _solve_lift(branch: BranchSpec, targets: np.ndarray, sines=None):
     Affine branches are exact, and f' is the slope, a scalar.  On a sine
     branch the root lies within |a|/|s| of the affine inverse
     x0 = (t - c)/s, because the lift differs from s*x + c by at most |a|.
-    Newton keeps a bracket, that interval intersected with [lo, hi] and
-    shrunk by the sign of each residual; a step that leaves the bracket is
-    replaced by its midpoint.  It starts from the inverse of the lift's
-    linear interpolant on a uniform table of the chunk's bracket, whose
-    spacing _start_spacing chooses from the branch's bound on |f''|/|f'|
-    so that the first step leaves a residual of at most SOLVE_TOL/4; the
-    table has at most one node per target, plus two.  (A branch of slope 0
-    starts at the midpoint of its arc.)  sin and cos of 2 pi x are
-    evaluated at the start and carried along steps of at most ROTATE_MAX
-    in angle by a second-order rotation, whose truncation is below half an
-    ulp (a carried value is within 2^-52 of np.sin/np.cos), so a full
-    chunk costs one sin/cos pair per target besides its table, and f' at
-    the root comes from the carried cos, and sin 2 pi x from the carried
-    sin.
+    Newton keeps a bracket, that interval intersected with [lo, hi] (the
+    whole arc if s = 0) and shrunk by the sign of each residual; a step
+    that leaves the bracket is replaced by its midpoint.  It starts from
+    the inverse of the lift's linear interpolant on a uniform table of the
+    chunk's bracket, whose spacing _start_spacing chooses from the
+    branch's bound on |f''|/|f'| so that the first step leaves a residual
+    of at most SOLVE_TOL/4; the table has at most one node per target,
+    plus two.  sin and cos of 2 pi x are evaluated at the start and
+    carried along steps of at most ROTATE_MAX in angle by a second-order
+    rotation, whose truncation is below half an ulp (a carried value is
+    within 2^-52 of np.sin/np.cos), so a full chunk costs one sin/cos pair
+    per target besides its table, and f' at the root comes from the
+    carried cos, and sin 2 pi x from the carried sin.
     Iteration stops at the first iterate whose residuals are all at most
     SOLVE_TOL * max(1, |t|); if one is still above SOLVE_GUARD after
     SOLVE_MAX_ITERS steps, TransferError names the branch.
@@ -206,8 +205,11 @@ def _solve_lift(branch: BranchSpec, targets: np.ndarray, sines=None):
 
 def _bracket(branch: BranchSpec, targets: np.ndarray):
     """(lo, hi): the bracket of each target's root on a sine branch of
-    nonzero slope s, the points of the arc within |a|/|s| of the affine
-    inverse (t - c)/s."""
+    slope s, the points of the arc within |a|/|s| of the affine inverse
+    (t - c)/s; the whole arc if s = 0."""
+    if branch.slope == 0.0:
+        return (np.full_like(targets, branch.lo),
+                np.full_like(targets, branch.hi))
     x0 = (targets - branch.offset) / branch.slope
     r = abs(branch.amplitude / branch.slope)
     return np.maximum(x0 - r, branch.lo), np.minimum(x0 + r, branch.hi)
@@ -216,10 +218,10 @@ def _bracket(branch: BranchSpec, targets: np.ndarray):
 def _passes(branch: BranchSpec, x: np.ndarray, targets: np.ndarray,
             sin2: np.ndarray) -> np.ndarray:
     """Whether each x, given sin2 = sin 2 pi x, passes the checks that a
-    root of _newton passes for its target on a sine branch of nonzero
-    slope: a residual of at most SOLVE_TOL * max(1, |t|), computed from
-    sin2 as _newton computes it from its carried sine, and a place in its
-    bracket.  Checked in chunks of SOLVE_CHUNK, as they are solved."""
+    root of _newton passes for its target on a sine branch: a residual of
+    at most SOLVE_TOL * max(1, |t|), computed from sin2 as _newton
+    computes it from its carried sine, and a place in its bracket.
+    Checked in chunks of SOLVE_CHUNK, as they are solved."""
     s, c, a = branch.slope, branch.offset, branch.amplitude
     ok = np.empty(targets.size, dtype=bool)
     for i in range(0, targets.size, SOLVE_CHUNK):
@@ -276,22 +278,17 @@ def _newton(branch: BranchSpec, targets: np.ndarray, inc: bool,
     lift increases if inc, from a table of the given node spacing; returns
     the roots, f' at them and the carried sin 2 pi x."""
     s, c, a = branch.slope, branch.offset, branch.amplitude
-    if s == 0.0:  # no affine part to bracket by
-        lo = np.full_like(targets, branch.lo)
-        hi = np.full_like(targets, branch.hi)
-        x = 0.5 * (lo + hi)
-    else:
-        lo, hi = _bracket(branch, targets)
-        start, stop = lo.min(), hi.max()
-        nodes = targets.size + 2
-        span = stop - start  # < 0 for a target outside the branch image
-        if 0.0 <= span < (nodes - 2) * spacing:
-            nodes = 2 + math.ceil(span / spacing)
-        xs = np.linspace(start, stop, nodes)
-        ys = branch.lift(xs)
-        if not inc:
-            xs, ys = xs[::-1], ys[::-1]
-        x = np.clip(np.interp(targets, ys, xs), lo, hi)
+    lo, hi = _bracket(branch, targets)
+    start, stop = lo.min(), hi.max()
+    nodes = targets.size + 2
+    span = stop - start  # < 0 for a target outside the branch image
+    if 0.0 <= span < (nodes - 2) * spacing:
+        nodes = 2 + math.ceil(span / spacing)
+    xs = np.linspace(start, stop, nodes)
+    ys = branch.lift(xs)
+    if not inc:
+        xs, ys = xs[::-1], ys[::-1]
+    x = np.clip(np.interp(targets, ys, xs), lo, hi)
     # Convergence is tested at the current iterate before it steps, so the
     # residual that passes is the returned root's check.  While some point
     # is above tolerance, a point within it still takes its Newton step
@@ -516,33 +513,34 @@ def _base_samples(g: PiecewiseMap, f_arcs, grid: int):
     return 0.25 * analyze(g).d_omega, tuple(arcs)
 
 
-def _aligned(marks_f, arcs_f, g: PiecewiseMap, grid: int):
+def _aligned(marks_f, arcs_f, g: PiecewiseMap):
     """f's arcs paired with g's by _aligned_shift: (the index of f's arc
     paired with each arc of g, the marked-point distance part1, g's cap,
-    the _base_samples arcs)."""
+    the _base_samples arcs on NEIGHBORHOOD_GRID)."""
     shift, part1 = _aligned_shift(marks_f, g.marked_points)
     k = len(g.branches)
     order = [(i + shift) % k for i in range(k)]
-    cap, arcs = _base_samples(g, tuple(arcs_f[j] for j in order), grid)
+    cap, arcs = _base_samples(g, tuple(arcs_f[j] for j in order),
+                              NEIGHBORHOOD_GRID)
     return order, part1, cap, arcs
 
 
-def neighborhood_distance(f: PiecewiseMap, g: PiecewiseMap,
-                          grid: int = NEIGHBORHOOD_GRID) -> float:
+def neighborhood_distance(f: PiecewiseMap, g: PiecewiseMap) -> float:
     """Smallest radius eps* with f eps*-near g; math.inf if incomparable.
 
     eps* is the max of (i) the arc distances between corresponding marked
     points and (ii) the per-interval C2 norms (sup|h| + sup|h'| + sup|h''|)
     of f o xi - g, where xi maps each arc of g affinely onto the matching
-    arc of f, taken over grid + 1 samples per arc.  Incomparable when
-    branch counts differ or eps* reaches a quarter of the minimal gap
-    between g's genuine discontinuities.  sine_screen rejects many sine
-    candidates at once on every COARSE_STRIDE-th of these samples.
+    arc of f, taken over NEIGHBORHOOD_GRID + 1 samples per arc.
+    Incomparable when branch counts differ or eps* reaches a quarter of
+    the minimal gap between g's genuine discontinuities.  sine_screen
+    rejects many sine candidates at once on every COARSE_STRIDE-th of
+    these samples.
     """
     if len(f.branches) != len(g.branches):
         return math.inf
     order, part1, cap, arcs = _aligned(
-        f.marked_points, [(b.lo, b.hi) for b in f.branches], g, grid)
+        f.marked_points, [(b.lo, b.hi) for b in f.branches], g)
     if part1 >= cap:
         return math.inf
     worst = float(_c2_norms([(b.slope, b.offset, b.amplitude)
@@ -556,19 +554,18 @@ def sine_screen(slopes, amplitudes, marks, g: PiecewiseMap, bound: float):
     may lie within bound of g, as a boolean array.
 
     Every row is scored at once on every COARSE_STRIDE-th sample (index 0
-    included) of neighborhood_distance's default grid, by the same
-    expressions on the same floats, and is False when that coarse value
-    exceeds bound or reaches g's cap.  A maximum over fewer samples is
-    never larger, so a False row has neighborhood_distance > bound; a True
-    row may still be rejected by the full pass.
+    included) of neighborhood_distance's grid, by the same expressions on
+    the same floats, and is False when that coarse value exceeds bound or
+    reaches g's cap.  A maximum over fewer samples is never larger, so a
+    False row has neighborhood_distance > bound; a True row may still be
+    rejected by the full pass.
     """
     slopes = np.asarray(slopes, dtype=float)[:, None]
     amplitudes = np.asarray(amplitudes, dtype=float)[:, None]
     if len(marks) != len(g.branches):
         return np.zeros(len(slopes), dtype=bool)
     cuts = (*marks, 1.0)
-    _, part1, cap, arcs = _aligned(marks, list(zip(cuts, cuts[1:])), g,
-                                   NEIGHBORHOOD_GRID)
+    _, part1, cap, arcs = _aligned(marks, list(zip(cuts, cuts[1:])), g)
     worst = _c2_norms([(slopes, 0.0, amplitudes)] * len(arcs), arcs, part1,
                       slice(None, None, COARSE_STRIDE))
     return (worst < cap) & (worst <= bound)
@@ -596,6 +593,9 @@ def _c2_norms(params, arcs, part1: float, samples: slice):
 # --- Builders for the map families used throughout ---------------------------
 
 MARKS = (0.0, 0.5)  # default marks of sine maps, curves and map families
+# The most branches affine_map builds from natural marks; every shipped map
+# has at most 3, and a map's work grows with its branch count.
+AFFINE_BRANCH_MAX = 1024
 
 
 def affine_map(slope: float, offset: float = 0.0,
@@ -604,12 +604,17 @@ def affine_map(slope: float, offset: float = 0.0,
 
     Default marks are the natural breakpoints {0} plus the interior points
     where the lift crosses an integer, so each branch image stays within
-    one unit interval.
+    one unit interval.  Natural marks of more than AFFINE_BRANCH_MAX
+    branches raise MapFormError.
     """
     if marks is None:
         pts = {0.0}
         k_lo = math.floor(offset)
         k_hi = math.ceil(slope + offset)
+        if k_hi - k_lo > AFFINE_BRANCH_MAX:  # the branch count, if slope > 0
+            raise MapFormError(
+                f"natural marks of slope {slope} give {k_hi - k_lo} "
+                f"branches, more than {AFFINE_BRANCH_MAX}")
         for k in range(k_lo, k_hi + 1):
             x = (k - offset) / slope
             if 0.0 < x < 1.0:

@@ -73,7 +73,8 @@ _COMMON = {"name": str, "grid": int, "seed": int, "phi": DENSITY,
 # their defaults, and treats family and curve (default {}) alike.
 _OPTIONAL = {"eps": Field(float), "a_star": Field(float),
              "mesh": Field(float, also=("auto",)), "eps_loc": 0.1,
-             "mesh_override": False, "probes": 9}
+             "mesh_override": False,
+             "probes": Field(int, 9, least=2, most=1024)}
 # Each optional field at the value that stands in for it when left out
 _DEFAULTS = {**{key: entry.default if isinstance(entry, Field) else entry
                 for key, entry in _OPTIONAL.items()},
@@ -277,7 +278,7 @@ def plan_curve(cfg: dict) -> RunPlan:
     the curve, steps at the mesh (the certified delta0 unless given), and
     each block on the constants of the probe anchoring its start."""
     curve = curve_from_dict(cfg["curve"])
-    probes = list(np.linspace(curve.a, curve.b, max(2, cfg["probes"])))
+    probes = list(np.linspace(curve.a, curve.b, cfg["probes"]))
     for _ in range(64):
         cover = bnd.delta0_of_curve(curve, probes, cfg["a_star"], cfg["eps"])
         if cover.covered:
@@ -428,7 +429,8 @@ def run_scenario(spec: dict, out_dir) -> RunResult:
 
 ABSORB = {"a": float, "a_star": float,
           "grid": Field(int, 2 ** 13, least=2, most=GRID_MAX),
-          "seeds": Field(int, 20, least=1), "seed": Field(int, 0, least=0),
+          "seeds": Field(int, 20, least=1, most=10 ** 4),
+          "seed": Field(int, 0, least=0),
           "headroom": 0.05, "family": WRAP_FAMILY}
 
 
@@ -467,7 +469,8 @@ LY_MAPS = ({"form": "doubling"}, {"form": "slope25"},
            {"form": "slope3-two-branch"}, {"form": "two-slope-wrap"})
 VERIFY_LY = {"maps": Field([MAP]),
              "grid": Field(int, 2 ** 14, least=2, most=GRID_MAX),
-             "count": Field(int, 100, least=1), "var_max": 50.0,
+             "count": Field(int, 100, least=1, most=10 ** 4),
+             "var_max": 50.0,
              "seed": Field(int, 0, least=0), "slack": 0.02}
 
 

@@ -162,8 +162,9 @@ def test_ac6_curve_drive(tmp_path):
                   f"{final:.2e} <= 1e-6, 2*delta0 exits {code} (=2)")
 
 
-def test_ac7_smooth_matching(tmp_path):
+def test_ac7_smooth_matching(tmp_path, monkeypatch):
     from circlemix.scenarios import plan_smooth, read_scenario
+    from test_coupling import record_subtractions
 
     sc = dict(name="thA", kind="smooth", grid=2 ** 12, n_max=1, seed=33,
               phi={"preset": "sine"}, psi={"preset": "uniform"},
@@ -179,13 +180,13 @@ def test_ac7_smooth_matching(tmp_path):
     psi = Density.uniform(sc["grid"])
     maps = [sine_map(2.0, float(a))
             for a in rng.uniform(-0.05, 0.05, n_max)]
-    led = run_coupled(maps, phi, psi, bounds=rep, record_snapshots=True)
+    subs = record_subtractions(monkeypatch)
+    led = run_coupled(maps, phi, psi, bounds=rep)
     blocks_done = sum(1 for b in led.blocks if b.end <= n_max)
     ok_blocks = blocks_done >= 30
     ok_ratio = True
-    for snap in led.snapshots[:31]:
-        pre_phi, pre_psi = snap["pre"]
-        post_phi, post_psi = snap["post"]
+    for (pre_phi, post_phi), (pre_psi, post_psi) in list(
+            zip(subs[::2], subs[1::2]))[:31]:
         for d in (pre_phi, pre_psi):
             ok_ratio &= d.ratio_class_L(sc["eps_loc"]) <= rep.L_star * (1 + 1e-9)
         for d in (post_phi, post_psi):

@@ -138,18 +138,35 @@ def test_positivity_failure_aborts_with_block():
     assert err.value.block == 1
 
 
-def test_smooth_cone_and_subtraction_levels():
+def record_subtractions(monkeypatch):
+    """The list that each Density.match_subtract call appends (density,
+    result) to; run_coupled subtracts from phi, then from psi, so the even
+    and odd entries are a block's phi and psi before and after."""
+    calls = []
+    real = Density.match_subtract
+
+    def spy(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        calls.append((self, out))
+        return out
+
+    monkeypatch.setattr(Density, "match_subtract", spy)
+    return calls
+
+
+def test_smooth_cone_and_subtraction_levels(monkeypatch):
     rep = smooth_setup()
     G = 4096
     phi = Density.sine(G, 1, 0.5)
     psi = Density.uniform(G)
     rng = np.random.Generator(np.random.PCG64(10))
     maps = [sine_map(2.0, float(a)) for a in rng.uniform(-0.05, 0.05, 40)]
-    led = run_coupled(maps, phi, psi, bounds=rep, record_snapshots=True)
+    subs = record_subtractions(monkeypatch)
+    led = run_coupled(maps, phi, psi, bounds=rep)
     assert led.n_wait >= 0
-    for snap in led.snapshots[:4]:
-        pre_phi, pre_psi = snap["pre"]
-        post_phi, post_psi = snap["post"]
+    assert subs
+    for (pre_phi, post_phi), (pre_psi, post_psi) in list(
+            zip(subs[::2], subs[1::2]))[:4]:
         for d in (pre_phi, pre_psi):
             assert d.ratio_class_L(rep.eps_loc) <= rep.L_star * (1 + 1e-9)
         for d in (post_phi, post_psi):
@@ -157,7 +174,7 @@ def test_smooth_cone_and_subtraction_levels():
     assert certify(led).passed
 
 
-def test_piecewise_variation_levels_in_blocks():
+def test_piecewise_variation_levels_in_blocks(monkeypatch):
     # at block starts the unmatched densities are inside the variation cone;
     # right after subtracting they are within a*(1-kappa)^-1
     rep, cov = slope3_setup()
@@ -165,12 +182,12 @@ def test_piecewise_variation_levels_in_blocks():
     rng = np.random.Generator(np.random.PCG64(12))
     phi = Density.random_bv(G, 40.0, rng)
     psi = Density.uniform(G)
-    led = run_coupled([slope3_two_branch()] * 40, phi, psi,
-                      bounds=rep, record_snapshots=True)
+    subs = record_subtractions(monkeypatch)
+    led = run_coupled([slope3_two_branch()] * 40, phi, psi, bounds=rep)
     vphi = led.steps["variation_phi"]
     assert vphi[led.n_wait] <= rep.a_star
-    for snap in led.snapshots:
-        post_phi, post_psi = snap["post"]
+    assert len(subs) == 2 * len(led.blocks)
+    for (_, post_phi), (_, post_psi) in zip(subs[::2], subs[1::2]):
         bound = rep.a_star / (1.0 - rep.kappa)
         # the pre-subtraction density developed positivity for n0 steps and
         # its variation envelope is (2/lam)^n0 a* + A0; subtraction divides

@@ -54,14 +54,21 @@ def test_partition_tiles_circle_and_nests():
         assert parents[0].itinerary == c.itinerary[:2]
 
 
-def test_partition_explosion_cap():
+def test_partition_explosion_cap(monkeypatch):
+    from circlemix import covering
+
+    monkeypatch.setattr(covering, "PARTITION_CAP", 100)
     with pytest.raises(PartitionExplosionError):
-        cylinder_partition([slope3_two_branch()] * 12, 12, cap=100)
+        cylinder_partition([slope3_two_branch()] * 12, 12)
 
 
-def test_enveloping_times():
+def test_enveloping_times(monkeypatch):
+    from circlemix import covering
+
     assert enveloping_time(slope3_two_branch()) == 1
-    assert enveloping_time(doubling_map(), 8) is None
+    with monkeypatch.context() as mp:
+        mp.setattr(covering, "ENVELOPING_MAX", 8)
+        assert enveloping_time(doubling_map()) is None
     assert enveloping_time(two_slope_wrap_map()) == 1
 
 
@@ -185,14 +192,17 @@ def test_positivity_horizon_formula_table():
     assert rep.kappa_eps == pytest.approx(0.5 * 3.1 ** -4, rel=1e-12)
 
 
-def test_positivity_horizon_rejects():
+def test_positivity_horizon_rejects(monkeypatch):
+    from circlemix import covering
     from circlemix.maps import affine_map
 
     # slope-4 on exact quarters: every cylinder image is (0, 1), so the
     # origin is never interior and the map is not enveloping at any depth
-    assert enveloping_time(affine_map(4.0), 5) is None
+    with monkeypatch.context() as mp:
+        mp.setattr(covering, "ENVELOPING_MAX", 5)
+        assert enveloping_time(affine_map(4.0)) is None
     with pytest.raises(NotEnvelopingError):
-        positivity_horizon(affine_map(4.0), 6.0, 0.0, N_max=5)
+        positivity_horizon(affine_map(4.0), 6.0, 0.0)
     with pytest.raises(MapFormError):
         positivity_horizon(doubling_map(), 4.0, 0.0)  # expansion not > 2
 
@@ -219,7 +229,7 @@ def test_enveloping_time_stops_when_image_arcs_repeat(monkeypatch):
     depths = count_depths(monkeypatch)
     for g in (affine_map(4.0), doubling_map()):
         depths.clear()
-        assert enveloping_time(g) is None  # N_max = 16
+        assert enveloping_time(g) is None  # ENVELOPING_MAX = 16
         assert depths == [1, 2]
     # maps that do envelope keep their N
     for g, N in ((slope3_two_branch(), 1), (two_slope_wrap_map(), 1),
@@ -233,14 +243,18 @@ def test_enveloping_time_stops_when_image_arcs_repeat(monkeypatch):
 def test_oversized_depth_refused_before_it_is_built(monkeypatch):
     # slope-3 depths hold 2, 6, 18, 54 and 162 cylinders: the count of
     # depth 5 is predicted from depth 4's arcs and refused
+    from circlemix import covering
+
     depths = count_depths(monkeypatch)
+    monkeypatch.setattr(covering, "PARTITION_CAP", 100)
     with pytest.raises(PartitionExplosionError,
                        match="exceeded 100: depth 5 would hold 162"):
-        refine_until(slope3_two_branch(), 1e7, cap=100)
+        refine_until(slope3_two_branch(), 1e7)
     assert depths == [1, 2, 3, 4]
     depths.clear()
+    monkeypatch.setattr(covering, "PARTITION_CAP", 1)
     with pytest.raises(PartitionExplosionError, match="depth 1 would hold 2"):
-        cylinder_partition([slope3_two_branch()] * 3, 3, cap=1)
+        cylinder_partition([slope3_two_branch()] * 3, 3)
     assert depths == []
 
 
@@ -249,9 +263,7 @@ def test_cli_covering_refuses_oversized_partition(tmp_path, monkeypatch,
     from circlemix import covering
     from circlemix.cli import main
 
-    depths = covering._depths
-    monkeypatch.setattr(covering, "_depths",
-                        lambda maps, ar, cap=None: depths(maps, ar, cap=100))
+    monkeypatch.setattr(covering, "PARTITION_CAP", 100)
     cov = tmp_path / "cov.json"
     cov.write_text(json.dumps({"map": {"form": "slope3-two-branch"},
                                "a_star": 1e7}))
@@ -447,7 +459,7 @@ def oracle_verify_overcover(maps, interval, delta):
     return _oracle_covers_circle(arcs, 0 if exact else 1e-9)
 
 
-def oracle_escape_time(g, J, cap_factor=64):
+def oracle_escape_time(g, J):
     from circlemix.covering import CoveringError
 
     exact = _oracle_all_affine([g]) and isinstance(J.lo, Fraction)
@@ -470,7 +482,7 @@ def oracle_escape_time(g, J, cap_factor=64):
         return 0, (J.lo, J.hi)
     a, b = J.lo, J.hi
     hist = []
-    cap = cap_factor * max(1, len(J.itinerary))
+    cap = 64 * max(1, len(J.itinerary))
     for k in range(1, cap + 1):
         branch = g.branches[_oracle_branch_index(g, a, exact)]
         va = _oracle_lift(branch, a, exact)
@@ -600,7 +612,11 @@ def test_partition_and_overcover_match_oracle_on_affine_sequences(
 @ORACLE_SETTINGS
 @given(g=random_maps(), N_max=st.integers(1, 4))
 def test_enveloping_time_matches_oracle(g, N_max):
-    assert enveloping_time(g, N_max) == oracle_enveloping_time(g, N_max)
+    from circlemix import covering
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering, "ENVELOPING_MAX", N_max)
+        assert enveloping_time(g) == oracle_enveloping_time(g, N_max)
 
 
 @ORACLE_SETTINGS

@@ -21,6 +21,9 @@ def rng_for(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+SLOPE_CURVE = {"family": "slope", "s0": 2.5, "s1": 3.5}
+
+
 def base_scenario(**over):
     """A fixed-map scenario, or with a curve in `over` a curve-driven one
     (which carries no family)."""
@@ -672,23 +675,19 @@ def test_neighborhood_box_with_maps_that_do_not_expand_exits_2(
 
 def _not_enveloping(monkeypatch):
     from circlemix import covering
-    monkeypatch.setattr(covering, "enveloping_time", lambda g, N_max=16: None)
+    monkeypatch.setattr(covering, "enveloping_time", lambda g: None)
     return "not enveloping"
 
 
 def _partition_explosion(monkeypatch):
     from circlemix import covering
-    depths = covering._depths
-    monkeypatch.setattr(covering, "_depths",
-                        lambda maps, ar, cap=None: depths(maps, ar, cap=1))
+    monkeypatch.setattr(covering, "PARTITION_CAP", 1)
     return "count exceeded 1"
 
 
 def _escape_loop(monkeypatch):
     from circlemix import covering
-    escape = covering.escape_time
-    monkeypatch.setattr(covering, "escape_time",
-                        lambda g, J: escape(g, J, cap_factor=0))
+    monkeypatch.setattr(covering, "ESCAPE_CAP_FACTOR", 0)
     return "escape loop exceeded 0 iterations"
 
 
@@ -812,6 +811,13 @@ def test_cli_covering_sine_map_witnesses_escape(tmp_path, capsys):
     ("verify-ly", {"count": 2.5}, "count must be an integer"),
     ("verify-ly", {"var_max": None}, "var_max must be a number"),
     ("verify-ly", {"seed": -1}, "seed must be an integer >= 0"),
+    ("absorb", {"a": 8.0, "a_star": 25.0, "seeds": 10 ** 9},
+     "seeds must be an integer <= 10000, got 1000000000"),
+    ("verify-ly", {"count": 10 ** 9},
+     "count must be an integer <= 10000, got 1000000000"),
+    ("analyze-map", {"map": {"slope": 1e7}},
+     "natural marks of slope 10000000.0 give 10000000 branches, more than "
+     "1024"),
 ])
 def test_cli_calculators_bad_config_exit_2(tmp_path, capsys, command, cfg,
                                            message):
@@ -945,6 +951,20 @@ def test_huge_grid_exits_2_before_allocating(tmp_path, capsys, command, cfg,
     assert not any((tmp_path / "out").rglob("*.json"))
 
 
+def test_count_limits_admit_their_ends():
+    curve = base_scenario(kind="curve-driven", n_max="auto", curve=SLOPE_CURVE)
+    for probes in (2, 1024):
+        assert read_scenario({**curve, "probes": probes})["probes"] == probes
+    assert read({"count": 10 ** 4}, VERIFY_LY)["count"] == 10 ** 4
+    assert read({"a": 8.0, "a_star": 25.0, "seeds": 10 ** 4},
+                ABSORB)["seeds"] == 10 ** 4
+    assert len(map_from_dict({"slope": 1024.0}).branches) == 1024
+    assert len(map_from_dict({"slope": 1023.5, "offset": 0.5}).branches) \
+        == 1024
+    with pytest.raises(ValueError, match="1025 branches"):
+        map_from_dict({"slope": 1024.0, "offset": 0.5})
+
+
 @pytest.mark.parametrize("seed", [7, 17, 18])
 def test_neighborhood_redraws_complete(tmp_path, seed):
     # the acceptance neighborhood config; these seeds need more than 100
@@ -1003,7 +1023,11 @@ def test_smooth_family_with_integer_slope_certifies(tmp_path, slope):
     ({"n_max": -3}, "n_max must lie in [1, 10000]"),
     ({"kind": "smooth", "grid": 2 ** 17, "n_max": 2,
       "family": {"slope": 2.0, "amp_max": 0.05}}, "cap the grid at 2^16"),
-], ids=["auto-fixed", "zero", "negative", "smooth-2^17"])
+    *(({"kind": "curve-driven", "n_max": "auto", "curve": SLOPE_CURVE,
+        "probes": probes}, f"probes must be an integer {ends}, got {probes}")
+      for probes, ends in ((10 ** 9, "<= 1024"), (-4, ">= 2"), (1, ">= 2"))),
+], ids=["auto-fixed", "zero", "negative", "smooth-2^17", "probes-10^9",
+        "probes-negative", "probes-1"])
 def test_direct_scenario_gets_the_from_dict_checks(tmp_path, over, message):
     # the checks a config file gets from load_config
     sc = base_scenario(**over)

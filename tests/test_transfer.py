@@ -1,4 +1,5 @@
 import contextlib
+import json
 import math
 import signal
 import types
@@ -680,6 +681,42 @@ def test_unpaired_branches_merge_between_paired_ones():
     phi = Density.sine(4096, 1, 0.5).samples
     assert (np.abs(TransferOperator(m, 4096).apply(phi)
                    - per_arc(m, 4096).apply(phi)).max() <= 1e-14 * phi.max())
+
+
+# slope 3 on [0, 3/8) and [5/8, 1), and between them a mirror pair of
+# slope 0 and amplitude 0.6, decreasing with |f'| >= 2 pi 0.6 cos(pi/4)
+FLAT_PAIR = {"branches": [
+    {"lo": 0.0, "hi": 0.375, "slope": 3.0},
+    {"lo": 0.375, "hi": 0.5, "slope": 0.0, "amplitude": 0.6},
+    {"lo": 0.5, "hi": 0.625, "slope": 0.0, "amplitude": 0.6},
+    {"lo": 0.625, "hi": 1.0, "slope": 3.0}]}
+
+
+def test_mirror_pair_of_slope_0_builds(tmp_path):
+    # the mirror checks bracket a slope-0 root by the whole arc, as the
+    # solve does, instead of dividing by the slope
+    from circlemix.cli import main
+    from circlemix.maps import map_from_dict
+
+    m = map_from_dict(FLAT_PAIR)
+    for G in (1024, 4096, 16384):
+        assert transfer._mirrors(m, G) == {2: (1, 0)}
+        op = TransferOperator(m, G)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transfer, "_mirrors", lambda m, G: {})
+            unpaired = TransferOperator(m, G)
+        phi = Density.sine(G, 1, 0.5).samples
+        assert (np.abs(op.apply(phi) - unpaired.apply(phi)).max()
+                <= 1e-14 * phi.max())
+    ly, run = tmp_path / "ly.json", tmp_path / "run.json"
+    ly.write_text(json.dumps({"maps": [FLAT_PAIR], "count": 3}))
+    run.write_text(json.dumps({
+        "schema": 1, "name": "flat", "kind": "fixed-map", "grid": 4096,
+        "n_max": 20, "seed": 1, "phi": {"preset": "sine"},
+        "psi": {"preset": "uniform"}, "family": {"map": FLAT_PAIR}}))
+    assert main(["verify-ly", "--config", str(ly)]) == 0
+    assert main(["couple", "--config", str(run),
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_curve_slope_maps_build_one_run_per_lift_offset():
