@@ -9,10 +9,10 @@ claims never hinge on roundoff.
 
 import numpy as np
 
-from circlemix import (Density, cylinder_partition, doubling_map,
-                       enveloping_time, escape_time, positivity_horizon,
-                       push_sequence, slope3_two_branch, two_slope_wrap_map,
-                       verify_overcover)
+from circlemix import (Density, TransferOperator, cylinder_partition,
+                       doubling_map, enveloping_time, escape_time,
+                       positivity_horizon, push, slope3_two_branch,
+                       two_slope_wrap_map, verify_overcover)
 
 g = slope3_two_branch()
 
@@ -42,7 +42,10 @@ print(f"floors: kappa0 = {rep.kappa0:.6f} (= 1/162), "
 # The floor bites even for a density vanishing on 80% of the circle.
 G = 2 ** 13
 spike = Density.from_samples(np.where(np.arange(G) / G < 0.2, 5.0, 0.0))
-mins = [d.min_value() for d in push_sequence([g] * rep.n0, spike)]
+op, cur, mins = TransferOperator(g, G), spike, []
+for _ in range(rep.n0):
+    cur = push(op, cur)
+    mins.append(cur.min_value())
 print("\nspike density minima step by step:",
       " ".join(f"{v:.4f}" for v in mins))
 print(f"final minimum {mins[-1]:.4f} >= kappa0 = {rep.kappa0:.6f}")

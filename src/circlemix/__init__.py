@@ -21,6 +21,6 @@ from .maps import (BranchSpec, MapAnalysis, MapFormError, PiecewiseMap,
                    slope25_map, slope3_two_branch, two_slope_wrap_map)
 from .scenarios import ScenarioError, build_sequence, run_scenario
 from .transfer import (TransferOperator, backend_consistency, push,
-                       push_sequence, push_with_factor, ulam_matrix)
+                       ulam_matrix)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -120,8 +120,8 @@ def _cmd_pipeline(args) -> int:
     jobs = [({**spec, **overrides}, os.path.join(args.out, spec["name"]))
             for spec in scenarios]
     worst = EXIT_OK
-    # one worker per scenario at most: the pool starts them all at once
-    workers = min(args.jobs, len(jobs))
+    # at most one worker per scenario and per CPU: the pool starts them at once
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     with (ProcessPoolExecutor(workers) if workers > 1
           else contextlib.nullcontext()) as pool:
         for code, msg, name in (pool.map if pool else map)(_run_one, jobs):

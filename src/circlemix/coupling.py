@@ -164,6 +164,10 @@ def run_coupled(maps, phi: Density, psi: Density, *, bounds,
     starts block k + 1 and sets the envelope to 2 * residual.  `plan` may
     supply per-block constants (curve driving); the default is the
     report's BlockPlan(kappa, block - tau, tau), so n0 = 0 when smooth.
+
+    A subtraction step refuses a minimum of u below max(kappa - slack,
+    fraction*kappa), the floor up to grid error or what the subtraction
+    needs to stay nonnegative, by a CertificateViolation naming the block.
     """
     G = phi.G
     if psi.G != G:
@@ -204,7 +208,7 @@ def run_coupled(maps, phi: Density, psi: Density, *, bounds,
             env = ENVELOPE_START * residual
         if start >= 0 and n == start + cur.n0:
             mins = (u_phi.min_value(), u_psi.min_value())
-            floor = cur.kappa - slack
+            floor = max(cur.kappa - slack, fraction * cur.kappa)
             if mins[0] < floor or mins[1] < floor:
                 raise CertificateViolation(
                     f"positivity floor {cur.kappa} violated at step {n} "

@@ -342,13 +342,10 @@ def enveloping_time(g: PiecewiseMap) -> int | None:
     return None
 
 
-def refine_until(g: PiecewiseMap, a_star: float) -> int:
-    """Smallest n with every n-cylinder shorter than 1/(2 a*)."""
-    return _refine(g, a_star)[0]
-
-
-def _refine(g: PiecewiseMap, a_star: float) -> tuple[int, list[Cylinder]]:
-    """refine_until's n, with the n-cylinders it built."""
+def refine_until(g: PiecewiseMap,
+                 a_star: float) -> tuple[int, list[Cylinder]]:
+    """(n, the n-cylinders) for the smallest n with every n-cylinder
+    shorter than 1/(2 a*)."""
     if a_star <= 0:
         raise ValueError("a_star must be positive")
     ar = _arith([g])
@@ -456,7 +453,7 @@ def positivity_horizon(g: PiecewiseMap, a_star: float,
     N = enveloping_time(g)
     if N is None:
         raise NotEnvelopingError("map is not enveloping within N_max")
-    n1, cyls = _refine(g, a_star)
+    n1, cyls = refine_until(g, a_star)
     table = []
     s0 = 0
     for c in cyls:

@@ -132,10 +132,6 @@ class Density:
         return cls.from_samples(levels[idx])
 
     @classmethod
-    def from_function(cls, G: int, fn) -> "Density":
-        return cls.from_samples(fn(np.arange(G) / G))
-
-    @classmethod
     def random_bv(cls, G: int, a: float, rng: np.random.Generator) -> "Density":
         """Seeded rough test density with total variation ~0.9*a (<= a).
 
@@ -166,10 +162,6 @@ class Density:
     @property
     def G(self) -> int:
         return self.samples.shape[0]
-
-    def integral(self) -> float:
-        """Trapezoidal integral over the circle (= sample mean on this grid)."""
-        return float(self.samples.mean())
 
     def l1_distance(self, other: "Density") -> float:
         if self.G != other.G:

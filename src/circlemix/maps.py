@@ -604,14 +604,17 @@ def affine_map(slope: float, offset: float = 0.0,
 
     Default marks are the natural breakpoints {0} plus the interior points
     where the lift crosses an integer, so each branch image stays within
-    one unit interval.  Natural marks of more than AFFINE_BRANCH_MAX
-    branches raise MapFormError.
+    one unit interval, for either sign of the slope.  Natural marks of a
+    slope of modulus <= 1, or of more than AFFINE_BRANCH_MAX branches,
+    raise MapFormError.
     """
     if marks is None:
+        if not abs(slope) > 1.0:  # before dividing by it
+            raise MapFormError(f"branch expansion {float(abs(slope))} <= 1")
         pts = {0.0}
-        k_lo = math.floor(offset)
-        k_hi = math.ceil(slope + offset)
-        if k_hi - k_lo > AFFINE_BRANCH_MAX:  # the branch count, if slope > 0
+        k_lo = math.floor(min(offset, slope + offset))
+        k_hi = math.ceil(max(offset, slope + offset))
+        if k_hi - k_lo > AFFINE_BRANCH_MAX:  # the branch count
             raise MapFormError(
                 f"natural marks of slope {slope} give {k_hi - k_lo} "
                 f"branches, more than {AFFINE_BRANCH_MAX}")

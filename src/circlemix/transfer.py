@@ -26,8 +26,9 @@ solved, at an arc end, or whose derived root fails is solved directly
 (_mirrors and _mirrored give the rule).  The caller builds the operator
 and pushes through it, so it decides how long an operator lives: a run
 that pushes several densities through one map, or reuses a map, builds it
-once.  The Ulam matrix, exact on affine branches, discretizes the same
-operator bin to bin and serves as an independent consistency oracle.
+once.  The Ulam matrix, exact on affine branches and refused on sine
+ones, discretizes the same operator bin to bin and serves as an
+independent consistency oracle.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ from .maps import (BranchSpec, PiecewiseMap, TransferError, _passes,
 # Hard sanity window for the per-step mass renormalization factor; values
 # outside it indicate a broken map/density pairing rather than grid error.
 FACTOR_WINDOW = (0.5, 2.0)
-
-ULAM_QUAD_POINTS = 64
 
 # A run of n targets on an affine branch of slope +-p/q is applied as p
 # phases when each phase is at least PHASE_MIN_LEN * q targets long
@@ -328,13 +327,12 @@ def _phases(b: BranchSpec, G: int, k: int, j0: int, j1: int) -> list:
     return pieces
 
 
-def push_with_factor(op: TransferOperator,
-                     phi: Density) -> tuple[Density, float]:
-    """One transfer-operator step, plus the mass renormalization factor.
+def push(op: TransferOperator, phi: Density) -> Density:
+    """One transfer-operator step through op, renormalized to unit mass.
 
     The raw pullback is exact for the piecewise-linear interpolant up to
     interpolation at preimages; its grid integral drifts from 1 by
-    O(variation/G), which is divided out and returned.
+    O(variation/G), which is divided out.
     """
     if phi.G != op.G:
         raise ValueError(f"density grid {phi.G} != operator grid {op.G}")
@@ -343,30 +341,7 @@ def push_with_factor(op: TransferOperator,
     if not FACTOR_WINDOW[0] <= raw <= FACTOR_WINDOW[1]:
         raise TransferError(
             f"pushforward mass {raw} outside {FACTOR_WINDOW}: broken map/density pairing")
-    return Density._own(np.divide(acc, raw, out=acc)), 1.0 / raw
-
-
-def push(op: TransferOperator, phi: Density) -> Density:
-    return push_with_factor(op, phi)[0]
-
-
-def push_sequence(maps, phi: Density) -> list[Density]:
-    """Iterates push along f_1, f_2, ..., returning every intermediate.
-
-    A map equal to the one before it reuses its operator.  An empty map
-    list returns [] (the identity composition leaves phi as the step-0
-    density).
-    """
-    out = []
-    cur = phi
-    op = None
-    for m in maps:
-        if op is None or op.m != m:
-            op = None  # drop the old operator before building the next
-            op = TransferOperator(m, phi.G)
-        cur = push(op, cur)
-        out.append(cur)
-    return out
+    return Density._own(np.divide(acc, raw, out=acc))
 
 
 def ulam_matrix(m: PiecewiseMap, B: int) -> np.ndarray:
@@ -374,33 +349,26 @@ def ulam_matrix(m: PiecewiseMap, B: int) -> np.ndarray:
     fraction of bin j that the map sends into bin i.  On an affine branch,
     in bin units, the arc is [lo*B, hi*B] and u maps to s*u + c*B, so each
     overlap of a segment's image with a bin is a Fraction; a cell sums its
-    overlaps / |s| exactly and is rounded once.  A sine branch's entries
-    come from midpoint quadrature, ULAM_QUAD_POINTS per segment.  A column
-    sum off 1 by more than 1e-8 raises TransferError."""
+    overlaps / |s| exactly and is rounded once.  A sine branch raises
+    ValueError: its entries need rigorous enclosures of the branch's
+    preimages (ROADMAP direction 6).  A column sum off 1 by more than 1e-8
+    raises TransferError."""
     if B < 2:
         raise ValueError("need at least 2 bins")
-    M = np.zeros((B, B))
+    if not all(b.is_affine for b in m.branches):
+        raise ValueError("Ulam entries are exact on affine branches only; a "
+                         "sine branch needs ROADMAP direction 6's enclosures")
     cells = defaultdict(Fraction)
     for b in m.branches:
-        if b.is_affine:
-            s, cB = Fraction(b.slope), Fraction(b.offset) * B
-            lo, hi = Fraction(b.lo) * B, Fraction(b.hi) * B
-            for j in range(math.floor(lo), math.ceil(hi)):
-                y0, y1 = sorted((s * max(lo, j) + cB, s * min(hi, j + 1) + cB))
-                for i in range(math.floor(y0), math.ceil(y1)):
-                    cells[i % B, j] += (min(y1, i + 1) - max(y0, i)) / abs(s)
-            continue
-        n = ULAM_QUAD_POINTS
-        for j in range(B):
-            seg_lo, seg_hi = max(b.lo, j / B), min(b.hi, (j + 1) / B)
-            if seg_hi > seg_lo:
-                xs = seg_lo + (seg_hi - seg_lo) * (np.arange(n) + 0.5) / n
-                vals = b.lift(xs)
-                vals = vals - np.floor(vals)
-                idx = np.minimum((vals * B).astype(np.int64), B - 1)
-                np.add.at(M, (idx, j), (seg_hi - seg_lo) * B / n)
+        s, cB = Fraction(b.slope), Fraction(b.offset) * B
+        lo, hi = Fraction(b.lo) * B, Fraction(b.hi) * B
+        for j in range(math.floor(lo), math.ceil(hi)):
+            y0, y1 = sorted((s * max(lo, j) + cB, s * min(hi, j + 1) + cB))
+            for i in range(math.floor(y0), math.ceil(y1)):
+                cells[i % B, j] += (min(y1, i + 1) - max(y0, i)) / abs(s)
+    M = np.zeros((B, B))
     for (i, j), mass in cells.items():
-        M[i, j] += float(mass)
+        M[i, j] = float(mass)
     if float(np.abs(M.sum(axis=0) - 1.0).max()) > 1e-8:
         raise TransferError("Ulam column sums deviate from 1 beyond 1e-8")
     return M

@@ -16,7 +16,7 @@ import pytest
 
 from circlemix import (Density, TransferOperator, analyze,
                        backend_consistency, certify, doubling_map,
-                       neighborhood_distance, push, push_sequence, run_coupled,
+                       neighborhood_distance, push, run_coupled,
                        sine_map, slope3_two_branch, slope25_map,
                        two_slope_wrap_map)
 from circlemix.bounds import tau_piecewise
@@ -24,6 +24,7 @@ from circlemix.cli import main as cli_main
 from circlemix.covering import positivity_horizon
 from circlemix.scenarios import (EXIT_CONFIG, EXIT_OK, run_absorption,
                                  run_scenario, two_slope_wrap_family_bounds)
+from test_transfer import push_along
 
 
 def report(num, ok, detail):
@@ -92,12 +93,12 @@ def test_ac4_positivity_horizon():
     floor_eps = cov.kappa_eps * (1.0 - 10.0 / G)
     # extremal cone member: all mass on one arc, zero elsewhere, variation 10
     spike = Density.from_samples(np.where(np.arange(G) / G < 0.2, 5.0, 0.0))
-    spike_min = push_sequence([g] * cov.n0, spike)[-1].min_value()
+    spike_min = push_along([g] * cov.n0, spike)[-1].min_value()
     worst_single = worst_seq = spike_min
     for seed in range(20):
         rng = np.random.Generator(np.random.PCG64(seed))
         phi = Density.random_bv(G, a_star, rng)
-        single = push_sequence([g] * cov.n0, phi)[-1]
+        single = push_along([g] * cov.n0, phi)[-1]
         worst_single = min(worst_single, single.min_value())
         maps = []
         while len(maps) < cov.n0:
@@ -105,7 +106,7 @@ def test_ac4_positivity_horizon():
             cand = sine_map(3.0, amp)
             if neighborhood_distance(cand, g) <= eps:
                 maps.append(cand)
-        seq = push_sequence(maps, phi)[-1]
+        seq = push_along(maps, phi)[-1]
         worst_seq = min(worst_seq, seq.min_value())
     ok = (ok_struct and ok_kappa and worst_single >= floor0
           and worst_seq >= floor_eps)

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlemix import (CertificateViolation, Density, certify, doubling_map,
-                       fit_decay, push, push_sequence, run_coupled, sine_map,
+                       fit_decay, push, run_coupled, sine_map,
                        slope3_two_branch)
 from circlemix.coupling import (ENVELOPE_START, BlockPlan, CertifyReport,
                                 CouplingLedger)
 from circlemix.scenarios import (plan_piecewise, plan_smooth, read_scenario,
                                  run_scenario)
+from test_transfer import push_along
 
 
 def slope3_setup(G=4096, n=30):
@@ -75,8 +76,8 @@ def test_raw_distances_independent_of_matching():
     psi = Density.step(G, [1.3, 0.7])
     maps = [slope3_two_branch()] * 15
     led = run_coupled(maps, phi, psi, bounds=rep)
-    seq_phi = [phi] + push_sequence(maps, phi)
-    seq_psi = [psi] + push_sequence(maps, psi)
+    seq_phi = [phi] + push_along(maps, phi)
+    seq_psi = [psi] + push_along(maps, psi)
     raw = [a.l1_distance(b) for a, b in zip(seq_phi, seq_psi)]
     assert np.array_equal(led.distances(), np.array(raw))
 
@@ -107,7 +108,7 @@ def test_shared_densities_pushed_once(monkeypatch):
     per_step = np.diff(before + [len(pushes)]).tolist()
     assert per_step == [2] * first + [4] * (len(maps) - first)
     assert all(op is pushes[0] for op in pushes)  # one operator serves all
-    raw_phi = [phi] + push_sequence(maps[:first], phi)
+    raw_phi = [phi] + push_along(maps[:first], phi)
     assert led.steps["variation_phi"][:first] == [
         d.variation() for d in raw_phi[:first]]
 
@@ -219,7 +220,7 @@ def test_fit_decay_fourier_cascade():
                         for k in range(7))
     phi = Density.from_samples(samples)
     psi = Density.uniform(G)
-    seq = push_sequence([doubling_map()] * 10, phi)
+    seq = push_along([doubling_map()] * 10, phi)
     d = [phi.l1_distance(psi)] + [p.l1_distance(psi) for p in seq]
     fit = fit_decay(d)
     assert fit is not None

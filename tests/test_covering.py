@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from circlemix import (Density, NotEnvelopingError, cylinder_partition,
                        doubling_map, enveloping_time, escape_time,
-                       positivity_horizon, push_sequence, refine_until,
+                       positivity_horizon, refine_until,
                        sine_map, slope3_two_branch, slope25_map,
                        two_slope_wrap_map, verify_overcover)
 from circlemix.covering import CoveringError, PartitionExplosionError
 from circlemix.maps import MapFormError, TransferError
 from test_maps import eval_many
+from test_transfer import push_along
 
 
 def test_doubling_two_cylinders():
@@ -104,16 +105,17 @@ def test_enveloping_time_matches_brute_force():
 def test_refine_until():
     # slope-3 cylinder lengths halve by 3 each level: 1/2, 1/6, 1/18, 1/54.
     # 1/18 = 0.0556 is not below 1/20, so four levels are needed at a*=10.
-    assert refine_until(slope3_two_branch(), 10.0) == 4
-    assert refine_until(doubling_map(), 1.0) == 2
-    assert refine_until(slope3_two_branch(), 2.0) == 2
+    assert refine_until(slope3_two_branch(), 10.0)[0] == 4
+    assert refine_until(doubling_map(), 1.0)[0] == 2
+    assert refine_until(slope3_two_branch(), 2.0)[0] == 2
 
 
 def test_refine_until_minimality():
     g = slope3_two_branch()
     for a_star in (2.0, 5.0, 10.0):
-        n1 = refine_until(g, a_star)
-        below = max(c.length for c in cylinder_partition([g] * n1, n1))
+        n1, cyls = refine_until(g, a_star)
+        assert cyls == cylinder_partition([g] * n1, n1)
+        below = max(c.length for c in cyls)
         assert below < 1.0 / (2.0 * a_star)
         if n1 > 1:
             above = max(c.length for c in cylinder_partition([g] * (n1 - 1), n1 - 1))
@@ -148,8 +150,7 @@ def test_escape_tie_keeps_piece_with_smaller_start():
 def test_escape_witness_recheck():
     # the witness must map onto a full first-level element after s steps
     g = two_slope_wrap_map()
-    n1 = refine_until(g, 8.0)
-    for J in cylinder_partition([g] * n1, n1):
+    for J in refine_until(g, 8.0)[1]:
         s, (wa, wb) = escape_time(g, J)
         assert J.lo <= wa < wb <= J.hi
         if s == 0:
@@ -171,8 +172,7 @@ def test_escape_witness_recheck():
 
 def test_escape_bounded_on_fine_partition():
     g = slope3_two_branch()
-    n1 = refine_until(g, 10.0)
-    table = [escape_time(g, J)[0] for J in cylinder_partition([g] * n1, n1)]
+    table = [escape_time(g, J)[0] for J in refine_until(g, 10.0)[1]]
     assert max(table) == 3  # every 4-cylinder maps onto an element in 3 steps
     assert min(table) == 3
 
@@ -281,7 +281,7 @@ def test_positivity_certified_numerically():
     rng = np.random.Generator(np.random.PCG64(14))
     for _ in range(20):
         phi = Density.random_bv(G, a_star, rng)
-        out = push_sequence([g] * rep.n0, phi)[-1]
+        out = push_along([g] * rep.n0, phi)[-1]
         assert out.min_value() >= rep.kappa0 * (1.0 - 10.0 / G)
 
 

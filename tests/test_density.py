@@ -25,11 +25,11 @@ def brute_ratio_class(samples, eps_loc):
 
 
 def test_integral_and_normalize():
-    assert Density.uniform(64).integral() == 1.0
+    assert Density.uniform(64).samples.mean() == 1.0
     d = Density.from_samples(2.0 * np.ones(64))
     assert np.all(d.samples == 1.0)
     d = Density.sine(4096, 1, 0.5)
-    assert abs(d.integral() - 1.0) < 1e-10
+    assert abs(d.samples.mean() - 1.0) < 1e-10
     with pytest.raises(ValueError):
         Density.from_samples(np.zeros(64))
 
@@ -284,7 +284,7 @@ def test_match_subtract_examples():
     d = Density.cosine(4096, 1, 0.4)
     out = d.match_subtract(0.6, 0.5)
     assert out.samples[0] == pytest.approx(11.0 / 7.0, abs=1e-14)
-    assert abs(out.integral() - 1.0) < 1e-9
+    assert abs(out.samples.mean() - 1.0) < 1e-9
 
 
 def test_match_subtract_validation():
@@ -323,7 +323,7 @@ def test_random_bv_respects_bound():
     for a in (5.0, 50.0, 200.0):
         d = Density.random_bv(2 ** 13, a, rng)
         assert 0.5 * a <= d.variation() <= a
-        assert abs(d.integral() - 1.0) < 1e-12
+        assert abs(d.samples.mean() - 1.0) < 1e-12
         assert d.min_value() >= 0.0
 
 

@@ -186,6 +186,21 @@ def test_rejects_non_expanding():
     with pytest.raises(MapFormError):
         # derivative 1.5 - pi cos(2 pi x) changes sign
         PiecewiseMap((BranchSpec(0.0, 1.0, 1.5, 0.0, 0.5),))
+    with pytest.raises(MapFormError, match="branch expansion 0.0 <= 1"):
+        affine_map(0.0, 0.3)  # natural marks would divide by the slope
+
+
+def test_affine_natural_marks_give_one_unit_per_branch():
+    # a decreasing lift crosses the integers -1, -2 on [0, 1), as an
+    # increasing one of the same modulus crosses 1, 2
+    for slope, offset, marks in ((2.5, 0.0, (0.0, 0.4, 0.8)),
+                                 (-2.5, 0.0, (0.0, 0.4, 0.8)),
+                                 (-3.0, 0.5, (0.0, 1 / 6, 0.5, 5 / 6))):
+        m = affine_map(slope, offset)
+        assert m.marked_points == pytest.approx(marks)
+        for b in m.branches:
+            flo, fhi, _ = b.image()
+            assert abs(fhi - flo) <= 1.0 + 1e-15
 
 
 def test_rejects_bad_tiling():

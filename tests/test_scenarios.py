@@ -10,9 +10,9 @@ from circlemix import (map_from_dict, neighborhood_distance, sine_map,
                        slope3_two_branch)
 from circlemix.cli import main
 from circlemix.config import read
-from circlemix.scenarios import (ABSORB, EXIT_CONFIG, EXIT_OK, GRID_MAX,
-                                 PLANS, REDRAW_LIMIT, VERIFY_LY, RunPlan,
-                                 ScenarioError,
+from circlemix.scenarios import (ABSORB, EXIT_CERTIFICATE, EXIT_CONFIG,
+                                 EXIT_OK, GRID_MAX, PLANS, REDRAW_LIMIT,
+                                 VERIFY_LY, RunPlan, ScenarioError,
                                  build_sequence, load_config, read_scenario,
                                  run_scenario)
 
@@ -487,11 +487,30 @@ def _recording_pool(monkeypatch):
 def test_cli_jobs_pool_holds_one_worker_per_scenario(tmp_path, monkeypatch,
                                                      capsys):
     sizes = _recording_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # on any host
     p = _two_scenarios(tmp_path)
     assert main(["couple", "--config", str(p), "--out", str(tmp_path / "o"),
                  "--jobs", "1000"]) == EXIT_OK
     assert sizes == [2]
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, []), (3, [3]), (None, [])])
+def test_cli_jobs_pool_holds_one_worker_per_cpu(tmp_path, monkeypatch,
+                                                capsys, cpus, workers):
+    # 4 scenarios with --jobs 1000: the CPU count bounds the pool, and one
+    # CPU (or an unknown count) runs the jobs in this process
+    sizes = _recording_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = json.loads(_two_scenarios(tmp_path).read_text())
+    cfg["scenarios"] += [dict(s, name=s["name"] + "b")
+                         for s in cfg["scenarios"]]
+    p = tmp_path / "four.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["couple", "--config", str(p), "--out", str(tmp_path / "o"),
+                 "--jobs", "1000"]) == EXIT_OK
+    assert sizes == workers
+    assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -581,7 +600,7 @@ def test_density_presets_deterministic():
     c = build_density({"preset": "sine-step", "k": 1, "amplitude": 0.5,
                        "step_amp": 0.3, "pieces": 8}, 512, rng_for(5))
     assert c.min_value() >= 0.0
-    assert abs(c.integral() - 1.0) < 1e-9
+    assert abs(c.samples.mean() - 1.0) < 1e-9
 
 
 # --- neighborhood draws against the one-at-a-time loop -----------------------
@@ -818,6 +837,10 @@ def test_cli_covering_sine_map_witnesses_escape(tmp_path, capsys):
     ("analyze-map", {"map": {"slope": 1e7}},
      "natural marks of slope 10000000.0 give 10000000 branches, more than "
      "1024"),
+    ("analyze-map", {"map": {"slope": 0}}, "branch expansion 0.0 <= 1"),
+    ("analyze-map", {"map": {"slope": -1e7}},
+     "natural marks of slope -10000000.0 give 10000000 branches, more than "
+     "1024"),
 ])
 def test_cli_calculators_bad_config_exit_2(tmp_path, capsys, command, cfg,
                                            message):
@@ -951,6 +974,59 @@ def test_huge_grid_exits_2_before_allocating(tmp_path, capsys, command, cfg,
     assert not any((tmp_path / "out").rglob("*.json"))
 
 
+def test_curve_probes_refine_until_the_half_windows_cover():
+    # 3 probes leave gaps in the half-window cover of slope 2.5 -> 3.5;
+    # each pass adds the first uncovered point
+    cfg = read_scenario(base_scenario(kind="curve-driven", n_max="auto",
+                                      curve=SLOPE_CURVE, probes=3))
+    plan = PLANS["curve-driven"](cfg)
+    ts = [p.t for p in plan.curve_cover.probes]
+    assert len(ts) == 15 and {0.0, 0.5, 1.0} <= set(ts)
+    assert plan.curve_cover.delta0 == pytest.approx(0.00368, abs=5e-6)
+    assert plan.mesh == plan.curve_cover.delta0
+
+
+def test_calculator_out_file_equals_stdout(tmp_path, capsys):
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"map": {"form": "two-slope-wrap"}}))
+    assert main(["analyze-map", "--config", str(mp), "--out",
+                 str(tmp_path / "o")]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["branches"] == 2
+    assert (tmp_path / "o" / "analysis.json").read_text() == printed
+
+
+def test_floor_below_the_subtraction_is_a_certificate_violation(
+        tmp_path, monkeypatch, capsys):
+    # every pushed density shifted down to minimum 0: at fixed-wrap's
+    # constants kappa - slack < 0, so only the subtraction rule refuses it
+    from circlemix import Density, coupling
+
+    push = coupling.push
+
+    def zero_min(op, d):
+        out = push(op, d)
+        return Density.from_samples(out.samples - out.min_value())
+
+    monkeypatch.setattr(coupling, "push", zero_min)
+    sc = dict(schema=1, name="wrap", kind="fixed-map", grid=2 ** 12,
+              n_max=60, seed=42,
+              phi={"preset": "random-bv", "a": 8.0},
+              psi={"preset": "uniform"},
+              family={"map": {"form": "two-slope-wrap"}})
+    p = tmp_path / "wrap.json"
+    p.write_text(json.dumps(sc))
+    assert main(["couple", "--config", str(p), "--out",
+                 str(tmp_path / "o")]) == EXIT_CERTIFICATE
+    assert "wrap: exit 1 (positivity floor" in capsys.readouterr().out
+    cert = json.loads((tmp_path / "o" / "wrap" / "certificate.json")
+                      .read_text())
+    assert cert["passed"] is False and cert["block"] == 1
+    assert cert["error"].startswith("positivity floor ")
+    assert "(mins (0.0, 0.0))" in cert["error"]
+    assert sorted(os.listdir(tmp_path / "o" / "wrap")) == ["certificate.json"]
+
+
 def test_count_limits_admit_their_ends():
     curve = base_scenario(kind="curve-driven", n_max="auto", curve=SLOPE_CURVE)
     for probes in (2, 1024):
@@ -963,6 +1039,9 @@ def test_count_limits_admit_their_ends():
         == 1024
     with pytest.raises(ValueError, match="1025 branches"):
         map_from_dict({"slope": 1024.0, "offset": 0.5})
+    assert len(map_from_dict({"slope": -1024.0}).branches) == 1024
+    with pytest.raises(ValueError, match="1025 branches"):
+        map_from_dict({"slope": -1024.0, "offset": 0.5})
 
 
 @pytest.mark.parametrize("seed", [7, 17, 18])
