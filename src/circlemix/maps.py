@@ -27,6 +27,11 @@ from .config import Field, Format, read
 
 TWO_PI = 2.0 * math.pi
 
+# The most units of image a map's branches span in total, and so the most
+# branches affine_map builds from natural marks, one unit each.  A map's
+# operator holds about span*G targets, one run per branch and unit.
+AFFINE_BRANCH_MAX = 1024
+
 # Circle points closer than this are treated as equal when classifying
 # branch junctions as continuous.
 CONTINUITY_TOL = 1e-12
@@ -353,6 +358,10 @@ class PiecewiseMap:
                 raise MapFormError("branch derivative changes sign (not monotone)")
             if lam <= 1.0:
                 raise MapFormError(f"branch expansion {lam} <= 1")
+        span = sum(abs(float(b.lift(b.hi)) - float(b.lift(b.lo))) for b in bs)
+        if not span <= AFFINE_BRANCH_MAX:
+            raise MapFormError(f"branch images span {span} units, more than "
+                               f"{AFFINE_BRANCH_MAX}")
         object.__setattr__(self, "branches", bs)
 
     @property
@@ -593,9 +602,6 @@ def _c2_norms(params, arcs, part1: float, samples: slice):
 # --- Builders for the map families used throughout ---------------------------
 
 MARKS = (0.0, 0.5)  # default marks of sine maps, curves and map families
-# The most branches affine_map builds from natural marks; every shipped map
-# has at most 3, and a map's work grows with its branch count.
-AFFINE_BRANCH_MAX = 1024
 
 
 def affine_map(slope: float, offset: float = 0.0,

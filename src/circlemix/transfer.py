@@ -10,11 +10,12 @@ so unless a mirror pairs one of them they are solved as one branch over
 their joined arcs, with one run of targets per lift offset (_lifts).  A
 run's bounds are counted in integers, as G is a power of two and target j
 of offset k is exactly (j + k*G)/G (_runs).  Most runs of targets read
-their samples by two gathers.  On an affine branch whose slope is a small
-rational p/q the preimages of a long run are p arithmetic progressions
-with exact, constant fractions, so such a run reads strided views with two
-scalar weights per progression instead (PHASE_MIN_LEN gives the rule and
-its measurements).  An odd sine map solves half of its preimages: where a
+their samples by two gathers; on an affine branch their sample positions
+come from the integers j + k*G (_affine_gather).  On an affine branch
+whose slope is a small rational p/q the preimages of a long run are p
+arithmetic progressions with exact, constant fractions, so such a run
+reads strided views with two scalar weights per progression instead
+(PHASE_MIN_LEN gives the rule and its measurements).  An odd sine map solves half of its preimages: where a
 branch on [1 - hi, 1 - lo) mirrors one on [lo, hi), with the same slope
 and amplitude and f(1 - x) = C - f(x) for an exact C with C*G an integer,
 the target (C*G - J)/G takes 1 - x for the root x of the target J/G, and
@@ -78,8 +79,9 @@ class TransferOperator:
 
     A run is stored as pieces (targets, sources, w0, w1).  A gather piece
     holds the whole run: a target slice, an array of i0 and weight arrays,
-    from the preimage solve (f' is the slope, on an affine branch), or on a
-    branch that mirrors an earlier one, from that branch's roots.  On an
+    from the preimage solve, or on a branch that mirrors an earlier one,
+    from that branch's roots, or on an affine branch, from integer targets
+    (_affine_gather).  On an
     affine branch of slope +-p/q (the float's exact ratio) target j + p
     lies q samples after target j (before, on a decreasing branch) with the
     same fraction, so a run of at least PHASE_MIN_LEN * p * q targets is
@@ -148,6 +150,8 @@ def _pieces(m: PiecewiseMap, G: int) -> list:
                 held.setdefault(n, []).append(
                     _held_run(b, G, k, ys[j0:j1] + k, j0, j1))
                 pieces.append(held[n][-1][-1])
+            elif b.is_affine:
+                pieces.append(_affine_gather(b, G, k, j0, j1))
             else:
                 pieces.append(_gather(b, G, j0, j1,
                                       *_solve_lift(b, ys[j0:j1] + k)))
@@ -286,6 +290,45 @@ def _gather(b: BranchSpec, G: int, j0: int, j1: int, xs: np.ndarray, deriv):
     frac = pos - i0
     inv = 1.0 / np.abs(deriv)  # a scalar on an affine branch
     return slice(j0, j1), i0.astype(np.intp), (1.0 - frac) * inv, frac * inv
+
+
+def _positions(b: BranchSpec, G: int, J0: int, n: int) -> np.ndarray:
+    """The sample positions (J - c*G)/s of the roots of the targets J/G,
+    J0 <= J < J0 + n, on the affine branch b: an array of n floats, in
+    one pass per operation from the integers J."""
+    pos = np.arange(J0, J0 + n, dtype=float)
+    pos -= b.offset * G
+    pos /= b.slope
+    return pos
+
+
+def _affine_gather(b: BranchSpec, G: int, k: int, j0: int, j1: int):
+    """The gather piece of the targets j0 <= j < j1 of lift offset k on the
+    affine branch b, equal bit for bit to _gather of the roots
+    _solve_lift gives.  Target j/G + k is exactly J/G with J = j + k*G,
+    and as G is a power of two, scaling by it commutes with rounding: the
+    root's position ((J/G - c)/s)*G is the float (J - c*G)/s (_positions),
+    unless the root (J/G - c)/s is subnormal, where it is rounded more
+    coarsely.  Positions are monotone in J, so the wrap check and the index
+    check read the run's two ends; a run that wraps is checked in full."""
+    pos = _positions(b, G, j0 + k * G, j1 - j0)
+    lo, hi = (pos[0], pos[-1]) if b.slope > 0 else (pos[-1], pos[0])
+    if hi >= G:  # a float root at the arc's end can reach x = 1
+        pos[pos >= G] -= G
+        lo, hi = pos.min(), pos.max()
+    # floor(pos) lies in [0, G - 1] when pos does in [0, G); NaN fails
+    if not (lo >= 0.0 and hi < G):
+        raise TransferError(
+            f"preimage sample index outside [0, {G - 1}] on {b}")
+    if lo == 0.0:  # 0/s is -0.0 for s < 0; _gather's fraction there is 0.0
+        pos[pos == 0.0] = 0.0
+    i0 = pos.astype(np.intp)  # the floor, as pos >= 0
+    frac = np.subtract(pos, i0, out=pos)
+    inv = 1.0 / abs(b.slope)
+    w0 = np.subtract(1.0, frac)
+    w0 *= inv
+    frac *= inv
+    return slice(j0, j1), i0, w0, frac
 
 
 def _phases(b: BranchSpec, G: int, k: int, j0: int, j1: int) -> list:

@@ -203,6 +203,22 @@ def test_affine_natural_marks_give_one_unit_per_branch():
             assert abs(fhi - flo) <= 1.0 + 1e-15
 
 
+def test_branch_images_span_at_most_affine_branch_max_units():
+    # the rule natural marks obey, one unit per branch: 1024 branches of
+    # slope 1024 build, and so do 1024 units from explicit branches, on
+    # one branch, on two, or on a sine branch
+    assert len(affine_map(1024.0).branches) == 1024
+    PiecewiseMap((BranchSpec(0.0, 1.0, 1024.0),))
+    PiecewiseMap((BranchSpec(0.0, 0.5, 1024.0),
+                  BranchSpec(0.5, 1.0, -1024.0, 0.3)))
+    sine_map(1024.0, 0.05, 0.0, (0.0,))
+    for steep in ((BranchSpec(0.0, 1.0, 1024.5),),
+                  (BranchSpec(0.0, 0.5, 3.0), BranchSpec(0.5, 1.0, -2046.0)),
+                  (BranchSpec(0.0, 1.0, 1025.0, 0.0, 0.05),)):
+        with pytest.raises(MapFormError, match="more than 1024"):
+            PiecewiseMap(steep)
+
+
 def test_rejects_bad_tiling():
     with pytest.raises(MapFormError):
         PiecewiseMap((BranchSpec(0.0, 0.5, 3.0), BranchSpec(0.6, 1.0, 3.0)))

@@ -841,6 +841,10 @@ def test_cli_covering_sine_map_witnesses_escape(tmp_path, capsys):
     ("analyze-map", {"map": {"slope": -1e7}},
      "natural marks of slope -10000000.0 give 10000000 branches, more than "
      "1024"),
+    *(("analyze-map", {"map": steep},
+       "branch images span 10000000.0 units, more than 1024")
+      for steep in ({"slope": 1e7, "marks": [0.0, 0.5]},
+                    {"branches": [{"lo": 0, "hi": 1, "slope": 1e7}]})),
 ])
 def test_cli_calculators_bad_config_exit_2(tmp_path, capsys, command, cfg,
                                            message):
@@ -851,6 +855,17 @@ def test_cli_calculators_bad_config_exit_2(tmp_path, capsys, command, cfg,
     assert captured.out == ""
     assert captured.err.startswith(f"{command} error: ")
     assert message in captured.err
+
+
+@pytest.mark.parametrize("steep", [
+    {"slope": 1e7, "marks": [0.0, 0.5]},
+    {"branches": [{"lo": 0, "hi": 1, "slope": 1e7}]}])
+def test_steep_map_run_exits_2_before_building(tmp_path, steep):
+    # an operator of these maps would hold 10^7 * 1024 targets
+    res = run_scenario(base_scenario(n_max=2, family={"map": steep}),
+                       tmp_path / "steep")
+    assert res.exit_code == EXIT_CONFIG
+    assert "branch images span 10000000.0 units, more than 1024" in res.message
 
 
 @pytest.mark.parametrize("command", ["analyze-map", "absorb", "verify-ly",
@@ -984,6 +999,36 @@ def test_curve_probes_refine_until_the_half_windows_cover():
     assert len(ts) == 15 and {0.0, 0.5, 1.0} <= set(ts)
     assert plan.curve_cover.delta0 == pytest.approx(0.00368, abs=5e-6)
     assert plan.mesh == plan.curve_cover.delta0
+
+
+def test_wide_curve_plan_computes_each_probe_once(tmp_path, monkeypatch):
+    # probes 9 on slope 2.5 -> 5.5 refine to 41 in 33 passes, each pass
+    # over the whole growing probe list: 825 probe evaluations before the
+    # probe memo, and 41 with it.  The plan is the one recorded before the
+    # memo (wide_curve_plan.json).
+    from circlemix import bounds
+    from circlemix.config import write_json
+
+    bounds._probe.cache_clear()  # the memo is process-wide
+    maps = []
+    horizon = bounds.positivity_horizon
+    monkeypatch.setattr(bounds, "positivity_horizon",
+                        lambda g, *args: maps.append(g) or horizon(g, *args))
+    wide = {"family": "slope", "s0": 2.5, "s1": 5.5, "interval": [0, 1]}
+    cfg = read_scenario(base_scenario(kind="curve-driven", n_max="auto",
+                                      curve=wide, probes=9))
+    cover = PLANS["curve-driven"](cfg).curve_cover
+    assert len(cover.probes) == 41
+    assert len(maps) == 41 and len(set(maps)) == 41
+    assert cover.delta0 == 0.0006127450974264706
+    write_json(tmp_path / "curve_plan.json", cover.as_dict())
+    golden = os.path.join(os.path.dirname(__file__), "wide_curve_plan.json")
+    with open(golden, "rb") as fh:
+        assert (tmp_path / "curve_plan.json").read_bytes() == fh.read()
+    # a second plan of the same spec computes no probe again
+    PLANS["curve-driven"](read_scenario(base_scenario(
+        kind="curve-driven", n_max="auto", curve=dict(wide), probes=9)))
+    assert len(maps) == 41
 
 
 def test_calculator_out_file_equals_stdout(tmp_path, capsys):

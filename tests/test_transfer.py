@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlemix import (BranchSpec, Density, PiecewiseMap, affine_map, analyze,
@@ -792,11 +792,13 @@ def test_push_refuses_a_density_on_another_grid():
         push(op, Density.uniform(128))
 
 
-@pytest.mark.parametrize("xs", [-0.5, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("xs", [-0.5, math.nan, 2.5],
+                         ids=["negative", "nan", "past-G"])
 def test_out_of_range_preimage_index_refused(monkeypatch, xs):
-    # doubling at G = 64 gathers, so the solve's roots reach the check
-    monkeypatch.setattr(transfer, "_solve_lift",
-                        lambda b, t: (np.full_like(t, xs), b.slope))
+    # doubling at G = 64 gathers, so the affine positions reach the check;
+    # a position of 2.5*G stays past G after the wrap at x = 1
+    monkeypatch.setattr(transfer, "_positions",
+                        lambda b, G, J0, n: np.full(n, xs * G))
     with pytest.raises(TransferError, match="outside"):
         TransferOperator(doubling_map(), 64)
 
@@ -817,6 +819,75 @@ def test_out_of_range_phase_index_refused(monkeypatch, below, above):
     monkeypatch.setattr(transfer, "PHASE_MIN_LEN", 1)
     with pytest.raises(TransferError, match=r"outside \[0, 63\]"):
         TransferOperator(doubling_map(), 64)
+
+
+# --- affine gathers from integer positions ----------------------------------
+
+
+@st.composite
+def affine_branches(draw):
+    """(b, G): an affine branch of either orientation on [lo, hi), hi often
+    1, on a grid G = 2 .. 2^16.  Its offset is arbitrary, or puts lift(hi)
+    on a grid target and moves it by a few ulps, so that a root can round
+    onto x = 1.  Offsets are 0 or of modulus at least 1e-300: below that,
+    _solve_lift's root (t - c)/s is subnormal and rounded more coarsely
+    than the position (J - c*G)/s."""
+    G = 2 ** draw(st.integers(1, 16))
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (0.5, 1.0), (0.25, 1.0),
+                                   (0.0, 0.5), (0.3, 0.7)]))
+    slope = draw(st.sampled_from([1.0, -1.0])) * draw(
+        st.floats(1.01, 12.0) | st.sampled_from([2.0, 2.25, 2.5, 3.0, 5.0]))
+    if draw(st.booleans()):
+        offset = draw(st.floats(-4.0, 4.0).filter(
+            lambda c: c == 0.0 or abs(c) >= 1e-300))
+    else:
+        offset = draw(st.integers(-4 * G, 4 * G)) / G - slope * hi
+        ulps = draw(st.integers(-4, 4))
+        for _ in range(abs(ulps)):
+            offset = math.nextafter(offset, math.copysign(math.inf, ulps))
+    return BranchSpec(lo, hi, slope, offset), G
+
+
+# roots that round onto x = 1, one per orientation
+WRAPS = [(BranchSpec(0.5, 1.0, 2.25, -1.9999999999999998), 256),
+         (BranchSpec(0.5, 1.0, -5.0, 2.9999999999999996), 2 ** 15)]
+
+
+def test_wrap_cases_wrap():
+    for b, G in WRAPS:
+        assert any((transfer._positions(b, G, j0 + k * G, j1 - j0) >= G).any()
+                   for k, j0, j1 in transfer._runs(b, G))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(case=affine_branches())
+@example(case=WRAPS[0])
+@example(case=WRAPS[1])
+def test_affine_gather_matches_the_solved_gather(case):
+    # the pieces from integer positions, against _gather of the roots
+    # _solve_lift gives, bit for bit (or the same refusal)
+    b, G = case
+    ys = np.arange(G) / G
+    for k, j0, j1 in transfer._runs(b, G):
+        try:
+            want = transfer._gather(b, G, j0, j1,
+                                    *transfer._solve_lift(b, ys[j0:j1] + k))
+        except TransferError:
+            with pytest.raises(TransferError, match="outside"):
+                transfer._affine_gather(b, G, k, j0, j1)
+            continue
+        got = transfer._affine_gather(b, G, k, j0, j1)
+        assert got[0] == want[0]
+        for x, y in zip(got[1:], want[1:]):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_out_of_range_sine_root_index_refused(monkeypatch):
+    # a single sine branch mirrors no other, so its roots are gathered
+    monkeypatch.setattr(transfer, "_solve_lift",
+                        lambda b, t: (np.full_like(t, -0.5), b.slope))
+    with pytest.raises(TransferError, match="outside"):
+        TransferOperator(sine_map(3.0, 0.05, 0.0, (0.0,)), 64)
 
 
 # --- exact phases on affine branches of slope +-p/q -------------------------
