@@ -6,11 +6,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from . import covering, maps
 from .config import write_json
 from .covering import CoveringReport, positivity_horizon
 from .maps import PiecewiseMap, analyze, neighborhood_distance
@@ -20,13 +18,6 @@ from .maps import PiecewiseMap, analyze, neighborhood_distance
 # floored (affine maps contract the ratio cone every step regardless).
 C0_FLOOR = 1e-6
 DENSE_SAMPLES = 65  # evenly spaced parameters bounding a curve's family
-# The most probes _probe keeps, least recently used out first: enough for
-# one plan of the largest probe count, 1024, and its at most 64 refinements
-# (scenarios.plan_curve).  A probe of the slope curves 2.5 -> 3.5 and
-# 2.5 -> 5.5 holds 30-43 KB (tracemalloc of what cache_clear frees, 9-200
-# entries), so a full memo of such probes holds about 47 MB, as much as
-# that plan holds while it runs.
-PROBE_MEMO = 1024 + 64
 
 
 def tau_piecewise(a: float, a_star: float, lambda0: float, A0: float) -> int:
@@ -308,25 +299,9 @@ def _greedy_cover(windows, a: float, b: float):
     return chosen, None
 
 
-@lru_cache(maxsize=PROBE_MEMO)
-def _probe(curve, t: float, a_star: float, eps: float | None,
-           fam: FamilyBounds, consts: tuple) -> ProbeInfo:
-    """The constants of the probe t of delta0_of_curve, memoized by value:
-    the curve (curves compare by value, see MapCurve), t, a*, the radius
-    rule eps, the family bounds and consts, the module constants the
-    covering and alpha read, so a value computed under other constants is
-    never returned.  A probe that raises is not kept."""
-    g = curve(t)
-    radius = default_eps_rule(g) if eps is None else float(eps)
-    cov = positivity_horizon(g, a_star, radius)
-    tau = tau_piecewise(a_star / (1.0 - cov.kappa_eps), a_star,
-                        fam.lambda0, fam.A0)
-    alpha = _alpha_radius(curve, t, g, radius)
-    return ProbeInfo(t=t, eps=radius, alpha=alpha, covering=cov, tau=tau)
-
-
 def delta0_of_curve(curve, probe_grid, a_star: float | None = None,
-                    eps: float | None = None) -> CurveCover:
+                    eps: float | None = None,
+                    known: CurveCover | None = None) -> CurveCover:
     """Safe parameter mesh along a curve of maps (a `MapCurve`).
 
     For each probe: the admissible radius (`eps`, or `default_eps_rule`
@@ -338,9 +313,11 @@ def delta0_of_curve(curve, probe_grid, a_star: float | None = None,
     alpha/(2 * block) -- taking every probe, not just the chosen cover,
     keeps the certified mesh monotone under probe refinement (a superset
     of probes never certifies a larger mesh) at the cost of a slightly
-    conservative value.  Each probe's constants come from _probe's memo,
-    so a probe computed before, in a refinement pass or an earlier run of
-    an equal curve, is not computed again.
+    conservative value.  `known` is the cover of an earlier call on the
+    same curve and eps (the previous refinement pass of
+    scenarios.plan_curve): when its family bounds and a_star equal this
+    call's, a probe at one of its parameters is taken from it, not
+    computed again.
     """
     probe_grid = sorted(float(t) for t in probe_grid)
     if not probe_grid:
@@ -350,11 +327,21 @@ def delta0_of_curve(curve, probe_grid, a_star: float | None = None,
     fam = family_bounds([curve(t) for t in dense])
     if a_star is None:
         a_star = default_a_star(fam)
-    # the constants the probe's covering and alpha read at call time
-    consts = (covering.PARTITION_CAP, covering.FLOAT_MARGIN,
-              covering.FLOAT_DEDUPE, covering.ESCAPE_CAP_FACTOR,
-              covering.ENVELOPING_MAX, maps.NEIGHBORHOOD_GRID)
-    probes = [_probe(curve, t, a_star, eps, fam, consts) for t in probe_grid]
+    reuse = {}
+    if known is not None and (known.family, known.a_star) == (fam, a_star):
+        reuse = {p.t: p for p in known.probes}
+    probes = []
+    for t in probe_grid:
+        if t in reuse:
+            probes.append(reuse[t])
+            continue
+        g = curve(t)
+        radius = default_eps_rule(g) if eps is None else float(eps)
+        cov = positivity_horizon(g, a_star, radius)
+        tau = tau_piecewise(a_star / (1.0 - cov.kappa_eps), a_star,
+                            fam.lambda0, fam.A0)
+        alpha = _alpha_radius(curve, t, g, radius)
+        probes.append(ProbeInfo(t=t, eps=radius, alpha=alpha, covering=cov, tau=tau))
     windows = [(p.t - p.alpha / 2, p.t + p.alpha / 2) for p in probes]
     chosen, uncovered = _greedy_cover(windows, a, b)
     if chosen is None:

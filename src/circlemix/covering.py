@@ -21,6 +21,7 @@ merged, and covering checks then require a FLOAT_MARGIN margin.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from bisect import bisect_right
@@ -110,6 +111,9 @@ class _Ints:
             scaled = [[n * (self.Q // d) for n, d in r] for r in rs]
             self._lefts[key] = [lam for lam, _, _ in scaled]
             self._lifts[key] = [(sig, om) for _, sig, om in scaled]
+        self._start(lo, hi)
+
+    def _start(self, lo, hi) -> None:
         lo, hi = Fraction(lo), Fraction(hi)
         self.unit0 = self.unit = self.Q * math.lcm(lo.denominator,
                                                    hi.denominator)
@@ -173,6 +177,9 @@ class _Floats:
     def __init__(self, maps, lo, hi):
         self._signs = {id(m): [1 if b.increasing else -1 for b in m.branches]
                        for m in maps}
+        self._start(lo, hi)
+
+    def _start(self, lo, hi) -> None:
         lo, hi = float(lo), float(hi)
         self.root = (lo, hi, (), (1, None), lo, hi)
 
@@ -232,6 +239,13 @@ class _Floats:
 
 def _arith(maps, lo=0, hi=1):
     return (_Ints if _all_affine(maps) else _Floats)(maps, lo, hi)
+
+
+def _over(ar, lo, hi):
+    """A traversal of ar's maps from [lo, hi], sharing ar's tables of them."""
+    fresh = copy.copy(ar)
+    fresh._start(lo, hi)
+    return fresh
 
 
 def _cuts(a, b, bps, unit) -> list[tuple]:
@@ -373,25 +387,36 @@ def escape_time(g: PiecewiseMap, J: Cylinder):
     points inside it by `_cuts`, as the depth generator does, keeps the
     longer piece (ties toward the piece with the smaller start) and maps it
     through its own branch.  The witness is pulled back through the
-    composed lift.  Containment of a first-level interval is checked in the
+    composed lift; in exact arithmetic, while every step has kept the
+    whole arc, the arc is the image of J and the witness is J itself.
+    Containment of a first-level interval is checked in the
     closed sense.  At most ESCAPE_CAP_FACTOR steps per itinerary entry
     are taken.
     """
-    ar = _arith([g], J.lo, J.hi)
+    return _escape(_arith([g], J.lo, J.hi), g, J)
+
+
+def _escape(ar, g: PiecewiseMap, J: Cylinder):
+    """escape_time of J over ar, a traversal of [g] rooted at J."""
     piece, ends = ar.root, ar.breakpoints(g)
     if _holds_branch(piece[0], piece[1], ends, ar.unit):
         return 0, (J.lo, J.hi)
     cap = ESCAPE_CAP_FACTOR * max(1, len(J.itinerary))
+    whole = isinstance(ar, _Ints)
     for k in range(1, cap + 1):
         unit = ar.unit
         cuts = _cuts(piece[0], piece[1], ends, unit)
         if len(cuts) > 2:
             raise CoveringError("arc straddles more than one partition point")
-        cut = max(cuts, key=lambda c: (c[1] - c[0], -(c[0] % unit)))
+        whole = whole and len(cuts) == 1
+        cut = cuts[0] if len(cuts) == 1 else max(
+            cuts, key=lambda c: (c[1] - c[0], -(c[0] % unit)))
         (piece,) = ar.split(piece, [cut], g)
         ar.advance()
         ends = ar.breakpoints(g)
         if _holds_branch(piece[0], piece[1], ends, ar.unit):
+            if whole:
+                return k, (J.lo, J.hi)
             wa, wb = (ar.pull_back(piece[3], c) for c in piece[:2])
             return k, (min(wa, wb), max(wa, wb))
     raise CoveringError(
@@ -456,8 +481,9 @@ def positivity_horizon(g: PiecewiseMap, a_star: float,
     n1, cyls = refine_until(g, a_star)
     table = []
     s0 = 0
+    ar = _arith([g])
     for c in cyls:
-        s, witness = escape_time(g, c)
+        s, witness = _escape(_over(ar, c.lo, c.hi), g, c)
         table.append((c, s, witness))
         s0 = max(s0, s)
     n0 = s0 + N

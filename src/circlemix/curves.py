@@ -16,10 +16,7 @@ class MapCurve:
 
     `lipschitz` is an upper bound L on
     neighborhood_distance(curve(t), curve(t0)) / |t - t0|; the safe
-    parameter mesh is computed from it in closed form.  The factories of
-    slope_curve and sine_amplitude_curve are frozen values, so their
-    curves compare and hash by value, and bounds.delta0_of_curve can
-    memoize a probe by its curve.
+    parameter mesh is computed from it in closed form.
     """
 
     a: float
@@ -39,46 +36,19 @@ class MapCurve:
         return self.factory(min(max(t, self.a), self.b))
 
 
-@dataclass(frozen=True)
-class _Slope:
-    """The map of parameter t of slope_curve: a frozen value, so curves
-    built from one spec compare and hash equal."""
-
-    s0: float
-    s1: float
-    a: float
-    b: float
-    marks: tuple[float, ...]
-
-    def __call__(self, t: float) -> PiecewiseMap:
-        s = self.s0 + (self.s1 - self.s0) * (t - self.a) / (self.b - self.a)
-        return affine_map(s, 0.0, self.marks)
-
-
-@dataclass(frozen=True)
-class _SineAmplitude:
-    """The map of parameter t of sine_amplitude_curve (see _Slope)."""
-
-    slope: float
-    a0: float
-    a1: float
-    a: float
-    b: float
-    marks: tuple[float, ...]
-
-    def __call__(self, t: float) -> PiecewiseMap:
-        amp = self.a0 + (self.a1 - self.a0) * (t - self.a) / (self.b - self.a)
-        return sine_map(self.slope, amp, 0.0, self.marks)
-
-
 def slope_curve(s0: float, s1: float, interval=(0.0, 1.0),
                 marks=MARKS) -> MapCurve:
     """Affine family s(t)*x mod 1 with a fixed branch partition; the slope
     interpolates linearly from s0 to s1 across the interval.  Two maps
     differ by h = ds*x, so sup|h| + sup|h'| = 2|ds|."""
     a, b = interval
-    return MapCurve(a, b, _Slope(s0, s1, a, b, tuple(marks)),
-                    2.0 * abs(s1 - s0) / (b - a), label=f"slope[{s0},{s1}]")
+
+    def factory(t: float) -> PiecewiseMap:
+        s = s0 + (s1 - s0) * (t - a) / (b - a)
+        return affine_map(s, 0.0, marks)
+
+    return MapCurve(a, b, factory, 2.0 * abs(s1 - s0) / (b - a),
+                    label=f"slope[{s0},{s1}]")
 
 
 def sine_amplitude_curve(slope: float, a0: float, a1: float,
@@ -87,9 +57,14 @@ def sine_amplitude_curve(slope: float, a0: float, a1: float,
     Two maps differ by h = da*sin(2 pi x), so the C2 norm of h is
     (1 + 2 pi + 4 pi^2)|da|."""
     a, b = interval
+
+    def factory(t: float) -> PiecewiseMap:
+        amp = a0 + (a1 - a0) * (t - a) / (b - a)
+        return sine_map(slope, amp, 0.0, marks)
+
     c2 = 1.0 + 2.0 * math.pi + 4.0 * math.pi ** 2
-    return MapCurve(a, b, _SineAmplitude(slope, a0, a1, a, b, tuple(marks)),
-                    c2 * abs(a1 - a0) / (b - a), label=f"sineamp[{a0},{a1}]")
+    return MapCurve(a, b, factory, c2 * abs(a1 - a0) / (b - a),
+                    label=f"sineamp[{a0},{a1}]")
 
 
 _PATH = {"interval": (0.0, 1.0), "marks": MARKS}

@@ -279,8 +279,10 @@ def plan_curve(cfg: dict) -> RunPlan:
     each block on the constants of the probe anchoring its start."""
     curve = curve_from_dict(cfg["curve"])
     probes = list(np.linspace(curve.a, curve.b, cfg["probes"]))
+    cover = None
     for _ in range(64):
-        cover = bnd.delta0_of_curve(curve, probes, cfg["a_star"], cfg["eps"])
+        cover = bnd.delta0_of_curve(curve, probes, cfg["a_star"], cfg["eps"],
+                                    cover)
         if cover.covered:
             break
         probes = sorted({*probes, cover.uncovered_at})

@@ -11,7 +11,7 @@ their joined arcs, with one run of targets per lift offset (_lifts).  A
 run's bounds are counted in integers, as G is a power of two and target j
 of offset k is exactly (j + k*G)/G (_runs).  Most runs of targets read
 their samples by two gathers; on an affine branch their sample positions
-come from the integers j + k*G (_affine_gather).  On an affine branch
+come from the integers j + k*G (_affine_gathers).  On an affine branch
 whose slope is a small rational p/q the preimages of a long run are p
 arithmetic progressions with exact, constant fractions, so such a run
 reads strided views with two scalar weights per progression instead
@@ -81,7 +81,7 @@ class TransferOperator:
     holds the whole run: a target slice, an array of i0 and weight arrays,
     from the preimage solve, or on a branch that mirrors an earlier one,
     from that branch's roots, or on an affine branch, from integer targets
-    (_affine_gather).  On an
+    (_affine_gathers).  On an
     affine branch of slope +-p/q (the float's exact ratio) target j + p
     lies q samples after target j (before, on a decreasing branch) with the
     same fraction, so a run of at least PHASE_MIN_LEN * p * q targets is
@@ -127,7 +127,8 @@ class TransferOperator:
 
 def _pieces(m: PiecewiseMap, G: int) -> list:
     """The pieces of every run, lift by lift (see _lifts)."""
-    ys = np.arange(G) / G
+    # the grid targets, which only sine branches solve for
+    ys = None if all(b.is_affine for b in m.branches) else np.arange(G) / G
     mirrors = _mirrors(m, G)
     firsts = {i for i, _ in mirrors.values()}
     held = {}  # the solved runs of a branch, until its mirror builds
@@ -143,18 +144,23 @@ def _pieces(m: PiecewiseMap, G: int) -> list:
         # a run of at least min_run targets is applied as phases
         min_run = (PHASE_MIN_LEN * math.prod(abs(b.slope).as_integer_ratio())
                    if b.is_affine else math.inf)
+        gathers = []  # consecutive affine gather runs, built at once
         for k, j0, j1 in _runs(b, G):
+            if b.is_affine and j1 - j0 < min_run:
+                gathers.append((k, j0, j1))
+                continue
+            pieces += _affine_gathers(b, G, gathers)
+            gathers = []
             if j1 - j0 >= min_run:
                 pieces += _phases(b, G, k, j0, j1)
             elif n in firsts:  # no local keeps the run past its mirror
                 held.setdefault(n, []).append(
                     _held_run(b, G, k, ys[j0:j1] + k, j0, j1))
                 pieces.append(held[n][-1][-1])
-            elif b.is_affine:
-                pieces.append(_affine_gather(b, G, k, j0, j1))
             else:
                 pieces.append(_gather(b, G, j0, j1,
                                       *_solve_lift(b, ys[j0:j1] + k)))
+        pieces += _affine_gathers(b, G, gathers)
     return pieces
 
 
@@ -277,8 +283,8 @@ def _mirrored(b: BranchSpec, G: int, t: np.ndarray, j0: int, j1: int,
 
 
 def _gather(b: BranchSpec, G: int, j0: int, j1: int, xs: np.ndarray, deriv):
-    """The gather piece of the targets j0 <= j < j1, from their roots xs
-    and f' there."""
+    """The gather piece of the targets j0 <= j < j1 on the sine branch b,
+    from their roots xs and the array f' there."""
     pos = xs * G
     pos[pos >= G] -= G  # a float root at the arc's end can reach x = 1
     i0 = np.floor(pos)
@@ -288,7 +294,7 @@ def _gather(b: BranchSpec, G: int, j0: int, j1: int, xs: np.ndarray, deriv):
         raise TransferError(
             f"preimage sample index outside [0, {G - 1}] on {b}")
     frac = pos - i0
-    inv = 1.0 / np.abs(deriv)  # a scalar on an affine branch
+    inv = 1.0 / np.abs(deriv)
     return slice(j0, j1), i0.astype(np.intp), (1.0 - frac) * inv, frac * inv
 
 
@@ -302,16 +308,21 @@ def _positions(b: BranchSpec, G: int, J0: int, n: int) -> np.ndarray:
     return pos
 
 
-def _affine_gather(b: BranchSpec, G: int, k: int, j0: int, j1: int):
-    """The gather piece of the targets j0 <= j < j1 of lift offset k on the
-    affine branch b, equal bit for bit to _gather of the roots
-    _solve_lift gives.  Target j/G + k is exactly J/G with J = j + k*G,
-    and as G is a power of two, scaling by it commutes with rounding: the
-    root's position ((J/G - c)/s)*G is the float (J - c*G)/s (_positions),
-    unless the root (J/G - c)/s is subnormal, where it is rounded more
-    coarsely.  Positions are monotone in J, so the wrap check and the index
-    check read the run's two ends; a run that wraps is checked in full."""
-    pos = _positions(b, G, j0 + k * G, j1 - j0)
+def _affine_gathers(b: BranchSpec, G: int, runs: list) -> list:
+    """The gather pieces of the runs (k, j0, j1) of the affine branch b,
+    consecutive lift offsets whose targets J = j + k*G follow one another,
+    equal bit for bit to _gather of the roots _solve_lift gives.  Target
+    j/G + k is exactly J/G, and as G is a power of two, scaling by it
+    commutes with rounding: the root's position ((J/G - c)/s)*G is the
+    float (J - c*G)/s (_positions), unless the root (J/G - c)/s is
+    subnormal, where it is rounded more coarsely.  The positions of all
+    the runs are computed at once, and each piece holds views of them.
+    They are monotone in J, so the wrap check and the index check read
+    the two ends; positions that wrap are checked in full."""
+    if not runs:
+        return []
+    J0 = runs[0][0] * G + runs[0][1]
+    pos = _positions(b, G, J0, runs[-1][0] * G + runs[-1][2] - J0)
     lo, hi = (pos[0], pos[-1]) if b.slope > 0 else (pos[-1], pos[0])
     if hi >= G:  # a float root at the arc's end can reach x = 1
         pos[pos >= G] -= G
@@ -328,7 +339,11 @@ def _affine_gather(b: BranchSpec, G: int, k: int, j0: int, j1: int):
     w0 = np.subtract(1.0, frac)
     w0 *= inv
     frac *= inv
-    return slice(j0, j1), i0, w0, frac
+    pieces = []
+    for k, j0, j1 in runs:
+        run = slice(k * G + j0 - J0, k * G + j1 - J0)
+        pieces.append((slice(j0, j1), i0[run], w0[run], frac[run]))
+    return pieces
 
 
 def _phases(b: BranchSpec, G: int, k: int, j0: int, j1: int) -> list:

@@ -4,16 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from circlemix import bounds, covering
+from circlemix import bounds
 from circlemix import (BoundsReport, cone_parameter, delta0_of_curve,
                        distortion_constant, family_bounds, lambda_local,
                        neighborhood_distance, sine_amplitude_curve, sine_map,
                        slope_curve, slope3_two_branch,
                        smooth_positivity_floor, tau_piecewise, tau_smooth)
 from circlemix.bounds import default_a_star, default_eps_rule
-from circlemix.covering import (CoveringError, NotEnvelopingError,
-                                PartitionExplosionError)
-from circlemix.curves import MapCurve, curve_from_dict
+from circlemix.curves import MapCurve
 
 
 def tau_piecewise_oracle(a, a_star, lambda0, A0):
@@ -227,80 +225,24 @@ def test_bounds_report_round_trips_and_grid_slack(tmp_path):
     assert smooth.grid_slack(1024) == 20.0 * smooth.L_star / 1024
 
 
-# --- curves compare by value, and the probe memo -----------------------------
+# --- probes reused from an earlier cover -------------------------------------
 
-WIDE = {"family": "slope", "s0": 2.5, "s1": 5.5, "interval": [0, 1]}
-SINE = {"family": "sine-amplitude", "slope": 3.0, "a0": 0.0, "a1": 0.01}
-EIGHTHS = [i / 8 for i in range(9)]
-
-
-def test_curves_from_one_spec_compare_and_hash_equal():
-    for spec in (WIDE, SINE):
-        one, two = curve_from_dict(dict(spec)), curve_from_dict(dict(spec))
-        assert one is not two
-        assert one == two and hash(one) == hash(two)
-        assert one.factory == two.factory
-    assert slope_curve(2.5, 3.5) == slope_curve(2.5, 3.5, [0.0, 1.0], [0, 0.5])
-    wide = curve_from_dict(dict(WIDE))
-    # only the factory tells these apart from wide
-    marks = curve_from_dict({**WIDE, "marks": [0.0, 0.25, 0.5, 0.75]})
-    assert (marks.a, marks.b, marks.lipschitz, marks.label) == (
-        wide.a, wide.b, wide.lipschitz, wide.label)
-    assert marks != wide and marks.factory != wide.factory
-    moved = curve_from_dict({**WIDE, "interval": [0.5, 1.5]})
-    assert moved != wide and moved.factory != wide.factory
-    assert moved(1.0) == wide(0.5) and moved(0.5) != wide(0.5)
-
-
-def test_curves_of_lambdas_compare_by_identity():
-    g = slope3_two_branch()
-    one = MapCurve(0.0, 1.0, lambda t: g, lipschitz=0.0, label="const")
-    two = MapCurve(0.0, 1.0, lambda t: g, lipschitz=0.0, label="const")
-    assert one != two and one == one
-    assert (delta0_of_curve(one, [0.5]).probes
-            == delta0_of_curve(two, [0.5]).probes)
-
-
-def test_probe_memo_computes_a_probe_once_per_value(monkeypatch):
-    bounds._probe.cache_clear()  # the memo is process-wide
-    maps = []
+def test_delta0_takes_probes_from_an_equal_earlier_cover(monkeypatch):
+    computed = []
     horizon = bounds.positivity_horizon
     monkeypatch.setattr(bounds, "positivity_horizon",
-                        lambda g, *args: maps.append(g) or horizon(g, *args))
-    first = delta0_of_curve(curve_from_dict(dict(WIDE)), EIGHTHS)
-    again = delta0_of_curve(curve_from_dict(dict(WIDE)), EIGHTHS[::-1])
-    assert len(maps) == 9
-    assert all(p is q for p, q in zip(first.probes, again.probes))
-    assert again == first
-    # another a_star, eps or curve is another probe
-    delta0_of_curve(curve_from_dict(dict(WIDE)), [0.5], a_star=40.0)
-    delta0_of_curve(curve_from_dict(dict(WIDE)), [0.5], eps=0.1)
-    delta0_of_curve(curve_from_dict({**WIDE, "s1": 5.0}), [0.5])
-    assert len(maps) == 12
-
-
-@pytest.mark.parametrize("name, value, error", [
-    ("ENVELOPING_MAX", 0, NotEnvelopingError),
-    ("PARTITION_CAP", 1, PartitionExplosionError),
-    ("ESCAPE_CAP_FACTOR", 0, CoveringError),
-])
-def test_probe_memo_keys_on_the_covering_constants(monkeypatch, name, value,
-                                                   error):
-    curve = slope_curve(2.5, 3.5)
-    assert delta0_of_curve(curve, EIGHTHS).covered  # kept in the memo
-    monkeypatch.setattr(covering, name, value)
-    with pytest.raises(error):
-        delta0_of_curve(curve, EIGHTHS)
-    monkeypatch.undo()
-    assert delta0_of_curve(curve, EIGHTHS).covered
-
-
-def test_probe_memo_values_are_immutable():
-    p = delta0_of_curve(slope_curve(2.5, 3.5), [0.5]).probes[0]
-    cov = p.covering
-    for obj, field in ((p, "tau"), (cov, "n0"), (cov.s_table[0][0], "lo")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, field, 0)
-    assert isinstance(cov.s_table, tuple) and cov.s_table
-    for cyl, _, witness in cov.s_table:
-        assert isinstance(cyl.itinerary, tuple) and isinstance(witness, tuple)
+                        lambda g, *args: computed.append(g) or horizon(g, *args))
+    curve = slope_curve(2.5, 5.5)
+    first = delta0_of_curve(curve, [0.0, 0.5, 1.0])
+    again = delta0_of_curve(curve, [0.0, 0.25, 0.5, 1.0], known=first)
+    assert len(computed) == 4
+    assert all(again.probes[i] is first.probes[j]
+               for i, j in ((0, 0), (2, 1), (3, 2)))
+    assert again == delta0_of_curve(curve, [0.0, 0.25, 0.5, 1.0])
+    # another a_star, or other family bounds, computes every probe again
+    delta0_of_curve(curve, [0.0, 0.5, 1.0], a_star=40.0, known=first)
+    assert len(computed) == 11
+    other = dataclasses.replace(first, family=dataclasses.replace(
+        first.family, A0=first.family.A0 + 1.0))
+    delta0_of_curve(curve, [0.0, 0.5, 1.0], known=other)
+    assert len(computed) == 14

@@ -192,6 +192,20 @@ def test_positivity_horizon_formula_table():
     assert rep.kappa_eps == pytest.approx(0.5 * 3.1 ** -4, rel=1e-12)
 
 
+@pytest.mark.parametrize("g, a_star", [
+    (slope3_two_branch(), 10.0), (slope25_map(), 10.0),
+    (two_slope_wrap_map(), 8.0), (sine_map(3.0, 0.05), 10.0)])
+def test_positivity_horizon_table_is_escape_time_of_each_cylinder(g, a_star):
+    # the table shares one traversal's tables of g across its cylinders;
+    # escape_time builds a fresh traversal per cylinder
+    rep = positivity_horizon(g, a_star, 0.0)
+    cyls = refine_until(g, a_star)[1]
+    assert rep.s_table == tuple((c, *escape_time(g, c)) for c in cyls)
+    # Fractions in exact arithmetic, floats on a sine map
+    assert all(isinstance(x, type(c.lo)) for c, _, w in rep.s_table
+               for x in w)
+
+
 def test_positivity_horizon_rejects(monkeypatch):
     from circlemix import covering
     from circlemix.maps import affine_map

@@ -1003,13 +1003,13 @@ def test_curve_probes_refine_until_the_half_windows_cover():
 
 def test_wide_curve_plan_computes_each_probe_once(tmp_path, monkeypatch):
     # probes 9 on slope 2.5 -> 5.5 refine to 41 in 33 passes, each pass
-    # over the whole growing probe list: 825 probe evaluations before the
-    # probe memo, and 41 with it.  The plan is the one recorded before the
-    # memo (wide_curve_plan.json).
+    # over the whole growing probe list: 825 probe evaluations when every
+    # pass computed its probes afresh, and 41 when a pass takes the earlier
+    # ones from the previous cover.  The plan is the one recorded before
+    # (wide_curve_plan.json).
     from circlemix import bounds
     from circlemix.config import write_json
 
-    bounds._probe.cache_clear()  # the memo is process-wide
     maps = []
     horizon = bounds.positivity_horizon
     monkeypatch.setattr(bounds, "positivity_horizon",
@@ -1025,10 +1025,6 @@ def test_wide_curve_plan_computes_each_probe_once(tmp_path, monkeypatch):
     golden = os.path.join(os.path.dirname(__file__), "wide_curve_plan.json")
     with open(golden, "rb") as fh:
         assert (tmp_path / "curve_plan.json").read_bytes() == fh.read()
-    # a second plan of the same spec computes no probe again
-    PLANS["curve-driven"](read_scenario(base_scenario(
-        kind="curve-driven", n_max="auto", curve=dict(wide), probes=9)))
-    assert len(maps) == 41
 
 
 def test_calculator_out_file_equals_stdout(tmp_path, capsys):

@@ -859,27 +859,42 @@ def test_wrap_cases_wrap():
                    for k, j0, j1 in transfer._runs(b, G))
 
 
+def _assert_same_pieces(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[0] == w[0]
+        for x, y in zip(g[1:], w[1:]):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 @settings(PROPERTY, max_examples=150)
 @given(case=affine_branches())
 @example(case=WRAPS[0])
 @example(case=WRAPS[1])
-def test_affine_gather_matches_the_solved_gather(case):
+def test_affine_gathers_match_the_solved_gather(case):
     # the pieces from integer positions, against _gather of the roots
-    # _solve_lift gives, bit for bit (or the same refusal)
+    # _solve_lift gives, bit for bit (or the same refusal): run by run,
+    # and for all the runs at once
     b, G = case
     ys = np.arange(G) / G
-    for k, j0, j1 in transfer._runs(b, G):
+    runs = list(transfer._runs(b, G))
+    want = []
+    for k, j0, j1 in runs:
         try:
-            want = transfer._gather(b, G, j0, j1,
-                                    *transfer._solve_lift(b, ys[j0:j1] + k))
+            want.append(transfer._gather(
+                b, G, j0, j1, *transfer._solve_lift(b, ys[j0:j1] + k)))
         except TransferError:
+            want.append(None)
             with pytest.raises(TransferError, match="outside"):
-                transfer._affine_gather(b, G, k, j0, j1)
+                transfer._affine_gathers(b, G, [(k, j0, j1)])
             continue
-        got = transfer._affine_gather(b, G, k, j0, j1)
-        assert got[0] == want[0]
-        for x, y in zip(got[1:], want[1:]):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        _assert_same_pieces(transfer._affine_gathers(b, G, [(k, j0, j1)]),
+                            want[-1:])
+    if None in want:
+        with pytest.raises(TransferError, match="outside"):
+            transfer._affine_gathers(b, G, runs)
+    else:
+        _assert_same_pieces(transfer._affine_gathers(b, G, runs), want)
 
 
 def test_out_of_range_sine_root_index_refused(monkeypatch):
