@@ -4,7 +4,7 @@ Subcommands: analyze-map, verify-ly, absorb, envelope-check, covering,
 couple.  envelope-check reruns `certify` on a finished run
 directory (ledger.csv, bounds.json and scenario.json) and prints the run's
 certificate.  Exit codes: 0 success, 1 certificate violation, 2 a refused
-config or hypothesis.
+config or hypothesis, or a run out of memory.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .coupling import CouplingLedger, certify
 from .covering import CoveringError, positivity_horizon
 from .maps import MAP, TransferError, analyze, map_from_dict
 from .scenarios import (EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, load_config,
-                        run_absorption, run_scenario, run_variation_suite)
+                        out_of_memory, run_absorption, run_scenario,
+                        run_variation_suite)
 
 
 def _apply_grid_seed(cfg: dict, args) -> dict:
@@ -74,6 +75,9 @@ def _cmd_calculator(args) -> int:
     except (CoveringError, TransferError, OSError, ValueError) as exc:
         # TransferError: a sine branch's preimage solve did not converge
         print(f"{args.command} error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(out_of_memory(f"in {args.command}", exc), file=sys.stderr)
         return EXIT_CONFIG
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -21,11 +21,10 @@ merged, and covering checks then require a FLOAT_MARGIN margin.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -76,12 +75,14 @@ class Cylinder:
 
 # --- The two arithmetics of the depth generator -------------------------------
 #
-# A piece is a tuple (a, b, itinerary, pull, ...): its image arc [a, b] with
-# 0 <= a < unit, in units of the current depth, its itinerary, and what
-# pulls an arc point back to the domain.  `split` maps the sub-arcs
-# (u, v, branch id, shift k) of a piece, cut at the next map's breakpoints,
-# to the next depth's pieces, in increasing order of their intervals;
-# `advance` then moves the unit to the next depth.
+# An arithmetic holds tables of its maps, built once; a traversal's state
+# is a piece and the unit of its depth, which the caller carries.  A piece
+# is a tuple (a, b, itinerary, pull, ...): its image arc [a, b] with
+# 0 <= a < unit, its itinerary, and what pulls an arc point back to the
+# domain.  `root` gives the piece and unit of an interval; `split` maps the
+# sub-arcs (u, v, branch id, shift k) of a piece, cut at the next map's
+# breakpoints, to the next depth's pieces, in increasing order of their
+# intervals, whose unit is `next_unit` of this one.
 
 
 class _Ints:
@@ -89,16 +90,16 @@ class _Ints:
 
     Q is the largest denominator of the maps' float parameters, all powers
     of two, so each branch has integer left end, slope and offset over Q.
-    A traversal starts from [lo, hi] over unit0 = Q * q, q the common
+    A traversal starts from [lo, hi] over the unit Q * q, q the common
     denominator of lo and hi, and each step multiplies the unit by Q, so
     image arcs are integers.  A piece pulls back through its composed lift
-    F, held as the integer pair (P, T) with F(x) * unit = P * unit0 * x + T:
-    the arc point C / unit comes from x = (C - T) / (P * unit0).
+    F, held as the integer pair (P, T) with F(x) * unit = P * x + T: the
+    arc point C / unit comes from x = (C - T) / P.
     """
 
     margin = 0
 
-    def __init__(self, maps, lo, hi):
+    def __init__(self, maps):
         ratios = {}
         for m in maps:
             if id(m) not in ratios:
@@ -111,22 +112,22 @@ class _Ints:
             scaled = [[n * (self.Q // d) for n, d in r] for r in rs]
             self._lefts[key] = [lam for lam, _, _ in scaled]
             self._lifts[key] = [(sig, om) for _, sig, om in scaled]
-        self._start(lo, hi)
 
-    def _start(self, lo, hi) -> None:
+    def root(self, lo, hi) -> tuple[tuple, int]:
         lo, hi = Fraction(lo), Fraction(hi)
-        self.unit0 = self.unit = self.Q * math.lcm(lo.denominator,
-                                                   hi.denominator)
-        self.root = (lo.numerator * (self.unit // lo.denominator),
-                     hi.numerator * (self.unit // hi.denominator), (), (1, 0))
+        unit = self.Q * math.lcm(lo.denominator, hi.denominator)
+        return (lo.numerator * (unit // lo.denominator),
+                hi.numerator * (unit // hi.denominator), (), (unit, 0)), unit
 
-    def breakpoints(self, m) -> list[int]:
-        scale = self.unit // self.Q
+    def next_unit(self, unit) -> int:
+        return unit * self.Q
+
+    def breakpoints(self, m, unit) -> list[int]:
+        scale = unit // self.Q
         return [lam * scale for lam in self._lefts[id(m)]]
 
-    def split(self, piece, cuts, m) -> list:
+    def split(self, piece, cuts, m, D) -> list:
         itin, (P, T) = piece[2], piece[3]
-        D = self.unit
         D2 = D * self.Q
         lifts = self._lifts[id(m)]
         out = []
@@ -143,12 +144,9 @@ class _Ints:
             out.reverse()
         return out
 
-    def advance(self) -> None:
-        self.unit *= self.Q
-
     def pull_back(self, pull, c) -> Fraction:
         P, T = pull
-        return Fraction(c - T, P * self.unit0)
+        return Fraction(c - T, P)
 
     def interval(self, piece) -> tuple[Fraction, Fraction]:
         lo, hi = (self.pull_back(piece[3], c) for c in piece[:2])
@@ -157,8 +155,7 @@ class _Ints:
     def all_shorter(self, pieces, a_star) -> bool:
         """Is every piece's interval shorter than 1/(2 a*)?"""
         an, ad = Fraction(a_star).as_integer_ratio()
-        lim = ad * self.unit0
-        return all(2 * an * (b - a) < lim * abs(pull[0])
+        return all(2 * an * (b - a) < ad * abs(pull[0])
                    for a, b, _, pull in pieces)
 
 
@@ -172,21 +169,22 @@ class _Floats:
     """
 
     margin = FLOAT_MARGIN
-    unit = 1.0
 
-    def __init__(self, maps, lo, hi):
+    def __init__(self, maps):
         self._signs = {id(m): [1 if b.increasing else -1 for b in m.branches]
                        for m in maps}
-        self._start(lo, hi)
 
-    def _start(self, lo, hi) -> None:
+    def root(self, lo, hi) -> tuple[tuple, float]:
         lo, hi = float(lo), float(hi)
-        self.root = (lo, hi, (), (1, None), lo, hi)
+        return (lo, hi, (), (1, None), lo, hi), 1.0
 
-    def breakpoints(self, m) -> list[float]:
+    def next_unit(self, unit) -> float:
+        return 1.0
+
+    def breakpoints(self, m, unit) -> list[float]:
         return [float(b.lo) for b in m.branches]
 
-    def split(self, piece, cuts, m) -> list:
+    def split(self, piece, cuts, m, unit) -> list:
         _, _, itin, pull, lo, hi = piece
         sign = pull[0]
         xs = [self.pull_back(pull, c[0]) for c in cuts[1:]]
@@ -220,9 +218,6 @@ class _Floats:
                         xlo, xhi))
         return out
 
-    def advance(self) -> None:
-        pass
-
     def pull_back(self, pull, c) -> float:
         steps = pull[1]
         while steps is not None:
@@ -237,15 +232,8 @@ class _Floats:
         return max(p[5] - p[4] for p in pieces) < 1.0 / (2.0 * a_star)
 
 
-def _arith(maps, lo=0, hi=1):
-    return (_Ints if _all_affine(maps) else _Floats)(maps, lo, hi)
-
-
-def _over(ar, lo, hi):
-    """A traversal of ar's maps from [lo, hi], sharing ar's tables of them."""
-    fresh = copy.copy(ar)
-    fresh._start(lo, hi)
-    return fresh
+def _arith(maps):
+    return (_Ints if _all_affine(maps) else _Floats)(maps)
 
 
 def _cuts(a, b, bps, unit) -> list[tuple]:
@@ -269,14 +257,15 @@ def _inside(a, b, bps, unit):
     return sum(-((p - b) // unit) - ((a - p) // unit) - 1 for p in bps)
 
 
-def _depths(maps, ar):
-    """Yield the pieces of depth 1, 2, ... of the maps (any iterable), one
-    depth per map, over the traversal `ar`; `ar.unit` is the unit of the
-    depth just yielded.  A depth predicted to hold more than PARTITION_CAP
-    pieces raises PartitionExplosionError before it is built."""
-    level = [ar.root]
+def _depths(maps, ar, lo=0, hi=1):
+    """Yield (unit, pieces) of depth 1, 2, ... of the maps (any iterable)
+    from [lo, hi], one depth per map, in the arithmetic `ar`.  A depth
+    predicted to hold more than PARTITION_CAP pieces raises
+    PartitionExplosionError before it is built."""
+    piece, unit = ar.root(lo, hi)
+    level = [piece]
     for n, m in enumerate(maps, 1):
-        unit, bps = ar.unit, ar.breakpoints(m)
+        bps = ar.breakpoints(m, unit)
         count = len(level) + sum(_inside(p[0], p[1], bps, unit)
                                  for p in level)
         if count > PARTITION_CAP:
@@ -284,9 +273,9 @@ def _depths(maps, ar):
                 f"cylinder count exceeded {PARTITION_CAP}: depth {n} would "
                 f"hold {count}")
         level = [kid for p in level
-                 for kid in ar.split(p, _cuts(p[0], p[1], bps, unit), m)]
-        ar.advance()
-        yield level
+                 for kid in ar.split(p, _cuts(p[0], p[1], bps, unit), m, unit)]
+        unit = ar.next_unit(unit)
+        yield unit, level
 
 
 def cylinder_partition(maps, n: int) -> list[Cylinder]:
@@ -301,7 +290,7 @@ def cylinder_partition(maps, n: int) -> list[Cylinder]:
     if len(maps) < n:
         raise ValueError("map sequence shorter than n")
     ar = _arith(maps)
-    for level in _depths(maps, ar):
+    for _, level in _depths(maps, ar):
         pass
     return [Cylinder(*ar.interval(p), p[2]) for p in level]
 
@@ -340,11 +329,11 @@ def enveloping_time(g: PiecewiseMap) -> int | None:
     ar = _arith([g])
     exact = isinstance(ar, _Ints)
     prev = None
-    for N, level in enumerate(_depths([g] * ENVELOPING_MAX, ar), 1):
+    for N, (unit, level) in enumerate(_depths([g] * ENVELOPING_MAX, ar), 1):
         groups: dict[int, set] = {}
         for a, b, itin, *_ in level:
             groups.setdefault(itin[0], set()).add((a, b - a))
-        if all(_covers_circle(arcs, ar.unit, ar.margin)
+        if all(_covers_circle(arcs, unit, ar.margin)
                for arcs in groups.values()):
             return N
         if exact:
@@ -363,7 +352,7 @@ def refine_until(g: PiecewiseMap,
     if a_star <= 0:
         raise ValueError("a_star must be positive")
     ar = _arith([g])
-    for n, level in enumerate(_depths(itertools.repeat(g), ar), 1):
+    for n, (_, level) in enumerate(_depths(itertools.repeat(g), ar), 1):
         if ar.all_shorter(level, a_star):
             return n, [Cylinder(*ar.interval(p), p[2]) for p in level]
 
@@ -393,28 +382,28 @@ def escape_time(g: PiecewiseMap, J: Cylinder):
     closed sense.  At most ESCAPE_CAP_FACTOR steps per itinerary entry
     are taken.
     """
-    return _escape(_arith([g], J.lo, J.hi), g, J)
+    return _escape(_arith([g]), g, J)
 
 
 def _escape(ar, g: PiecewiseMap, J: Cylinder):
-    """escape_time of J over ar, a traversal of [g] rooted at J."""
-    piece, ends = ar.root, ar.breakpoints(g)
-    if _holds_branch(piece[0], piece[1], ends, ar.unit):
+    """escape_time of J in ar, an arithmetic of [g]."""
+    piece, unit = ar.root(J.lo, J.hi)
+    ends = ar.breakpoints(g, unit)
+    if _holds_branch(piece[0], piece[1], ends, unit):
         return 0, (J.lo, J.hi)
     cap = ESCAPE_CAP_FACTOR * max(1, len(J.itinerary))
     whole = isinstance(ar, _Ints)
     for k in range(1, cap + 1):
-        unit = ar.unit
         cuts = _cuts(piece[0], piece[1], ends, unit)
         if len(cuts) > 2:
             raise CoveringError("arc straddles more than one partition point")
         whole = whole and len(cuts) == 1
         cut = cuts[0] if len(cuts) == 1 else max(
             cuts, key=lambda c: (c[1] - c[0], -(c[0] % unit)))
-        (piece,) = ar.split(piece, [cut], g)
-        ar.advance()
-        ends = ar.breakpoints(g)
-        if _holds_branch(piece[0], piece[1], ends, ar.unit):
+        (piece,) = ar.split(piece, [cut], g, unit)
+        unit = ar.next_unit(unit)
+        ends = ar.breakpoints(g, unit)
+        if _holds_branch(piece[0], piece[1], ends, unit):
             if whole:
                 return k, (J.lo, J.hi)
             wa, wb = (ar.pull_back(piece[3], c) for c in piece[:2])
@@ -439,27 +428,13 @@ class CoveringReport:
     s_table: tuple[tuple[Cylinder, int, tuple], ...]
 
     def as_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "n1": self.n1,
-            "s0": self.s0,
-            "n0": self.n0,
-            "kappa0": self.kappa0,
-            "kappa_eps": self.kappa_eps,
-            "eps": self.eps,
-            "M0": self.M0,
-            "a_star": self.a_star,
-            "s_table": [
-                {
-                    "lo": float(c.lo),
-                    "hi": float(c.hi),
-                    "itinerary": list(c.itinerary),
-                    "s": s,
-                    "witness": [float(w[0]), float(w[1])],
-                }
-                for c, s, w in self.s_table
-            ],
-        }
+        """Every field by name, with the s_table rows as plain dicts."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["s_table"] = [{"lo": float(c.lo), "hi": float(c.hi),
+                           "itinerary": list(c.itinerary), "s": s,
+                           "witness": [float(w[0]), float(w[1])]}
+                          for c, s, w in self.s_table]
+        return out
 
     def to_json(self, path) -> None:
         write_json(path, self.as_dict())
@@ -483,7 +458,7 @@ def positivity_horizon(g: PiecewiseMap, a_star: float,
     s0 = 0
     ar = _arith([g])
     for c in cyls:
-        s, witness = _escape(_over(ar, c.lo, c.hi), g, c)
+        s, witness = _escape(ar, g, c)
         table.append((c, s, witness))
         s0 = max(s0, s)
     n0 = s0 + N
@@ -518,8 +493,8 @@ def verify_overcover(maps, interval, delta: float) -> bool:
     lo_d, hi_d = max(alo + delta, 0), min(ahi - delta, 1)
     if not lo_d < hi_d:
         return False
-    ar = _arith(maps, lo_d, hi_d)
-    for level in _depths(maps, ar):
+    ar = _arith(maps)
+    for unit, level in _depths(maps, ar, lo_d, hi_d):
         pass
-    return _covers_circle(((p[0], p[1] - p[0]) for p in level), ar.unit,
+    return _covers_circle(((p[0], p[1] - p[0]) for p in level), unit,
                           ar.margin)

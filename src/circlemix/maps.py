@@ -513,9 +513,12 @@ def _base_samples(g: PiecewiseMap, f_arcs, grid: int):
         # Anchor xi at the left marks; the last arc of f may be traversed
         # beyond 1.0, where the analytic lift still applies.
         ys = f_lo + sigma * (xs - gb.lo)
-        tables = (*_sine_jet(gb.slope, gb.offset, gb.amplitude, xs,
-                             np.sin(TWO_PI * xs), np.cos(TWO_PI * xs)),
-                  ys, np.sin(TWO_PI * ys), np.cos(TWO_PI * ys))
+        if gb.is_affine:  # its jet (s x + c, s, 0) needs no sin or cos
+            jet = gb.lift(xs), gb.deriv(xs), gb.deriv2(xs)
+        else:
+            jet = _sine_jet(gb.slope, gb.offset, gb.amplitude, xs,
+                            np.sin(TWO_PI * xs), np.cos(TWO_PI * xs))
+        tables = (*jet, ys, np.sin(TWO_PI * ys), np.cos(TWO_PI * ys))
         for t in tables:
             t.flags.writeable = False
         arcs.append((sigma, *tables))

@@ -369,11 +369,17 @@ RunResult = namedtuple("RunResult", "exit_code message artifacts ledger fit "
                        "certificate bounds", defaults=(None,) * 4)
 
 
+def out_of_memory(where: str, exc: MemoryError) -> str:
+    """The message of a MemoryError raised `where`, which exits 2."""
+    return f"out of memory {where}: {str(exc) or 'MemoryError'}"
+
+
 def run_scenario(spec: dict, out_dir) -> RunResult:
     """The pipeline of the module docstring on the scenario `spec`, writing
     its artifacts to out_dir.  Exit codes: 0 success, 1 certificate
-    violation, 2 a refused config or hypothesis (or a TransferError).  A
-    refused run writes nothing."""
+    violation, 2 a refused config or hypothesis (or a TransferError or a
+    MemoryError, up to the end of the evolve stage).  A refused run writes
+    nothing."""
     try:
         cfg = read_scenario(spec)
         grid = cfg["grid"]
@@ -391,6 +397,9 @@ def run_scenario(spec: dict, out_dir) -> RunResult:
         maps = build_sequence(plan, rng)
     except (ValueError, TransferError, CoveringError) as exc:
         return RunResult(EXIT_CONFIG, str(exc), {})
+    except MemoryError as exc:
+        return RunResult(EXIT_CONFIG,
+                         out_of_memory("before the evolve stage", exc), {})
     os.makedirs(out_dir, exist_ok=True)
     try:
         ledger = run_coupled(maps, phi, psi, bounds=plan.report,
@@ -401,6 +410,9 @@ def run_scenario(spec: dict, out_dir) -> RunResult:
         return RunResult(EXIT_CERTIFICATE, str(exc), {})
     except TransferError as exc:
         return RunResult(EXIT_CONFIG, str(exc), {})
+    except MemoryError as exc:
+        return RunResult(EXIT_CONFIG,
+                         out_of_memory("in the evolve stage", exc), {})
     fit = fit_decay(ledger.distances())
     cert = certify(ledger)
 

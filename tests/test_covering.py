@@ -14,7 +14,8 @@ from circlemix import (Density, NotEnvelopingError, cylinder_partition,
                        sine_map, slope3_two_branch, slope25_map,
                        two_slope_wrap_map, verify_overcover)
 from circlemix.covering import CoveringError, PartitionExplosionError
-from circlemix.maps import MapFormError, TransferError
+from circlemix.curves import sine_amplitude_curve
+from circlemix.maps import MapFormError, TransferError, map_from_dict
 from test_maps import eval_many
 from test_transfer import push_along
 
@@ -196,8 +197,8 @@ def test_positivity_horizon_formula_table():
     (slope3_two_branch(), 10.0), (slope25_map(), 10.0),
     (two_slope_wrap_map(), 8.0), (sine_map(3.0, 0.05), 10.0)])
 def test_positivity_horizon_table_is_escape_time_of_each_cylinder(g, a_star):
-    # the table shares one traversal's tables of g across its cylinders;
-    # escape_time builds a fresh traversal per cylinder
+    # the table shares one arithmetic's tables of g across its cylinders;
+    # escape_time builds fresh tables per cylinder
     rep = positivity_horizon(g, a_star, 0.0)
     cyls = refine_until(g, a_star)[1]
     assert rep.s_table == tuple((c, *escape_time(g, c)) for c in cyls)
@@ -229,9 +230,9 @@ def count_depths(monkeypatch):
     real = covering._depths
 
     def counted(*args, **kwargs):
-        for n, level in enumerate(real(*args, **kwargs), 1):
+        for n, (unit, level) in enumerate(real(*args, **kwargs), 1):
             depths.append(n)
-            yield level
+            yield unit, level
 
     monkeypatch.setattr(covering, "_depths", counted)
     return depths
@@ -733,15 +734,14 @@ def test_float_pieces_start_below_the_unit(monkeypatch):
     # va - floor(va) rounded a tiny negative va up to the unit, and _cuts
     # then cut a zero-length sub-arc off its start
     from circlemix import covering
-    from circlemix.maps import map_from_dict
 
     g = map_from_dict({"branches": [{"lo": 0.0, "hi": 1.0, "slope": 2.5,
                                      "offset": -1.0, "amplitude": 1 / 32}]})
     pieces = []
     split = covering._Floats.split
 
-    def recorded(self, piece, cuts, m):
-        out = split(self, piece, cuts, m)
+    def recorded(self, piece, cuts, m, unit):
+        out = split(self, piece, cuts, m, unit)
         pieces.extend(out)
         return out
 
@@ -761,8 +761,6 @@ GOLDEN = Path(__file__).with_name("covering_golden.json")
 def test_covering_reports_match_recorded_json():
     # as_dict() of the shipped affine forms with expansion > 2 and of the
     # nine curve-slope probe maps, recorded with the Fraction engine
-    from circlemix.maps import map_from_dict
-
     cases = json.loads(GOLDEN.read_text())
     assert len(cases) == 16
     for case in cases:
@@ -770,3 +768,46 @@ def test_covering_reports_match_recorded_json():
                                  case["eps"])
         assert json.loads(json.dumps(rep.as_dict())) == case["report"], \
             case["label"]
+
+
+SINE_GOLDEN = Path(__file__).with_name("covering_sine_golden.json")
+SINE_CASES = {
+    "CI sine map": lambda: map_from_dict({"branches": [
+        {"lo": 0.0, "hi": 1.0, "slope": 2.5, "offset": -1.0,
+         "amplitude": 0.03125}]}),
+    "sine_map(3.0, 0.01)": lambda: sine_map(3.0, 0.01),
+    "affine/sine two-branch": lambda: map_from_dict({"branches": [
+        {"lo": 0.0, "hi": 0.5, "slope": 3.0},
+        {"lo": 0.5, "hi": 1.0, "slope": 3.0, "amplitude": 0.02}]}),
+    "sine_amplitude_curve(3.0, 0.0, 0.01)(0.5)":
+        lambda: sine_amplitude_curve(3.0, 0.0, 0.01)(0.5),
+}
+
+
+def assert_close(got, want, path="report"):
+    """Integers, itineraries and keys exactly; floats to rel 1e-12."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), path
+    else:
+        assert got == want, path
+
+
+def test_float_covering_reports_match_recorded_json():
+    # as_dict() of maps with sine-perturbed branches, which the float
+    # engine serves; floats may differ by an ulp of libm
+    cases = json.loads(SINE_GOLDEN.read_text())
+    assert [c["label"] for c in cases] == list(SINE_CASES)
+    for case in cases:
+        rep = positivity_horizon(SINE_CASES[case["label"]](), case["a_star"],
+                                 case["eps"])
+        assert_close(json.loads(json.dumps(rep.as_dict())), case["report"],
+                     case["label"])

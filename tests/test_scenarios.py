@@ -1185,3 +1185,58 @@ def test_zero_a_star_exits_2(tmp_path, over, a_star):
     assert res.exit_code == EXIT_CONFIG
     assert "a_star" in res.message
     assert not (tmp_path / "run").exists()
+
+
+# --- a MemoryError exits 2 and names the stage --------------------------------
+
+
+def _no_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+
+def _bare_memory_error(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("module, name, raiser, message", [
+    # an allocation in the plan stage, and in the evolve stage
+    ("covering", "_arith", _no_memory, "before the evolve stage: "
+     "Unable to allocate 8.00 GiB for an array"),
+    ("coupling", "TransferOperator", _no_memory, "in the evolve stage: "
+     "Unable to allocate 8.00 GiB for an array"),
+    ("coupling", "TransferOperator", _bare_memory_error,
+     "in the evolve stage: MemoryError")])
+def test_memory_error_exits_2_naming_the_stage(tmp_path, monkeypatch, module,
+                                               name, raiser, message):
+    import importlib
+    monkeypatch.setattr(importlib.import_module(f"circlemix.{module}"), name,
+                        raiser)
+    res = run_scenario(base_scenario(), tmp_path / "oom")
+    assert res.exit_code == EXIT_CONFIG
+    assert res.message == f"out of memory {message}"
+    assert res.artifacts == {}
+
+
+def test_memory_error_exits_2_through_jobs_pool(tmp_path, monkeypatch,
+                                                capsys):
+    from circlemix import coupling
+    monkeypatch.setattr(coupling, "TransferOperator", _no_memory)
+    _fork_pool(monkeypatch)
+    p = _two_scenarios(tmp_path)
+    assert main(["couple", "--config", str(p), "--out", str(tmp_path / "o"),
+                 "--jobs", "2"]) == EXIT_CONFIG
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert all("exit 2 (out of memory in the evolve stage" in ln
+               for ln in lines)
+
+
+def test_cli_calculator_memory_error_exits_2(tmp_path, monkeypatch, capsys):
+    from circlemix import transfer
+    monkeypatch.setattr(transfer, "TransferOperator", _no_memory)
+    assert main(["verify-ly", "--out", str(tmp_path / "ly")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("out of memory in verify-ly: Unable to allocate "
+                            "8.00 GiB for an array\n")
+    assert not (tmp_path / "ly").exists()
