@@ -2,14 +2,14 @@
 and `read` checks a spec against a field table and returns a copy with the
 defaults filled in.  An entry is the field's default, which is also its
 type (an int takes integers, a float finite numbers, a tuple a non-empty
-list of numbers), a bare type for a required field, a nested table
-(default {}), a required `Format`, `[entry]` for a list, or a `Field`.
-Keys a table does not list are ignored."""
+list of floats and of ints in the float range), a bare type for a required
+field, a nested table (default {}), a required `Format`, `[entry]` for a
+list, or a `Field`.  Keys a table does not list are ignored."""
 
 from __future__ import annotations
 
 import json
-import math
+import sys
 from collections import namedtuple
 
 
@@ -42,8 +42,11 @@ def is_int(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """A finite int or float from a config (a bool does not count)."""
-    return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    """A finite int or float from a config (a bool does not count) within
+    the float range; an int is compared to it exactly, so one too large for
+    a float is refused instead of overflowing."""
+    return ((is_int(value) or isinstance(value, float))
+            and abs(value) <= sys.float_info.max)
 
 
 _TYPES = {bool: (lambda v: isinstance(v, bool), "true or false"),
@@ -51,7 +54,7 @@ _TYPES = {bool: (lambda v: isinstance(v, bool), "true or false"),
           str: (lambda v: isinstance(v, str), "a string"),
           # NaN and inf pass: the builders refuse them with their own messages
           tuple: (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
-                  and all(is_int(x) or isinstance(x, float) for x in v),
+                  and all(isinstance(x, float) or is_number(x) for x in v),
                   "a list of numbers")}
 
 

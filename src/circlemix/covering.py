@@ -9,14 +9,14 @@ predicted (one piece per cylinder plus the breakpoints inside its arc)
 before it is built, so an oversized depth is refused before allocation.
 
 When every branch is affine the arithmetic is exact and in Python
-integers: each float parameter is a dyadic rational (`float.as_integer_ratio`),
-image arcs are integers over one power-of-two denominator per depth, and
-a cylinder is pulled back through its composed affine lift.  Fractions are
-built only at the API (`Cylinder.lo`/`hi` and the escape witness), so
-covering decisions never hinge on roundoff.  Maps with sine-perturbed
-branches run through the same generator in floats; their endpoints are
-plain floats with no proved error bound, cuts closer than FLOAT_DEDUPE are
-merged, and covering checks then require a FLOAT_MARGIN margin.
+integers: the map data are the rationals of `BranchSpec.exact`, image
+arcs are integers over one denominator per depth, and a cylinder is
+pulled back through its composed affine lift.  Traversals build Fractions
+only at the API (`Cylinder.lo`/`hi` and the escape witness), so covering
+decisions never hinge on roundoff.  Maps with sine-perturbed branches run
+through the same generator in floats; their endpoints are plain floats
+with no proved error bound, cuts closer than FLOAT_DEDUPE are merged, and
+covering checks then require a FLOAT_MARGIN margin.
 """
 
 from __future__ import annotations
@@ -88,30 +88,25 @@ class Cylinder:
 class _Ints:
     """Exact arithmetic of all-affine maps in Python integers.
 
-    Q is the largest denominator of the maps' float parameters, all powers
-    of two, so each branch has integer left end, slope and offset over Q.
-    A traversal starts from [lo, hi] over the unit Q * q, q the common
-    denominator of lo and hi, and each step multiplies the unit by Q, so
-    image arcs are integers.  A piece pulls back through its composed lift
-    F, held as the integer pair (P, T) with F(x) * unit = P * x + T: the
-    arc point C / unit comes from x = (C - T) / P.
+    Q is the lcm of the denominators of the maps' exact data
+    (`BranchSpec.exact`), so each branch has integer left end, slope and
+    offset over Q.  A traversal starts from [lo, hi] over the unit Q * q,
+    q the common denominator of lo and hi, and each step multiplies the
+    unit by Q, so image arcs are integers.  A piece pulls back through its
+    composed lift F, held as the integer pair (P, T) with F(x) * unit =
+    P * x + T: the arc point C / unit comes from x = (C - T) / P.
     """
 
     margin = 0
 
     def __init__(self, maps):
-        ratios = {}
-        for m in maps:
-            if id(m) not in ratios:
-                ratios[id(m)] = [[float(v).as_integer_ratio()
-                                  for v in (b.lo, b.slope, b.offset)]
-                                 for b in m.branches]
-        self.Q = max(d for rs in ratios.values() for r in rs for _, d in r)
-        self._lefts, self._lifts = {}, {}
-        for key, rs in ratios.items():
-            scaled = [[n * (self.Q // d) for n, d in r] for r in rs]
-            self._lefts[key] = [lam for lam, _, _ in scaled]
-            self._lifts[key] = [(sig, om) for _, sig, om in scaled]
+        exact = {id(m): [b.exact for b in m.branches] for m in maps}
+        self.Q = Q = math.lcm(*(v.denominator for bs in exact.values()
+                                for e in bs for v in e))
+        self._lefts = {key: [int(lo * Q) for lo, *_ in bs]
+                       for key, bs in exact.items()}
+        self._lifts = {key: [(int(s * Q), int(c * Q)) for _, _, s, c in bs]
+                       for key, bs in exact.items()}
 
     def root(self, lo, hi) -> tuple[tuple, int]:
         lo, hi = Fraction(lo), Fraction(hi)
@@ -154,8 +149,8 @@ class _Ints:
 
     def all_shorter(self, pieces, a_star) -> bool:
         """Is every piece's interval shorter than 1/(2 a*)?"""
-        an, ad = Fraction(a_star).as_integer_ratio()
-        return all(2 * an * (b - a) < ad * abs(pull[0])
+        q = Fraction(a_star)
+        return all(2 * q.numerator * (b - a) < q.denominator * abs(pull[0])
                    for a, b, _, pull in pieces)
 
 

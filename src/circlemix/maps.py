@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -113,6 +114,12 @@ class BranchSpec:
     @property
     def length(self) -> float:
         return self.hi - self.lo
+
+    @cached_property
+    def exact(self) -> tuple[Fraction, ...]:
+        """(lo, hi, slope, offset) as the exact rationals that exact
+        arithmetic reads: the values of the floats (or ints) held."""
+        return tuple(map(Fraction, (self.lo, self.hi, self.slope, self.offset)))
 
     def lift(self, x):
         """Branch lift (no mod-1 reduction); valid on a neighborhood of [lo, hi]."""
@@ -614,15 +621,19 @@ def affine_map(slope: float, offset: float = 0.0,
     Default marks are the natural breakpoints {0} plus the interior points
     where the lift crosses an integer, so each branch image stays within
     one unit interval, for either sign of the slope.  Natural marks of a
-    slope of modulus <= 1, or of more than AFFINE_BRANCH_MAX branches,
-    raise MapFormError.
+    slope of modulus <= 1, of a lift whose value at 1 is not finite, or of
+    more than AFFINE_BRANCH_MAX branches, raise MapFormError.
     """
     if marks is None:
         if not abs(slope) > 1.0:  # before dividing by it
             raise MapFormError(f"branch expansion {float(abs(slope))} <= 1")
+        end = slope + offset  # the lift at 1
+        if not math.isfinite(end):  # before its floor overflows
+            raise MapFormError(f"natural marks of slope {slope} and offset "
+                               f"{offset}: the lift at 1 is {end}")
         pts = {0.0}
-        k_lo = math.floor(min(offset, slope + offset))
-        k_hi = math.ceil(max(offset, slope + offset))
+        k_lo = math.floor(min(offset, end))
+        k_hi = math.ceil(max(offset, end))
         if k_hi - k_lo > AFFINE_BRANCH_MAX:  # the branch count
             raise MapFormError(
                 f"natural marks of slope {slope} give {k_hi - k_lo} "

@@ -15,21 +15,22 @@ come from the integers j + k*G (_affine_gathers).  On an affine branch
 whose slope is a small rational p/q the preimages of a long run are p
 arithmetic progressions with exact, constant fractions, so such a run
 reads strided views with two scalar weights per progression instead
-(PHASE_MIN_LEN gives the rule and its measurements).  An odd sine map solves half of its preimages: where a
-branch on [1 - hi, 1 - lo) mirrors one on [lo, hi), with the same slope
-and amplitude and f(1 - x) = C - f(x) for an exact C with C*G an integer,
-the target (C*G - J)/G takes 1 - x for the root x of the target J/G, and
-the same f'.  A derived root passes the checks of a solved one: its
-residual, from the solve's carried sine as sin 2 pi (1 - x) =
--sin 2 pi x, and its bracket; its gather piece mirrors that of x, whose
-sample index passed the index check.  A target whose mirror was not
-solved, at an arc end, or whose derived root fails is solved directly
-(_mirrors and _mirrored give the rule).  The caller builds the operator
-and pushes through it, so it decides how long an operator lives: a run
-that pushes several densities through one map, or reuses a map, builds it
-once.  The Ulam matrix, exact on affine branches and refused on sine
-ones, discretizes the same operator bin to bin and serves as an
-independent consistency oracle.
+(PHASE_MIN_LEN gives the rule and its measurements).  An odd sine map
+solves half of its preimages: where a branch on [1 - hi, 1 - lo) mirrors
+one on [lo, hi), with the same slope and amplitude and f(1 - x) =
+C - f(x) for an exact C with C*G an integer, the target (C*G - J)/G takes
+1 - x for the root x of the target J/G, and the same f'.  A derived root
+passes the checks of a solved one: its residual, from the solve's carried
+sine as sin 2 pi (1 - x) = -sin 2 pi x, and its bracket; its gather piece
+mirrors that of x, whose sample index passed the index check.  A target
+whose mirror was not solved, at an arc end, or whose derived root fails
+is solved directly (_mirrors and _mirrored give the rule).  The caller
+builds the operator and pushes through it, so it decides how long an
+operator lives: a run that pushes several densities through one map, or
+reuses a map, builds it once.  The Ulam matrix, exact on affine branches
+and refused on sine ones, discretizes the same operator bin to bin and
+serves as an independent consistency oracle.  The phase rule's p/q, a
+mirror's C and arcs, and the Ulam cells read BranchSpec.exact.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -81,12 +81,12 @@ class TransferOperator:
     holds the whole run: a target slice, an array of i0 and weight arrays,
     from the preimage solve, or on a branch that mirrors an earlier one,
     from that branch's roots, or on an affine branch, from integer targets
-    (_affine_gathers).  On an
-    affine branch of slope +-p/q (the float's exact ratio) target j + p
-    lies q samples after target j (before, on a decreasing branch) with the
-    same fraction, so a run of at least PHASE_MIN_LEN * p * q targets is
-    stored as p phase pieces instead: strided target and source slices and
-    two scalar weights, from exact positions (_phases).
+    (_affine_gathers).  On an affine branch of exact slope +-p/q
+    (BranchSpec.exact) target j + p lies q samples after target j (before,
+    on a decreasing branch) with the same fraction, so a run of at least
+    PHASE_MIN_LEN * p * q targets is stored as p phase pieces instead:
+    strided target and source slices and two scalar weights, from exact
+    positions (_phases).
 
     The operator owns its scratch arrays, the periodic extension of the
     samples and two work buffers as long as its longest piece, so an apply
@@ -141,9 +141,12 @@ def _pieces(m: PiecewiseMap, G: int) -> list:
                                         CG - k * G, held[i]))
             del held[i]
             continue
-        # a run of at least min_run targets is applied as phases
-        min_run = (PHASE_MIN_LEN * math.prod(abs(b.slope).as_integer_ratio())
-                   if b.is_affine else math.inf)
+        # a run of at least min_run targets is applied as phases; as p*q >=
+        # |s|, no run of at most G targets is unless PHASE_MIN_LEN*|s| <= G
+        min_run = math.inf
+        if b.is_affine and PHASE_MIN_LEN * abs(b.slope) <= G:
+            s = b.exact[2]
+            min_run = PHASE_MIN_LEN * abs(s.numerator) * s.denominator
         gathers = []  # consecutive affine gather runs, built at once
         for k, j0, j1 in _runs(b, G):
             if b.is_affine and j1 - j0 < min_run:
@@ -223,11 +226,10 @@ def _mirrors(m: PiecewiseMap, G: int) -> dict:
     f_p(1 - x) = C - f_i(x), as sin 2 pi (1 - x) = -sin 2 pi x, so the root
     x of the target J/G on branch i gives the root 1 - x of the target
     (C*G - J)/G on branch p, where f' takes the same value.  Checked
-    exactly on the floats: C*G from their integer ratios, the arcs in
-    Fractions."""
+    exactly on BranchSpec.exact: C*G as one rational, and the arcs."""
     bs = m.branches
     # where 1 - hi is exactly a float lo, the float subtraction returns it,
-    # so the lookup finds every mirror arc; the Fractions refuse a match
+    # so the lookup finds every mirror arc; the exact data refuse a match
     # that only rounding made
     arcs = {(b.lo, b.hi): i for i, b in enumerate(bs)}
     out = {}
@@ -236,14 +238,10 @@ def _mirrors(m: PiecewiseMap, G: int) -> dict:
         if p <= i or b.is_affine \
                 or (bs[p].slope, bs[p].amplitude) != (b.slope, b.amplitude):
             continue
-        # C*G, summed over the floats' common power-of-two denominator
-        parts = [v.as_integer_ratio()
-                 for v in (b.slope, b.offset, bs[p].offset)]
-        den = max(q for _, q in parts)
-        CG, rest = divmod(sum(n * (den // q) for n, q in parts) * G, den)
-        if (rest == 0 and 1 - Fraction(b.hi) == bs[p].lo
-                and 1 - Fraction(b.lo) == bs[p].hi):
-            out[p] = (i, CG)
+        (lo, hi, s, c), (p_lo, p_hi, _, pc) = b.exact, bs[p].exact
+        CG = (s + c + pc) * G
+        if CG.denominator == 1 and (1 - hi, 1 - lo) == (p_lo, p_hi):
+            out[p] = (i, CG.numerator)
     return out
 
 
@@ -361,10 +359,10 @@ def _phases(b: BranchSpec, G: int, k: int, j0: int, j1: int) -> list:
     every root lies in [0, 1), a phase needs no wrap, and the index check
     refuses one that would.
     """
-    s = Fraction(b.slope)
+    _, _, s, c = b.exact
     p, q = abs(s.numerator), s.denominator
     step = q if s > 0 else -q
-    shift = (k - Fraction(b.offset)) * G
+    shift = (k - c) * G
     inv = 1 / abs(s)
     pieces = []
     for j in range(j0, min(j0 + p, j1)):
@@ -416,10 +414,10 @@ def ulam_matrix(m: PiecewiseMap, B: int) -> np.ndarray:
     if not all(b.is_affine for b in m.branches):
         raise ValueError("Ulam entries are exact on affine branches only; a "
                          "sine branch needs ROADMAP direction 6's enclosures")
-    cells = defaultdict(Fraction)
+    cells = defaultdict(int)  # each sum of Fraction overlaps
     for b in m.branches:
-        s, cB = Fraction(b.slope), Fraction(b.offset) * B
-        lo, hi = Fraction(b.lo) * B, Fraction(b.hi) * B
+        lo, hi, s, c = b.exact
+        lo, hi, cB = lo * B, hi * B, c * B
         for j in range(math.floor(lo), math.ceil(hi)):
             y0, y1 = sorted((s * max(lo, j) + cB, s * min(hi, j + 1) + cB))
             for i in range(math.floor(y0), math.ceil(y1)):

@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import math
+import sys
 import tempfile
 import time
 from functools import reduce
@@ -69,11 +70,27 @@ def test_read_passes_values_through_unchanged():
     ("sub", {"k": "x"}, "sub.k must be an integer, got 'x'"),
     ("items", {"v": 1.0}, "items must be a list, got {'v': 1.0}"),
     ("items", [{"v": 1.0}, {}], "missing field 'items[1].v'"),
+    # JSON ints past the float range, which math.isfinite and float() would
+    # overflow on
+    pytest.param("x", 10 ** 400, "x must be a number, got 1000",
+                 id="x-400-digit-int"),
+    pytest.param("x", -int(sys.float_info.max) - 1, "x must be a number",
+                 id="x-past-the-float-range"),
+    pytest.param("pair", [1, 10 ** 400], "pair must be a list of numbers",
+                 id="pair-400-digit-int"),
 ])
 def test_read_names_the_bad_field(key, value, message):
     with pytest.raises(ScenarioError) as exc:
         read({"name": "a", key: value}, TABLE)
     assert message in str(exc.value)
+
+
+def test_ints_up_to_the_float_range_pass():
+    # an int is compared to the float range exactly, so the largest one
+    # that fits passes, and floats past it (inf, NaN) pass in lists
+    top = int(sys.float_info.max)
+    got = read({"name": "a", "x": -top, "pair": [top, math.inf]}, TABLE)
+    assert got["x"] == -top and got["pair"] == [top, math.inf]
 
 
 def test_read_requires_bare_types_and_formats():
@@ -141,6 +158,12 @@ MALFORMED = [
     (dict(FIXED, mesh_override="yes"), "mesh_override"),
     (dict(NBHD, eps=None), "eps"),
     (dict(FIXED, name=5), "name"),
+    # 400-digit ints, past the float range
+    (dict(FIXED, family={"map": {"form": "affine", "slope": 3.0,
+                                 "offset": 10 ** 400}}), "family.map.offset"),
+    (dict(FIXED, family={"map": {"form": "sine", "slope": 3.0,
+                                 "amplitude": 0.01, "marks": [0, 10 ** 400]}}),
+     "family.map.marks"),
 ]
 
 

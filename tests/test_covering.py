@@ -587,6 +587,56 @@ ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                            database=None)
 
 
+# --- the exact view of map data ----------------------------------------------
+
+def fields_as_fractions(b):
+    return tuple(Fraction(v) for v in (b.lo, b.hi, b.slope, b.offset))
+
+
+@ORACLE_SETTINGS
+@given(maps=st.lists(random_maps(), min_size=1, max_size=3))
+def test_exact_view_holds_the_fields_own_values(maps):
+    from circlemix.covering import _Ints
+
+    for m in maps:
+        for b in m.branches:
+            assert b.exact == fields_as_fractions(b)
+    # the lcm of powers of two is the largest of them
+    assert _Ints(maps).Q == max(v.denominator for m in maps
+                                for b in m.branches
+                                for v in fields_as_fractions(b))
+
+
+def assert_same_pieces(got, want):
+    assert len(got) == len(want)
+    for piece, other in zip(got, want):
+        for x, y in zip(piece, other):
+            assert type(x) is type(y)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+            else:
+                assert x == y
+
+
+@pytest.mark.parametrize("branch", [
+    {"lo": 0, "hi": 1, "slope": 3},
+    {"lo": 0, "hi": 1, "slope": -3, "offset": 1},
+    {"lo": 0, "hi": 1, "slope": 5, "offset": 2}])
+def test_int_and_float_spellings_give_the_same_results(branch):
+    from circlemix.transfer import TransferOperator
+
+    ints = map_from_dict({"branches": [branch]})
+    floats = map_from_dict({"branches": [
+        {k: float(v) for k, v in branch.items()}]})
+    assert ints.branches[0].exact == floats.branches[0].exact
+    assert (positivity_horizon(ints, 10.0, 0.01).as_dict()
+            == positivity_horizon(floats, 10.0, 0.01).as_dict())
+    # at 2^13 a slope-3 run of G targets is applied as phases
+    for G in (2 ** 12, 2 ** 13):
+        assert_same_pieces(TransferOperator(ints, G)._pieces,
+                           TransferOperator(floats, G)._pieces)
+
+
 def _assert_same_partition(got, want, tol=0.0):
     assert len(got) == len(want)
     for c, w in zip(got, want):

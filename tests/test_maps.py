@@ -190,6 +190,15 @@ def test_rejects_non_expanding():
         affine_map(0.0, 0.3)  # natural marks would divide by the slope
 
 
+@pytest.mark.parametrize("slope,offset", [
+    (-1e308, -1e308), (1e308, 1e308), (3.0, math.nan)])
+def test_affine_natural_marks_refuse_a_lift_that_is_not_finite_at_1(
+        slope, offset):
+    # floor(slope + offset) would raise OverflowError (ValueError for NaN)
+    with pytest.raises(MapFormError, match="the lift at 1 is"):
+        affine_map(slope, offset)
+
+
 def test_affine_natural_marks_give_one_unit_per_branch():
     # a decreasing lift crosses the integers -1, -2 on [0, 1), as an
     # increasing one of the same modulus crosses 1, 2

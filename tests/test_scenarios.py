@@ -775,7 +775,9 @@ def test_covering_error_exits_2_through_jobs_pool(tmp_path, monkeypatch,
     ({"map": {"form": "slope3-two-branch"}, "a_star": 10.0, "eps": "0"},
      "eps must be a number"),
     ({"map": {"form": "affine"}, "a_star": 10.0}, "malformed map"),
-    ([1, 2], "must be a JSON object")])
+    ([1, 2], "must be a JSON object"),
+    ({"map": {"form": "slope3-two-branch"}, "a_star": 10 ** 400},
+     "a_star must be a number")])
 def test_cli_covering_bad_config_exits_2(tmp_path, capsys, cfg, message):
     cov = tmp_path / "cov.json"
     cov.write_text(json.dumps(cfg))
@@ -845,6 +847,17 @@ def test_cli_covering_sine_map_witnesses_escape(tmp_path, capsys):
        "branch images span 10000000.0 units, more than 1024")
       for steep in ({"slope": 1e7, "marks": [0.0, 0.5]},
                     {"branches": [{"lo": 0, "hi": 1, "slope": 1e7}]})),
+    # 400-digit ints, past the float range, and a lift that overflows at 1
+    ("analyze-map", {"map": {"slope": 3.0, "offset": 10 ** 400}},
+     "map.offset must be a number"),
+    *(("analyze-map", {"map": dict(spec, marks=[0, 10 ** 400])},
+       "map.marks must be a list of numbers")
+      for spec in ({"slope": 3.0},
+                   {"form": "sine", "slope": 3.0, "amplitude": 0.01})),
+    ("absorb", {"a": 10 ** 400, "a_star": 25.0}, "a must be a number"),
+    ("analyze-map", {"map": {"slope": -1e308, "offset": -1e308}},
+     "natural marks of slope -1e+308 and offset -1e+308: the lift at 1 is "
+     "-inf"),
 ])
 def test_cli_calculators_bad_config_exit_2(tmp_path, capsys, command, cfg,
                                            message):
@@ -866,6 +879,14 @@ def test_steep_map_run_exits_2_before_building(tmp_path, steep):
                        tmp_path / "steep")
     assert res.exit_code == EXIT_CONFIG
     assert "branch images span 10000000.0 units, more than 1024" in res.message
+
+
+def test_affine_lift_overflowing_at_1_run_exits_2(tmp_path):
+    spec = {"slope": -1e308, "offset": -1e308}
+    res = run_scenario(base_scenario(n_max=2, family={"map": spec}),
+                       tmp_path / "run")
+    assert res.exit_code == EXIT_CONFIG
+    assert "the lift at 1 is -inf" in res.message
 
 
 @pytest.mark.parametrize("command", ["analyze-map", "absorb", "verify-ly",

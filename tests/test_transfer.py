@@ -718,6 +718,26 @@ def test_mirror_pair_of_slope_0_builds(tmp_path):
                  "--out", str(tmp_path / "out")]) == 0
 
 
+def test_mirror_rule_needs_an_integral_c_times_g():
+    # C = s + 2c = 2 + 2^-13, so C*G is 8192.5 at 2^12, where the two
+    # branches are solved apart, and an integer from 2^13 on
+    m = sine_map(2.0, 0.05, 2 ** -14)
+    assert transfer._mirrors(m, 2 ** 12) == {}
+    assert transfer._mirrors(m, 2 ** 13) == {1: (0, 16385)}
+    assert transfer._mirrors(m, 2 ** 14) == {1: (0, 32770)}
+    assert solved_and_mirrored(m, 2 ** 12)[::2] == (8192, 8192)
+    solved, mirrored, preimages = solved_and_mirrored(m, 2 ** 13)
+    assert (solved, len(mirrored), preimages) == (8192, 2, 16384)
+    G = 2 ** 13
+    op = TransferOperator(m, G)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "_mirrors", lambda m, G: {})
+        unpaired = TransferOperator(m, G)
+    phi = Density.sine(G, 1, 0.5).samples
+    assert (np.abs(op.apply(phi) - unpaired.apply(phi)).max()
+            <= 1e-14 * phi.max())
+
+
 def test_curve_slope_maps_build_one_run_per_lift_offset():
     # affine_map(s, 0, (0, 1/2)) joins into one arc with image [0, s): 3
     # runs for s <= 3 and 4 above, where its two arcs built 4 and 5
